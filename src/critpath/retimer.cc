@@ -222,11 +222,6 @@ Retimer::buildPlan()
                 for (size_t w = 0; w < sb.size(); ++w) {
                     if (sb[w].op == PlanOp::InvAdd &&
                         sb[w].src == wake_src && sb[w].k == tpc) {
-                        if (op == PlanOp::DrEgpwPlain ||
-                            op == PlanOp::DrEgpwTransp)
-                            std::fprintf(stderr,
-                                         "PRUNE-EGPW-WAKE-DROP op=%u prod=%u kxp=%u\n",
-                                         i, prod, kxp);
                         sb.erase(sb.begin() + w);
                         if (w < d)
                             --d;
@@ -265,10 +260,16 @@ Retimer::buildPlan()
     // reads (the op-major CSR layout cost a random fence lookup and a
     // scattered entry range per node). Folded X nodes vanish from the
     // stream entirely — they have no in-edges left and no readers.
+    // A node's stream index is its rank; sources are rewritten to
+    // ranks here, and each rank's last reader is noted, so retimeAll
+    // can hold a row only while it is still to be read.
     node_refs_.clear();
     node_refs_.reserve(g.topo.size());
     plan_.clear();
     plan_.reserve(tmp_plan.size());
+    rank_.assign(size_t{g.num_ops} * kNumMilestones, kNoNode);
+    last_use_.clear();
+    last_use_.reserve(g.topo.size());
     for (const u32 node : g.topo) {
         const Milestone ms = nodeMilestone(node);
         const auto &fence = tmp_begin[nodeOp(node)];
@@ -279,9 +280,18 @@ Retimer::buildPlan()
             fatal_if(b != e, "folded X node still has plan entries");
             continue;
         }
+        const u32 r = static_cast<u32>(node_refs_.size());
+        rank_[node] = r;
+        last_use_.push_back(r);
         node_refs_.push_back(NodeRef{node, e - b});
-        plan_.insert(plan_.end(), tmp_plan.begin() + b,
-                     tmp_plan.begin() + e);
+        for (u32 j = b; j < e; ++j) {
+            PlanEntry p = tmp_plan[j];
+            p.src = rank_[p.src];
+            fatal_if(p.src == kNoNode, "node ", node,
+                     " reads a node not yet emitted in topo order");
+            last_use_[p.src] = r;
+            plan_.push_back(p);
+        }
     }
 }
 
@@ -530,12 +540,6 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         dr_t_sub[m] = zl ? 2 * tpc : (nr ? tpc : 2 * tpc);
         dr_ep_sub[m] = mod.egpw ? kSkip : dr_p_sub[m];
         dr_et_sub[m] = mod.egpw ? kSkip : dr_t_sub[m];
-        // Every model re-derives its FU structural constraints from
-        // the recorded per-pool grant order: at fu_scale 1 the
-        // derived source pool_order[pos - units] is identical to the
-        // traced FuStruct edge, so the plan carries no FuStruct
-        // entries at all and one gather per effective-unit signature
-        // serves the whole lane block.
         {
             std::array<u32, static_cast<size_t>(FuPoolKind::NUM)> eff{};
             for (size_t p = 0; p < eff.size(); ++p) {
@@ -625,11 +629,68 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         row(subtab, PlanOp::DrEgpwTransp)[m] = dr_et_sub[m];
     }
 
-    // No zero-fill: the topo order guarantees every node's lane is
-    // stored before any edge reads it, so a bare resize suffices
-    // (and saves a full write pass over the lane array).
-    const size_t n_nodes = size_t{g.num_ops} * kNumMilestones;
-    u32 *const lanes = alignedBase(lanes_, n_nodes * MP);
+    // FU gathers of one node: every model re-derives its structural
+    // bound from the recorded per-pool grant order, at fu_scale 1
+    // reproducing the traced FuStruct edge exactly, so the plan
+    // carries no FuStruct entries and one gather per effective-unit
+    // signature serves the whole lane block. @p fn gets the group and
+    // the source's rank.
+    const auto forEachGather = [&](u32 node, auto &&fn) {
+        const u32 i = nodeOp(node);
+        if (nodeMilestone(node) != Milestone::S ||
+            g.pool_pos[i] == kNoPoolPos)
+            return;
+        const u8 pool = g.pool[i];
+        const u32 pos = g.pool_pos[i];
+        for (const FuGroup &grp : fu_groups)
+            if (pos >= grp.eff[pool])
+                fn(grp, rank_[nodeId(g.pool_order[pool][pos - grp.eff[pool]],
+                                     Milestone::S)]);
+    };
+
+    // Row assignment (DESIGN.md section 13): a rank holds a lane row
+    // from its own rank up to its last reader's. The gathers reach
+    // back along the pool order, past the plan's last uses under a
+    // large fu_scale, so they extend those first. The last op's C row
+    // is pinned: the results read it after the pass. A linear scan
+    // then hands out rows from a free list. A rank takes its row
+    // before the sources that die at it release theirs, so it never
+    // lands on a row it still reads.
+    const u32 n_ranks = static_cast<u32>(node_refs_.size());
+    std::vector<u32> last(last_use_);
+    for (u32 r = 0; r < n_ranks; ++r)
+        forEachGather(node_refs_[r].node, [&](const FuGroup &, u32 s) {
+            last[s] = std::max(last[s], r);
+        });
+    const u32 end_rank =
+        g.num_ops == 0 ? kNoNode : rank_[nodeId(g.num_ops - 1, Milestone::C)];
+    if (end_rank != kNoNode)
+        last[end_rank] = kNoNode;
+    std::vector<u32> slot(n_ranks);
+    std::vector<u32> free_rows;
+    u32 rows = 0;
+    for (u32 r = 0, e = 0; r < n_ranks; ++r) {
+        if (free_rows.empty()) {
+            slot[r] = rows++;
+        } else {
+            slot[r] = free_rows.back();
+            free_rows.pop_back();
+        }
+        const auto release = [&](u32 s) {
+            if (last[s] == r) {
+                last[s] = kNoNode;
+                free_rows.push_back(slot[s]);
+            }
+        };
+        const NodeRef &ref = node_refs_[r];
+        for (const u32 e_end = e + ref.count; e < e_end; ++e)
+            release(plan_[e].src);
+        forEachGather(ref.node,
+                      [&](const FuGroup &, u32 s) { release(s); });
+        release(r); // read by nothing
+    }
+    lane_rows_ = rows;
+    u32 *const lanes = alignedBase(lanes_, size_t{rows} * MP);
 
     // The node loop is instantiated per lane count: with the vector
     // width a compile-time constant the per-entry lane loops unroll
@@ -638,42 +699,16 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     // runtime-width variant.
     const auto pass = [&](auto mp_c) {
         constexpr u32 CMP = decltype(mp_c)::value;
-        const size_t plan_sz = plan_.size();
         u32 best[CMP];
         size_t e = 0;
-        for (const NodeRef &ref : node_refs_) {
-            const u32 node = ref.node;
-            const u32 i = nodeOp(node);
-            const Milestone ms = nodeMilestone(node);
+        for (u32 r = 0; r < n_ranks; ++r) {
+            const NodeRef &ref = node_refs_[r];
             const size_t e_end = e + ref.count;
-            // Write-intent prefetch of this node's own row: the store
-            // at the bottom would otherwise stall on the
-            // read-for-ownership miss.
-            u32 *const lane = &lanes[size_t{node} * CMP];
-            __builtin_prefetch(lane, 1);
-            if (CMP > 32)
-                __builtin_prefetch(
-                    reinterpret_cast<const char *>(lane) + 128, 1);
             for (u32 m = 0; m < CMP; ++m)
                 best[m] = 0;
             for (; e < e_end; ++e) {
-                // The pass is bound by source-row pulls, not lane
-                // arithmetic, and the topo-ordered stream makes the
-                // upcoming sources known well in advance: pull the row
-                // ~24 entries ahead (across node boundaries — the
-                // stream is linear). Two touches per 256-byte row; the
-                // adjacent-line prefetcher covers the partner lines.
-                // Measured on the 60-model sweep: ~17% off the pass.
-                if (e + 24 < plan_sz) {
-                    const char *const pr =
-                        reinterpret_cast<const char *>(
-                            &lanes[size_t{plan_[e + 24].src} * CMP]);
-                    __builtin_prefetch(pr);
-                    if (CMP > 32)
-                        __builtin_prefetch(pr + 128);
-                }
                 const PlanEntry &p = plan_[e];
-                const u32 *const src = &lanes[size_t{p.src} * CMP];
+                const u32 *const src = &lanes[size_t{slot[p.src]} * CMP];
                 // InvAdd dominates the edge mix and needs none of the
                 // class tables; buildPlan sorts classes within each
                 // fence range, so this branch flips at most twice per
@@ -696,9 +731,10 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
                     }
                     continue;
                 }
-                const size_t r = size_t{static_cast<u32>(p.op)} * CMP;
-                const u32 *const av = &addtab[r];
-                const u32 *const mv = &masktab[r];
+                const size_t row_off =
+                    size_t{static_cast<u32>(p.op)} * CMP;
+                const u32 *const av = &addtab[row_off];
+                const u32 *const mv = &masktab[row_off];
                 const u32 k = p.k;
                 // Post-mask-add classes (X folded into W): the exec
                 // latency k lands after the arrival quantization.
@@ -710,31 +746,21 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
                     }
                     continue;
                 }
-                const u32 *const sv = &subtab[r];
+                const u32 *const sv = &subtab[row_off];
                 for (u32 m = 0; m < CMP; ++m) {
                     const u32 v = (src[m] + k + av[m]) & mv[m];
                     const u32 c = v >= sv[m] ? v - sv[m] : 0;
                     best[m] = best[m] < c ? c : best[m];
                 }
             }
-            if (ms == Milestone::S && g.pool_pos[i] != kNoPoolPos &&
-                !fu_groups.empty()) {
-                const u8 pool = g.pool[i];
-                const u32 pos = g.pool_pos[i];
-                for (const FuGroup &grp : fu_groups) {
-                    if (pos < grp.eff[pool])
-                        continue;
-                    const u32 src_node = nodeId(
-                        g.pool_order[pool][pos - grp.eff[pool]],
-                        Milestone::S);
-                    const u32 *const src =
-                        &lanes[size_t{src_node} * CMP];
-                    for (const u32 m : grp.members) {
-                        const u32 c = src[m] + tpc;
-                        best[m] = best[m] < c ? c : best[m];
-                    }
+            forEachGather(ref.node, [&](const FuGroup &grp, u32 s) {
+                const u32 *const src = &lanes[size_t{slot[s]} * CMP];
+                for (const u32 m : grp.members) {
+                    const u32 c = src[m] + tpc;
+                    best[m] = best[m] < c ? c : best[m];
                 }
-            }
+            });
+            u32 *const lane = &lanes[size_t{slot[r]} * CMP];
             for (u32 m = 0; m < CMP; ++m)
                 lane[m] = best[m];
         }
@@ -772,11 +798,9 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     for (u32 m = 0; m < M; ++m) {
         results[m].model = models[m].name;
         results[m].ops = g.num_ops;
-        if (g.num_ops != 0) {
-            const u32 last =
-                lanes[size_t{nodeId(g.num_ops - 1, Milestone::C)} * MP +
-                      m];
-            results[m].cycles = Cycle{last / tpc} + 1;
+        if (end_rank != kNoNode) {
+            const u32 end = lanes[size_t{slot[end_rank]} * MP + m];
+            results[m].cycles = Cycle{end / tpc} + 1;
         }
     }
     return results;

@@ -102,6 +102,10 @@ class Retimer
      *  this against the graph's observed lanes. */
     const std::vector<Tick> &nodeTimes() const { return time_; }
 
+    /** Lane rows the last retimeAll() pass kept live at once: its
+     *  lane array holds this many rows, not one per node. */
+    u32 laneRows() const { return lane_rows_; }
+
   private:
     static constexpr u32 kNoNode = ~u32{0};
 
@@ -131,7 +135,7 @@ class Retimer
     };
     struct PlanEntry
     {
-        u32 src = 0; ///< source milestone node (nodeId encoding)
+        u32 src = 0; ///< source node's rank in the node_refs_ stream
         u32 k = 0;
         PlanOp op = PlanOp::Null;
     };
@@ -160,15 +164,26 @@ class Retimer
      *  buildPlan() prunes model-independently dominated edges, folds
      *  whole-cycle Exec hops into their W nodes, and drops the
      *  (now in-edge-free, reader-free) X nodes from the stream, so
-     *  the plan is shorter than the edge array. */
+     *  the plan is shorter than the edge array. A node's index in
+     *  node_refs_ is its rank; plan_ sources are ranks. */
     std::vector<NodeRef> node_refs_;
     std::vector<PlanEntry> plan_;
-    /** Batched time lanes, lanes_[node * MP + m] with MP the padded
+    /** Rank per milestone node (nodeId() indexing); kNoNode for the
+     *  folded X nodes, which have no row. */
+    std::vector<u32> rank_;
+    /** Per rank, the rank of its last plan_ reader (its own rank when
+     *  nothing reads it). retimeAll() extends these with its FU
+     *  gathers, which depend on the models. */
+    std::vector<u32> last_use_;
+    /** Batched time lanes, lanes_[row * MP + m] with MP the padded
      *  model count: retimeAll() advances every model's lane in one
-     *  pass, so the per-node record is one contiguous row and the
-     *  inner loops autovectorize. Rows are written before they are
-     *  read (topological order), so no zero-fill is needed. */
+     *  pass, so a node's record is one contiguous row and the inner
+     *  loops autovectorize. A row is held only from its node's rank
+     *  to its last reader's, so the array holds the live set, not
+     *  every node. Rows are written before they are read (topological
+     *  order), so no zero-fill is needed. */
     std::vector<u32> lanes_;
+    u32 lane_rows_ = 0;
 };
 
 } // namespace redsoc

@@ -369,7 +369,7 @@ crossCheckModels()
     std::vector<WhatIfModel> models;
     for (unsigned bits : {1u, 2u, 3u, 4u}) {
         for (bool egpw : {true, false}) {
-            for (double fu : {0.5, 1.0, 2.0, 4.0}) {
+            for (double fu : {0.5, 1.0, 2.0, 4.0, 16.0}) {
                 WhatIfModel m;
                 m.name = "ci" + std::to_string(bits) +
                          (egpw ? "" : "_noegpw") + "_fu" +
@@ -422,6 +422,64 @@ TEST_P(CritpathProperty, BatchedRetimeMatchesPerModel)
             }
         }
     }
+}
+
+/** A register written by op 0 and read by the last op, and an FP pool
+ *  used only at both ends of a long integer chain: at fu_scale 16 the
+ *  late FP ops' structural gathers reach back to the early ones. */
+Trace
+longLivedTrace()
+{
+    ProgramBuilder b("critpath_long_lived");
+    b.movImm(x(9), 7);
+    b.fmovImm(x(2), 1.5);
+    for (unsigned i = 0; i < 64; ++i)
+        b.fop(Opcode::FADD, x(3), x(2), x(2));
+    test::emitAddChain(b, 3000);
+    for (unsigned i = 0; i < 16; ++i)
+        b.fop(Opcode::FADD, x(3), x(2), x(2));
+    b.alu(Opcode::ADD, x(1), x(1), x(9));
+    b.halt();
+    return makeTrace(b);
+}
+
+/** The batched pass keeps a lane row only while a later node reads
+ *  it. A row read thousands of nodes later (by a data edge or an FU
+ *  gather) must survive until then. */
+TEST(CritpathLongLived, BatchedRetimeKeepsFarSources)
+{
+    const Trace trace = longLivedTrace();
+    const std::vector<WhatIfModel> models = crossCheckModels();
+    for (const std::string core : {"big", "small"}) {
+        SCOPED_TRACE(core);
+        CoreConfig cfg = coreByName(core);
+        cfg.mode = SchedMode::ReDSOC;
+        const TracedRun r = tracedRun(trace, cfg);
+        ASSERT_EQ(r.stats.committed, trace.size());
+        Retimer retimer(r.graph);
+        const std::vector<RetimeResult> batched =
+            retimer.retimeAll(models);
+        ASSERT_EQ(batched.size(), models.size());
+        for (size_t i = 0; i < models.size(); ++i)
+            EXPECT_EQ(batched[i].cycles, retimer.retime(models[i]).cycles)
+                << "model " << models[i].name;
+        // The live set, not the run length, sizes the lane array.
+        EXPECT_LT(retimer.laneRows(), r.graph.num_ops / 4);
+    }
+}
+
+/** On every grid workload the batched pass stays within a small,
+ *  run-length-independent number of lane rows. */
+TEST_P(CritpathGrid, BatchedRetimeLaneRowsBounded)
+{
+    const Trace &trace = sharedDriver().trace(GetParam());
+    CoreConfig cfg = coreByName("big");
+    cfg.mode = SchedMode::ReDSOC;
+    const TracedRun r = tracedRun(trace, cfg);
+    Retimer retimer(r.graph);
+    retimer.retimeAll(crossCheckModels());
+    EXPECT_GT(retimer.laneRows(), 0u);
+    EXPECT_LE(retimer.laneRows(), 4096u);
 }
 
 } // namespace

@@ -261,6 +261,7 @@ struct TestNode
     unsigned id = 0;
     TestNode *recycle_next = nullptr;
     std::atomic<bool> recycle_queued{false};
+    std::atomic<unsigned> harvests{0};
 };
 
 } // namespace
@@ -277,6 +278,8 @@ TEST(MpscFreeStack, ConcurrentPushersSingleHarvester)
 
     MpscFreeStack<TestNode> stack;
     std::atomic<unsigned> harvested{0};
+    std::atomic<unsigned> pushed{0};
+    std::atomic<unsigned> repushed_unharvested{0};
     std::atomic<bool> done{0};
 
     std::vector<std::thread> pushers;
@@ -284,9 +287,15 @@ TEST(MpscFreeStack, ConcurrentPushersSingleHarvester)
         pushers.emplace_back([&, t] {
             for (unsigned i = 0; i < kPerThread; ++i) {
                 TestNode *n = nodes[t * kPerThread + i].get();
-                stack.push(n);
-                // Double-push must be a no-op while queued.
-                stack.push(n);
+                pushed += stack.push(n) ? 1u : 0u;
+                // Double-push must be a no-op while queued. It succeeds
+                // only once the consumer has harvested and released
+                // the node between the two pushes.
+                if (stack.push(n)) {
+                    ++pushed;
+                    if (n->harvests.load() == 0)
+                        ++repushed_unharvested;
+                }
             }
         });
     }
@@ -296,6 +305,7 @@ TEST(MpscFreeStack, ConcurrentPushersSingleHarvester)
         while (!done.load(std::memory_order_acquire) || !stack.empty()) {
             for (TestNode *n = stack.harvest(); n != nullptr;) {
                 TestNode *next = n->recycle_next;
+                n->harvests.fetch_add(1);
                 n->recycle_queued.store(false,
                                         std::memory_order_release);
                 harvested.fetch_add(1);
@@ -308,7 +318,13 @@ TEST(MpscFreeStack, ConcurrentPushersSingleHarvester)
     done.store(true, std::memory_order_release);
     consumer.join();
 
-    EXPECT_EQ(harvested.load(), kThreads * kPerThread);
+    // Nothing is lost or harvested twice: every node's first push
+    // succeeds, and every successful push is harvested exactly once.
+    EXPECT_GE(pushed.load(), kThreads * kPerThread);
+    EXPECT_EQ(harvested.load(), pushed.load());
+    EXPECT_EQ(repushed_unharvested.load(), 0u);
+    for (const auto &n : nodes)
+        EXPECT_GE(n->harvests.load(), 1u) << "node " << n->id;
     EXPECT_TRUE(stack.empty());
 }
 
