@@ -1,35 +1,21 @@
 #include "common/shutdown.h"
 
 #include <csignal>
-#include <unistd.h>
 
 #include <atomic>
-
-#include <fcntl.h>
 
 namespace redsoc {
 
 namespace {
 
-// All signal-handler state is lock-free and async-signal-safe:
-// the handler touches only g_signals (atomic increment) and the
-// write end of the self-pipe (write() is on the safe list).
-std::atomic<unsigned> g_signals{0};
-std::atomic<unsigned> g_abort_after{1};
-std::atomic<bool> g_installed{false};
-int g_pipe_rd = -1;
-int g_pipe_wr = -1;
+// The handler touches only this lock-free atomic, so it is
+// async-signal-safe.
+std::atomic<bool> g_requested{false};
 
 extern "C" void
 shutdownHandler(int)
 {
-    g_signals.fetch_add(1, std::memory_order_relaxed);
-    if (g_pipe_wr >= 0) {
-        const char byte = 1;
-        // Best effort: a full pipe already means the poller has
-        // plenty of wakeups pending.
-        [[maybe_unused]] ssize_t n = ::write(g_pipe_wr, &byte, 1);
-    }
+    g_requested.store(true, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -40,25 +26,8 @@ ShutdownInterrupt::ShutdownInterrupt()
 }
 
 void
-installGracefulShutdown(unsigned abort_sims_after)
+installGracefulShutdown()
 {
-    g_abort_after.store(abort_sims_after == 0 ? 1 : abort_sims_after,
-                        std::memory_order_relaxed);
-    bool expected = false;
-    if (!g_installed.compare_exchange_strong(expected, true))
-        return; // already installed; threshold updated above
-
-    int fds[2] = {-1, -1};
-    if (::pipe(fds) == 0) {
-        // Nonblocking so the handler can never stall on a full pipe.
-        ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
-        ::fcntl(fds[1], F_SETFL, O_NONBLOCK);
-        ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
-        ::fcntl(fds[1], F_SETFD, FD_CLOEXEC);
-        g_pipe_rd = fds[0];
-        g_pipe_wr = fds[1];
-    }
-
     struct sigaction sa = {};
     sa.sa_handler = shutdownHandler;
     ::sigemptyset(&sa.sa_mask);
@@ -70,44 +39,7 @@ installGracefulShutdown(unsigned abort_sims_after)
 bool
 shutdownRequested()
 {
-    return g_signals.load(std::memory_order_relaxed) != 0;
-}
-
-unsigned
-shutdownSignalCount()
-{
-    return g_signals.load(std::memory_order_relaxed);
-}
-
-bool
-simAbortRequested()
-{
-    const unsigned n = g_signals.load(std::memory_order_relaxed);
-    return n != 0 &&
-           n >= g_abort_after.load(std::memory_order_relaxed);
-}
-
-int
-shutdownWakeFd()
-{
-    return g_pipe_rd;
-}
-
-void
-requestShutdownForTest()
-{
-    shutdownHandler(SIGINT);
-}
-
-void
-resetShutdownForTest()
-{
-    g_signals.store(0, std::memory_order_relaxed);
-    if (g_pipe_rd >= 0) {
-        char buf[64];
-        while (::read(g_pipe_rd, buf, sizeof(buf)) > 0) {
-        }
-    }
+    return g_requested.load(std::memory_order_relaxed);
 }
 
 } // namespace redsoc

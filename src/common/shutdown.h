@@ -1,29 +1,24 @@
 /**
  * @file
- * Cooperative graceful shutdown for long sweeps and the sweep daemon.
+ * Cooperative graceful shutdown for long sweeps.
  *
- * The seed tree ignored SIGINT/SIGTERM entirely: the default
- * disposition killed a sweep wherever it happened to be, which could
- * leave `.tmp-*` files behind in a shared REDSOC_CACHE_DIR (the
- * rename-based publish itself is atomic, so *entries* never tear, but
- * the staging files of writes that never reached the rename leaked).
- * Tools that run long simulation batches now install a handler that
- * only sets state; every long loop polls it at a natural boundary:
+ * Without a handler, SIGINT/SIGTERM kill a sweep wherever it happens
+ * to be, which can leave `.tmp-*` files behind in a shared
+ * REDSOC_CACHE_DIR (the rename-based publish itself is atomic, so
+ * *entries* never tear, but the staging files of writes that never
+ * reached the rename leak). Tools that run long simulation batches
+ * install a handler that only sets state; every long loop polls it at
+ * a natural boundary:
  *
- *  - SimDriver::prefetch stops submitting queued points and discards
- *    the not-yet-started remainder (ThreadPool::cancelPending);
+ *  - SimDriver::prefetch stops submitting points, and its queued
+ *    tasks return without simulating once they see the flag;
  *  - OooCore::run / Processor::run poll every few thousand cycles
- *    and abort the in-flight simulation with ShutdownInterrupt once
- *    the configured signal count is reached — the aborted point is
- *    simply never stored, so the cache write is "discarded
- *    atomically" by never starting;
- *  - the sweep daemon's accept loop polls wakeFd() so a signal
- *    interrupts ppoll() immediately, drains its job queue on the
- *    first signal and discards queued jobs on the second.
+ *    and abort the in-flight simulation with ShutdownInterrupt — the
+ *    aborted point is simply never stored, so the cache write is
+ *    "discarded atomically" by never starting.
  *
- * Everything here is async-signal-safe on the handler side (an
- * atomic counter plus a write() to a self-pipe) and lock-free on the
- * polling side (one relaxed load).
+ * The handler side is async-signal-safe (one lock-free atomic store)
+ * and the polling side is one relaxed load.
  */
 
 #ifndef REDSOC_COMMON_SHUTDOWN_H
@@ -34,10 +29,9 @@
 namespace redsoc {
 
 /**
- * Thrown out of a simulation loop when an installed shutdown handler
- * has collected enough signals (see installGracefulShutdown). Tool
- * mains catch it, clean up, and exit 130 — it is a request, not an
- * error.
+ * Thrown out of a simulation loop once an installed shutdown handler
+ * has seen a signal (see installGracefulShutdown). Tool mains catch
+ * it, clean up, and exit 130 — it is a request, not an error.
  */
 class ShutdownInterrupt : public std::runtime_error
 {
@@ -46,40 +40,16 @@ class ShutdownInterrupt : public std::runtime_error
 };
 
 /**
- * Install the SIGINT/SIGTERM handler (idempotent; later calls only
- * update @p abort_sims_after). Until this is called, nothing in the
- * library changes behavior: the poll helpers below all return false.
- *
- * @param abort_sims_after number of signals after which in-flight
- *        simulations abort via ShutdownInterrupt. Interactive tools
- *        pass 1 (first Ctrl-C stops everything promptly); the daemon
- *        passes 2 (first signal drains, second discards).
+ * Install the SIGINT/SIGTERM handler (idempotent). Until this is
+ * called, nothing in the library changes behavior:
+ * shutdownRequested() stays false.
  */
-void installGracefulShutdown(unsigned abort_sims_after = 1);
+void installGracefulShutdown();
 
-/** True once any installed handler has seen at least one signal:
- *  loops should stop picking up new work. */
-bool shutdownRequested();
-
-/** Number of shutdown signals received so far. */
-unsigned shutdownSignalCount();
-
-/** True once the signal count has reached the installed
- *  abort-sims-after threshold: in-flight simulations should throw
+/** True once an installed handler has seen a signal: loops stop
+ *  picking up new work and in-flight simulations throw
  *  ShutdownInterrupt at their next poll point. */
-bool simAbortRequested();
-
-/**
- * Read end of the self-pipe: becomes readable on every signal, so
- * event loops can poll({their fds..., wakeFd()}) and wake immediately
- * instead of timing out. -1 until installGracefulShutdown() ran.
- */
-int shutdownWakeFd();
-
-/** Test hooks: raise the flag / reset all state as if freshly
- *  started (does not uninstall the signal handler). */
-void requestShutdownForTest();
-void resetShutdownForTest();
+bool shutdownRequested();
 
 } // namespace redsoc
 

@@ -1455,7 +1455,7 @@ OooCore::run(const Trace &trace)
     // poll at the same granularity.
     u64 steps = 0;
     while (stepRun()) {
-        if ((++steps & 0x3fffu) == 0 && simAbortRequested())
+        if ((++steps & 0x3fffu) == 0 && shutdownRequested())
             throw ShutdownInterrupt();
     }
     return finishRun();

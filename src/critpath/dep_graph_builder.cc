@@ -314,6 +314,7 @@ DepGraphBuilder::onEvent(const PipeEvent &e)
     if (e.kind < PipeEventKind::NUM)
         ++graph_.event_counts[static_cast<size_t>(e.kind)];
 
+    // No default: -Werror=switch enforces completeness.
     switch (e.kind) {
     case PipeEventKind::Fetch:
     case PipeEventKind::Decode:

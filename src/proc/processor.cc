@@ -74,7 +74,7 @@ Processor::run(const std::vector<const Trace *> &traces)
         if (pick == cores_.size())
             break;
         live[pick] = cores_[pick]->stepRun();
-        if ((++steps & 0x3fffu) == 0 && simAbortRequested())
+        if ((++steps & 0x3fffu) == 0 && shutdownRequested())
             throw ShutdownInterrupt();
     }
 

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/shutdown.h"
-#include "server/offload.h"
 #include "sim/thread_pool.h"
 #include "trace/exporters.h"
 
@@ -55,9 +54,9 @@ SimDriver::configKey(const CoreConfig &config)
        << config.no_commit_horizon << '|'
        // Structural capacities (v5 key dimension): before these were
        // fingerprinted, two configs differing only in e.g. rs_entries
-       // silently aliased to one cache entry — harmless for the named
-       // presets (the name disambiguates) but wrong for the sweep
-       // server, which dedups arbitrary client configs by this key.
+       // aliased to one cache entry. The named presets never collide
+       // (the name disambiguates), but any sweep that mutates a
+       // preset's fields in place would be served the wrong result.
        << config.frontend_width << ',' << config.commit_width << '|'
        << config.rob_entries << ',' << config.lsq_entries << ','
        << config.rs_entries << '|' << config.alu_units << ','
@@ -78,7 +77,8 @@ SimDriver::configKey(const CoreConfig &config)
        << '|' << config.memory.l1.size_bytes << '/'
        << config.memory.l1.assoc << '/' << config.memory.l1.line_bytes
        << '|' << config.memory.l2.size_bytes << '/'
-       << config.memory.l2.assoc << '|' << config.memory.l1_latency
+       << config.memory.l2.assoc << '/' << config.memory.l2.line_bytes
+       << '|' << config.memory.l1_latency
        << ',' << config.memory.l2_latency << ','
        << config.memory.mem_latency;
     return os.str();
@@ -137,15 +137,6 @@ SimDriver::runFuture(const std::string &workload,
                 prom.set_value(std::move(*hit));
                 return fut;
             }
-        }
-        // REDSOC_SWEEP_SERVER: offload the point to a running
-        // redsoc_sweepd instead of simulating here (transparent: any
-        // failure falls back to the local path below, see offload.cc).
-        if (auto remote = serverOffloadRun(workload, config, max_ops_)) {
-            if (disk_cache_)
-                disk_cache_->store(key, *remote);
-            prom.set_value(std::move(*remote));
-            return fut;
         }
         OooCore core(config);
         const TraceEnv &tenv = TraceEnv::get();
@@ -210,12 +201,6 @@ SimDriver::procFuture(const std::vector<std::string> &mix,
                 prom.set_value(std::move(*hit));
                 return fut;
             }
-        }
-        if (auto remote = serverOffloadRunProc(mix, config, max_ops_)) {
-            if (disk_cache_)
-                disk_cache_->storeProc(key, *remote);
-            prom.set_value(std::move(*remote));
-            return fut;
         }
         // Build the mix's traces first (shared with single-core runs
         // of the same workloads), then run the sequential lockstep.

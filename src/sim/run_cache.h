@@ -33,8 +33,10 @@ class RunCache
      *  full cache-hierarchy geometry and multi-core ProcStats entries
      *  joined the cache; v5: run keys carry the structural capacities
      *  — ROB/RS/LSQ entries, widths, FU counts, predictor geometry —
-     *  so configs differing only structurally no longer alias). */
-    static constexpr unsigned kFormatVersion = 5;
+     *  so configs differing only structurally no longer alias; v6:
+     *  run keys carry the L2 line size, so 64-B and 128-B L2 lines
+     *  no longer alias). */
+    static constexpr unsigned kFormatVersion = 6;
 
     /**
      * Opens (and creates if missing) the cache directory. Opening

@@ -54,21 +54,6 @@ ThreadPool::wait()
     }
 }
 
-size_t
-ThreadPool::cancelPending()
-{
-    std::deque<std::function<void()>> dropped;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        dropped.swap(queue_);
-        if (idle())
-            all_idle_.notify_all();
-    }
-    // Destroy the captured closures outside the lock: a task may own
-    // promises whose destructors run arbitrary waiter code.
-    return dropped.size();
-}
-
 void
 ThreadPool::workerLoop()
 {

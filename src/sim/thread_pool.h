@@ -44,13 +44,6 @@ class ThreadPool
      */
     void wait() REDSOC_NO_THREAD_SAFETY_ANALYSIS;
 
-    /**
-     * Discard every task that has not started yet (graceful shutdown:
-     * in-flight tasks keep running, queued ones are dropped).
-     * @return number of tasks discarded
-     */
-    size_t cancelPending();
-
     unsigned threads() const { return static_cast<unsigned>(workers_.size()); }
 
   private:

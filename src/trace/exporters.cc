@@ -228,6 +228,7 @@ exportChromeTrace(const PipeTracer &tracer, const Trace &trace,
     std::map<SeqNum, std::pair<Tick, u8>> exec_begin;
 
     tracer.forEach([&](const PipeEvent &e) {
+        // No default: -Werror=switch enforces completeness.
         switch (e.kind) {
         case PipeEventKind::Fetch:
         case PipeEventKind::Decode:
@@ -338,6 +339,7 @@ exportKonata(const PipeTracer &tracer, const Trace &trace, std::ostream &os)
     std::map<SeqNum, OpTimeline> ops;
     tracer.forEach([&](const PipeEvent &e) {
         OpTimeline &op = ops[e.seq];
+        // No default: -Werror=switch enforces completeness.
         switch (e.kind) {
         case PipeEventKind::Fetch:
             op.has_fetch = true;

@@ -21,10 +21,10 @@
 namespace redsoc {
 
 /**
- * One kind per pipeline moment. Exporters must stay exhaustive over
- * this enum — enforced mechanically by the redsoc_lint
- * `trace-complete` rule (every enumerator must appear at least twice
- * in src/trace/exporters.cc: once per exporter).
+ * One kind per pipeline moment. Both trace exporters and the critpath
+ * dependence-graph builder switch over this enum without a
+ * `default:`, so -Werror=switch makes a new kind a build error until
+ * every one of them handles it.
  */
 enum class PipeEventKind : u8 {
     // Frontend. The model's frontend is a single macro-stage (fetch,

@@ -40,6 +40,11 @@ TEST_F(IntegrationTest, ConfigKeysDistinguishVariants)
     c.slack_threshold_ticks = 2;
     EXPECT_NE(SimDriver::configKey(a), SimDriver::configKey(b));
     EXPECT_NE(SimDriver::configKey(b), SimDriver::configKey(c));
+    // L2 line size alone changes the simulated cycles (xalanc
+    // big/redsoc: 539,127 at 64 B, 537,174 at 128 B).
+    CoreConfig d = b;
+    d.memory.l2.line_bytes = 128;
+    EXPECT_NE(SimDriver::configKey(b), SimDriver::configKey(d));
 }
 
 TEST_F(IntegrationTest, RedsocSpeedsUpComputeKernels)

@@ -178,39 +178,16 @@ TEST(LintStatComplete, FiresForEveryUncoveredField)
     EXPECT_NE(out[2].message.find("serializer"), std::string::npos);
 }
 
-TEST(LintTraceComplete, FiresForEveryUnexportedKind)
-{
-    const SourceFile header = fixture("trace_complete_enum.h");
-    const SourceFile exp = fixture("trace_complete_exporter.cc");
-
-    std::vector<Finding> out;
-    ruleTraceComplete(header, "FixEventKind", exp, out);
-
-    Sites got;
-    for (const Finding &f : out)
-        got.emplace_back(f.line, f.rule);
-    std::sort(got.begin(), got.end());
-    // Retire (10): only one exporter switch; Squash (11): neither.
-    // Probe: exempted via allow(trace-complete); NUM: sentinel.
-    EXPECT_EQ(got, (Sites{{10, "trace-complete"},
-                          {11, "trace-complete"}}));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_NE(out[0].message.find("Retire"), std::string::npos);
-    EXPECT_NE(out[0].message.find("trace_complete_exporter.cc"),
-              std::string::npos);
-    EXPECT_NE(out[1].message.find("Squash"), std::string::npos);
-}
-
 TEST(LintEnumParser, ExtractsEnumeratorsAndSkipsInitializers)
 {
-    const auto enums = parseEnums(fixture("trace_complete_enum.h"));
+    const auto enums = parseEnums(fixture("audit_complete_enum.h"));
     ASSERT_EQ(enums.size(), 1u);
-    EXPECT_EQ(enums[0].name, "FixEventKind");
+    EXPECT_EQ(enums[0].name, "FixInvariant");
     std::vector<std::string> names;
     for (const auto &e : enums[0].enumerators)
         names.push_back(e.name);
     EXPECT_EQ(names, (std::vector<std::string>{
-                         "Fetch", "Issue", "Retire", "Squash", "Probe",
+                         "AgeOrder", "CiBound", "Leftover", "Sweep",
                          "NUM"}));
 }
 
@@ -357,38 +334,6 @@ TEST(LintTree, StatCompleteGuardsTheMultiCoreBlocks)
     }
 }
 
-/** R5 is live on the real tree: drop an event kind from the exporter
- *  text and the rule must notice. */
-TEST(LintTree, TraceCompleteGuardsTheRealSchema)
-{
-    Options opt;
-    opt.root = kRoot;
-    SourceFile header = lexFile(kRoot + "/" + opt.trace_header,
-                                opt.trace_header);
-    SourceFile exp =
-        lexFile(kRoot + "/" + opt.trace_exporter, opt.trace_exporter);
-
-    std::vector<Finding> ok;
-    ruleTraceComplete(header, opt.trace_enum, exp, ok);
-    EXPECT_TRUE(ok.empty());
-
-    // Simulate "added an event kind, forgot an exporter": erase every
-    // mention of TransparentPass from the exporter tokens.
-    SourceFile broken = exp;
-    broken.toks.erase(
-        std::remove_if(broken.toks.begin(), broken.toks.end(),
-                       [](const Token &t) {
-                           return t.text == "TransparentPass";
-                       }),
-        broken.toks.end());
-    std::vector<Finding> out;
-    ruleTraceComplete(header, opt.trace_enum, broken, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].rule, "trace-complete");
-    EXPECT_NE(out[0].message.find("TransparentPass"),
-              std::string::npos);
-}
-
 TEST(LintAuditComplete, FiresForEveryUntestedInvariant)
 {
     const SourceFile header = fixture("audit_complete_enum.h");
@@ -440,59 +385,6 @@ TEST(LintTree, AuditCompleteGuardsTheRealCatalogue)
     EXPECT_EQ(out[0].rule, "audit-complete");
     EXPECT_NE(out[0].message.find("EgpwLeftoverSlot"),
               std::string::npos);
-}
-
-TEST(LintCritpathComplete, FiresForEveryUnconsumedKind)
-{
-    const SourceFile header = fixture("critpath_complete_enum.h");
-    const SourceFile bld = fixture("critpath_complete_builder.cc");
-
-    std::vector<Finding> out;
-    ruleCritpathComplete(header, "FixPipeKind", bld, out);
-
-    Sites got;
-    for (const Finding &f : out)
-        got.emplace_back(f.line, f.rule);
-    std::sort(got.begin(), got.end());
-    // Squash (11): the builder never mentions it. Dispatch/Select:
-    // consumed; Writeback: explicitly ignored (a mention counts);
-    // Heat: exempted via allow(critpath-complete); NUM: sentinel.
-    EXPECT_EQ(got, (Sites{{11, "critpath-complete"}}));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_NE(out[0].message.find("Squash"), std::string::npos);
-    EXPECT_NE(out[0].message.find("critpath_complete_builder.cc"),
-              std::string::npos);
-}
-
-/** R9 is live on the real tree: drop an event kind's mentions from
- *  the dependence-graph builder text and the rule must notice. */
-TEST(LintTree, CritpathCompleteGuardsTheRealBuilder)
-{
-    Options opt;
-    opt.root = kRoot;
-    SourceFile header = lexFile(kRoot + "/" + opt.critpath_header,
-                                opt.critpath_header);
-    SourceFile bld = lexFile(kRoot + "/" + opt.critpath_builder,
-                             opt.critpath_builder);
-
-    std::vector<Finding> ok;
-    ruleCritpathComplete(header, opt.critpath_enum, bld, ok);
-    EXPECT_TRUE(ok.empty());
-
-    // Simulate "added an event kind, forgot the dependence graph":
-    // erase every mention of RecycleLink from the builder's tokens.
-    SourceFile broken = bld;
-    broken.toks.erase(
-        std::remove_if(broken.toks.begin(), broken.toks.end(),
-                       [](const Token &t) {
-                           return t.text == "RecycleLink";
-                       }),
-        broken.toks.end());
-    std::vector<Finding> out;
-    ruleCritpathComplete(header, opt.critpath_enum, broken, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].rule, "critpath-complete");
-    EXPECT_NE(out[0].message.find("RecycleLink"), std::string::npos);
 }
 
 TEST(LintScopeTree, ClassifiesScopesAndParsesContracts)

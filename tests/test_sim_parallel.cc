@@ -2,21 +2,34 @@
  * @file
  * Tests for the parallel simulation layer: the fixed thread pool, the
  * concurrency-safe SimDriver (bit-identical results no matter how
- * many threads race on a point), and the persistent on-disk run
- * cache (hit, miss, version invalidation, corrupted-file fallback).
+ * many threads race on a point), the persistent on-disk run cache
+ * (hit, miss, version invalidation, corrupted-file fallback), and
+ * its failure-path hardening: multi-process store races leave no
+ * torn files and no stale .tmp-* litter, interrupted sweeps leave
+ * every cache entry readable, stale staging files are GC'd.
+ *
+ * This binary has its own main(): the multi-process tests re-exec
+ * /proc/self/exe in child modes selected by REDSOC_TEST_CHILD.
  */
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "common/shutdown.h"
 #include "helpers.h"
+#include "sched_grid.h"
 #include "sim/run_cache.h"
 #include "sim/thread_pool.h"
 
@@ -52,11 +65,14 @@ makeTempDir()
     return tmpl;
 }
 
+/** Deterministic stats of a short logic chain; each @p variant
+ *  yields different bytes (store-race payloads must be
+ *  distinguishable). */
 CoreStats
-sampleStats()
+sampleStats(unsigned variant = 2)
 {
     ProgramBuilder b("chain");
-    test::emitLogicChain(b, 200);
+    test::emitLogicChain(b, 100 + 50 * variant);
     b.halt();
     const Trace trace = test::makeTrace(b);
     return test::runCore(trace, configFor("small", SchedMode::ReDSOC));
@@ -74,6 +90,50 @@ class ScopedEnv
   private:
     const char *name_;
 };
+
+/** Fork + re-exec this binary in @p mode with extra environment. */
+pid_t
+spawnChild(const std::string &mode,
+           const std::vector<std::pair<std::string, std::string>> &env)
+{
+    const pid_t pid = ::fork();
+    if (pid != 0)
+        return pid;
+    ::setenv("REDSOC_TEST_CHILD", mode.c_str(), 1);
+    for (const auto &kv : env)
+        ::setenv(kv.first.c_str(), kv.second.c_str(), 1);
+    ::execl("/proc/self/exe", "test_sim_parallel_child",
+            static_cast<char *>(nullptr));
+    ::_exit(127);
+}
+
+int
+waitChild(pid_t pid)
+{
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status));
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+unsigned
+countTmpFiles(const std::string &dir)
+{
+    unsigned n = 0;
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.path().filename().string().rfind(".tmp-", 0) == 0)
+            ++n;
+    return n;
+}
+
+std::string
+readFile(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
 
 } // namespace
 
@@ -263,4 +323,200 @@ TEST(RunCache, DriverLoadsStoresAndSurvivesCorruption)
     EXPECT_EQ(repaired->cycles, truth.cycles);
 
     fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Run-cache failure-path hardening (multi-process)
+// ---------------------------------------------------------------------
+
+TEST(RunCacheHardening, MultiProcessStoreRaceLeavesNoTornFiles)
+{
+    const std::string dir = makeTempDir();
+    constexpr unsigned kChildren = 6;
+
+    std::vector<pid_t> pids;
+    for (unsigned i = 0; i < kChildren; ++i)
+        pids.push_back(spawnChild(
+            "store-race",
+            {{"REDSOC_TEST_DIR", dir},
+             {"REDSOC_TEST_VARIANT", std::to_string(i % 2)}}));
+    for (pid_t pid : pids)
+        EXPECT_EQ(waitChild(pid), 0);
+
+    // No staging litter survives any interleaving...
+    EXPECT_EQ(countTmpFiles(dir), 0u);
+
+    // ...and the contended key holds exactly one writer's payload,
+    // never an interleaving of two.
+    RunCache cache(dir);
+    const auto got = cache.load("racekey");
+    ASSERT_TRUE(got.has_value());
+    const std::string a = canon(sampleStats(0));
+    const std::string b = canon(sampleStats(1));
+    const std::string loaded = canon(*got);
+    EXPECT_TRUE(loaded == a || loaded == b);
+
+    // Per-child keys are intact too.
+    for (unsigned v = 0; v < 2; ++v) {
+        const auto own = cache.load("own-" + std::to_string(v));
+        ASSERT_TRUE(own.has_value());
+        EXPECT_EQ(canon(*own), v == 0 ? a : b);
+    }
+}
+
+TEST(RunCacheHardening, InterruptedSweepLeavesEveryEntryReadable)
+{
+    const std::string dir = makeTempDir();
+    const std::string marker = dir + "/.sweep-started";
+
+    const pid_t pid = spawnChild("sweep-interrupt",
+                                 {{"REDSOC_CACHE_DIR", dir},
+                                  {"REDSOC_TEST_MARKER", marker}});
+    // Wait for the child to enter its sweep and commit at least one
+    // point (sanitized builds are an order of magnitude slower, so no
+    // fixed sleep), then interrupt it mid-flight.
+    auto countEntries = [&dir] {
+        unsigned n = 0;
+        for (const auto &entry : fs::directory_iterator(dir))
+            if (entry.path().extension() == ".stats")
+                ++n;
+        return n;
+    };
+    for (unsigned spins = 0; !fs::exists(marker) && spins < 5000;
+         ++spins)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_TRUE(fs::exists(marker));
+    for (unsigned spins = 0; countEntries() == 0 && spins < 60'000;
+         ++spins)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(countEntries(), 0u);
+    ASSERT_EQ(::kill(pid, SIGINT), 0);
+    const int rc = waitChild(pid);
+    // 130 = interrupted mid-sweep; 0 = the sweep won the race. Both
+    // are orderly exits; anything else is a crash.
+    EXPECT_TRUE(rc == 130 || rc == 0) << "child exit " << rc;
+
+    // The acceptance bar: zero .tmp-* files, zero unreadable entries.
+    EXPECT_EQ(countTmpFiles(dir), 0u);
+    unsigned entries = 0;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.size() > 6 &&
+            name.compare(name.size() - 6, 6, ".stats") == 0) {
+            ++entries;
+            EXPECT_TRUE(deserializeStats(readFile(entry.path()), "")
+                            .has_value())
+                << name;
+        }
+    }
+    EXPECT_GT(entries, 0u);
+}
+
+TEST(RunCacheHardening, StaleTmpFilesAreSweptOnOpen)
+{
+    const std::string dir = makeTempDir();
+    std::ofstream(dir + "/.tmp-1234-abc") << "orphaned staging data";
+    std::ofstream(dir + "/.tmp-5678-def") << "more litter";
+    std::ofstream(dir + "/keepme.stats") << "not a tmp file";
+    ASSERT_EQ(countTmpFiles(dir), 2u);
+
+    {
+        // TTL 0: every stale file is already too old.
+        ScopedEnv ttl("REDSOC_CACHE_TMP_TTL_S", "0");
+        RunCache cache(dir);
+    }
+    EXPECT_EQ(countTmpFiles(dir), 0u);
+    EXPECT_TRUE(fs::exists(dir + "/keepme.stats"));
+
+    // With the default 1-hour TTL a fresh staging file survives (a
+    // live writer's tmp must never be swept out from under it).
+    std::ofstream(dir + "/.tmp-9999-live") << "in flight";
+    {
+        RunCache cache(dir);
+    }
+    EXPECT_EQ(countTmpFiles(dir), 1u);
+}
+
+TEST(RunCacheHardening, StoreSurvivesUnwritableStagingDir)
+{
+    // A bogus staging dir makes the tmp write fail; store must warn
+    // and leave no litter, and the entry is simply absent.
+    const std::string dir = makeTempDir();
+    {
+        ScopedEnv env("REDSOC_CACHE_TMP_DIR",
+                      dir + "/does-not-exist");
+        RunCache cache(dir);
+        cache.store("key", sampleStats(0));
+        EXPECT_FALSE(cache.load("key").has_value());
+    }
+    EXPECT_EQ(countTmpFiles(dir), 0u);
+
+    // Same dir staging (the default) then works.
+    RunCache cache(dir);
+    cache.store("key", sampleStats(0));
+    EXPECT_TRUE(cache.load("key").has_value());
+}
+
+// ---------------------------------------------------------------------
+// Child modes (re-exec targets)
+// ---------------------------------------------------------------------
+
+namespace {
+
+int
+childStoreRace()
+{
+    const char *dir = std::getenv("REDSOC_TEST_DIR");
+    const char *variant_s = std::getenv("REDSOC_TEST_VARIANT");
+    if (dir == nullptr || variant_s == nullptr)
+        return 3;
+    const unsigned variant =
+        static_cast<unsigned>(std::strtoul(variant_s, nullptr, 10));
+    const CoreStats stats = sampleStats(variant);
+    RunCache cache(dir);
+    for (int i = 0; i < 25; ++i) {
+        cache.store("racekey", stats);
+        cache.store("own-" + std::to_string(variant), stats);
+    }
+    return 0;
+}
+
+int
+childSweepInterrupt()
+{
+    const char *marker = std::getenv("REDSOC_TEST_MARKER");
+    if (marker == nullptr || std::getenv("REDSOC_CACHE_DIR") == nullptr)
+        return 3;
+    installGracefulShutdown();
+
+    SimDriver driver(kTestOps);
+    std::vector<SimDriver::Point> points;
+    for (const std::string core : {"small", "medium", "big"})
+        for (const auto &[tag, cfg] : test::differentialConfigs(core))
+            points.push_back({"crc", cfg});
+
+    std::ofstream(marker) << "sweeping\n";
+    try {
+        driver.runAll(points);
+    } catch (const ShutdownInterrupt &) {
+        return 130;
+    }
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    if (const char *mode = std::getenv("REDSOC_TEST_CHILD")) {
+        ::unsetenv("REDSOC_TEST_CHILD");
+        if (std::string(mode) == "store-race")
+            return childStoreRace();
+        if (std::string(mode) == "sweep-interrupt")
+            return childSweepInterrupt();
+        return 2;
+    }
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
 }

@@ -11,7 +11,7 @@
  *
  *   bench_all [fast] [--bench-dir DIR] [--cache-dir DIR] [--no-cache]
  *             [--profile] [--trace-dir DIR] [--sched-baseline FILE]
- *             [--critpath] [--server SOCKET]
+ *             [--critpath]
  *
  * "fast" is forwarded to every harness. The cache directory defaults
  * to ".redsoc-cache" in the current directory (created on demand);
@@ -29,10 +29,6 @@
  * --critpath appends the analytic what-if engine benchmark
  * (tools/bench_critpath) to the combined report, forwarding "fast";
  * its exactness or speedup gate failing fails bench_all.
- * --server SOCKET exports REDSOC_SWEEP_SERVER so every harness
- * offloads cache-missing points to a running redsoc_sweepd (see
- * DESIGN.md §15) instead of simulating in-process; results are
- * bit-identical either way, so this is purely a placement choice.
  *
  * SIGINT/SIGTERM stops launching new harnesses after the current one
  * exits (each harness installs its own graceful shutdown, so the
@@ -127,20 +123,18 @@ main(int argc, char **argv)
             sched_baseline = argv[++i];
         } else if (arg == "--critpath") {
             critpath = true;
-        } else if (arg == "--server" && i + 1 < argc) {
-            ::setenv("REDSOC_SWEEP_SERVER", argv[++i], 1);
         } else {
             std::fprintf(stderr,
                          "usage: %s [fast] [--bench-dir DIR] "
                          "[--cache-dir DIR] [--no-cache] [--profile] "
                          "[--trace-dir DIR] [--sched-baseline FILE] "
-                         "[--critpath] [--server SOCKET]\n",
+                         "[--critpath]\n",
                          argv[0]);
             return 2;
         }
     }
 
-    installGracefulShutdown(1);
+    installGracefulShutdown();
 
     if (use_cache) {
         // Don't override an explicit environment choice unless the

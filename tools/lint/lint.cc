@@ -209,16 +209,6 @@ lintTree(const Options &opt)
         ruleStatComplete(header, blk.struct_name, ser, cmp, out);
     }
 
-    // R5 runs once over the trace-event schema and its exporters.
-    if (fs::exists(root / opt.trace_header, ec) &&
-        fs::exists(root / opt.trace_exporter, ec)) {
-        SourceFile header = lexFile((root / opt.trace_header).string(),
-                                    opt.trace_header);
-        SourceFile exp = lexFile((root / opt.trace_exporter).string(),
-                                 opt.trace_exporter);
-        ruleTraceComplete(header, opt.trace_enum, exp, out);
-    }
-
     // R6 runs once over the invariant catalogue and its test suite.
     if (fs::exists(root / opt.audit_header, ec) &&
         fs::exists(root / opt.audit_tests, ec)) {
@@ -227,18 +217,6 @@ lintTree(const Options &opt)
         SourceFile tst = lexFile((root / opt.audit_tests).string(),
                                  opt.audit_tests);
         ruleAuditComplete(header, opt.audit_enum, tst, out);
-    }
-
-    // R9 runs once over the trace-event schema and the critpath
-    // dependence-graph builder.
-    if (fs::exists(root / opt.critpath_header, ec) &&
-        fs::exists(root / opt.critpath_builder, ec)) {
-        SourceFile header = lexFile(
-            (root / opt.critpath_header).string(), opt.critpath_header);
-        SourceFile bld = lexFile(
-            (root / opt.critpath_builder).string(),
-            opt.critpath_builder);
-        ruleCritpathComplete(header, opt.critpath_enum, bld, out);
     }
 
     std::sort(out.begin(), out.end(),

@@ -32,22 +32,11 @@
  *                 run-cache serializer/deserializer and its
  *                 equivalence comparator, so "added a stat, forgot
  *                 the cache format" cannot recur.
- *   trace-complete (R5) every PipeEventKind enumerator (NUM sentinel
- *                 excluded) appears at least twice in the trace
- *                 exporter translation unit — once per exporter
- *                 switch — so "added an event kind, forgot an
- *                 exporter" cannot recur either.
  *   audit-complete (R6) every InvariantAudit enumerator (NUM sentinel
  *                 excluded) appears at least once in the fuzzing
  *                 regression suite, so every runtime invariant check
  *                 keeps a unit test proving it fires on corrupted
  *                 state.
- *   critpath-complete (R9) every PipeEventKind enumerator (NUM
- *                 sentinel excluded) appears at least once in the
- *                 critpath DepGraphBuilder translation unit — its
- *                 event switch must consume or explicitly ignore
- *                 every kind — so "added an event kind, forgot the
- *                 dependence graph" cannot recur.
  *   hot-alloc     (R8) heap allocation inside the per-cycle scheduler
  *                 functions (the bodies the simulator executes every
  *                 simulated cycle): 'new', push_back/emplace_back on
@@ -80,7 +69,7 @@
  *                 canonically: one finding per strongly connected
  *                 component, anchored at its lexicographically
  *                 smallest site, edges listed sorted.
- *   nondet-taint  (R12) flow-sensitive generalization of R2/R5:
+ *   nondet-taint  (R12) flow-sensitive generalization of R2:
  *                 values assigned from nondeterministic sources
  *                 (wall clocks, random/pid/thread-id APIs,
  *                 pointer-to-integer casts, range-for over unordered
@@ -179,7 +168,7 @@ struct StructInfo
 std::vector<StructInfo> parseStructs(const SourceFile &sf);
 
 // ---------------------------------------------------------------------
-// Enum model (trace-complete)
+// Enum model (audit-complete)
 // ---------------------------------------------------------------------
 
 struct EnumeratorInfo
@@ -236,15 +225,6 @@ void ruleStatComplete(const SourceFile &header,
                       const SourceFile &comparator,
                       std::vector<Finding> &out);
 
-/** R5: every enumerator of @p enum_name in @p header — except the
- *  NUM count sentinel — must appear >= 2 times in @p exporter (the
- *  Chrome and Konata exporter switches live in one file; a kind
- *  missing from either cannot reach two mentions). */
-void ruleTraceComplete(const SourceFile &header,
-                       const std::string &enum_name,
-                       const SourceFile &exporter,
-                       std::vector<Finding> &out);
-
 /** R6: every enumerator of @p enum_name in @p header — except the
  *  NUM count sentinel — must appear >= 1 time in @p tests (each
  *  runtime invariant check needs a unit test that corrupts the
@@ -253,16 +233,6 @@ void ruleAuditComplete(const SourceFile &header,
                        const std::string &enum_name,
                        const SourceFile &tests,
                        std::vector<Finding> &out);
-
-/** R9: every enumerator of @p enum_name in @p header — except the
- *  NUM count sentinel — must appear >= 1 time in @p builder (the
- *  critpath DepGraphBuilder event switch must consume or explicitly
- *  ignore every event kind; a kind it never mentions is pipeline
- *  behavior the re-timer silently cannot see). */
-void ruleCritpathComplete(const SourceFile &header,
-                          const std::string &enum_name,
-                          const SourceFile &builder,
-                          std::vector<Finding> &out);
 
 // Semantic rules (R10-R12). ScopeTree and SymbolTable are defined in
 // scopes.h / symtab.h; the driver builds them once per file and the
@@ -371,21 +341,10 @@ struct Options
          "tests/test_proc_equiv.cc"},
     };
 
-    // R5 wiring (relative to root; rule skipped if header missing).
-    std::string trace_enum = "PipeEventKind";
-    std::string trace_header = "src/trace/trace_events.h";
-    std::string trace_exporter = "src/trace/exporters.cc";
-
     // R6 wiring (relative to root; rule skipped if header missing).
     std::string audit_enum = "InvariantAudit";
     std::string audit_header = "src/core/invariant_audit.h";
     std::string audit_tests = "tests/test_fuzz_regress.cc";
-
-    // R9 wiring (relative to root; rule skipped if either file is
-    // missing). Reuses the R5 trace-event schema header.
-    std::string critpath_enum = "PipeEventKind";
-    std::string critpath_header = "src/trace/trace_events.h";
-    std::string critpath_builder = "src/critpath/dep_graph_builder.cc";
 
     // R8 wiring: files (path prefixes) and function definitions the
     // hot-alloc rule scans. The list is the per-cycle call graph of
@@ -428,7 +387,7 @@ std::vector<Finding> lintFile(const SourceFile &sf, const Options &opt);
 /** Walk opt.paths under opt.root, run every rule — per-file rules
  *  with the tree-merged symbol table (opt.jobs workers), the global
  *  R11 acquisition graph, and the multi-file completeness rules
- *  (R4/R5/R6/R9) — and return findings sorted by path/line. */
+ *  (R4/R6) — and return findings sorted by path/line. */
 std::vector<Finding> lintTree(const Options &opt);
 
 /** Baseline keys loaded from @p path (empty set if unreadable). */

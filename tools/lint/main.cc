@@ -50,12 +50,8 @@ listRules()
         "float-accum    float accumulation in per-cycle loops\n"
         "stat-complete  CoreStats fields must reach the run-cache "
         "codec and the equivalence comparator\n"
-        "trace-complete PipeEventKind enumerators must reach every "
-        "trace exporter switch\n"
         "audit-complete InvariantAudit enumerators must each have a "
         "corrupting unit test\n"
-        "critpath-complete PipeEventKind enumerators must reach the "
-        "critpath dependence-graph builder\n"
         "hot-alloc      no heap allocation in per-cycle scheduler "
         "functions\n"
         "guarded-by     REDSOC_GUARDED_BY fields only touched with "

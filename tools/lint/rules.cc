@@ -698,7 +698,7 @@ countIdent(const SourceFile &sf, const std::string &name)
 } // namespace
 
 // -------------------------------------------------------------------
-// Enum parsing + R5: trace-complete
+// Enum parsing + R6: audit-complete
 // -------------------------------------------------------------------
 
 std::vector<EnumInfo>
@@ -754,30 +754,6 @@ parseEnums(const SourceFile &sf)
 }
 
 void
-ruleTraceComplete(const SourceFile &header,
-                  const std::string &enum_name,
-                  const SourceFile &exporter,
-                  std::vector<Finding> &out)
-{
-    for (const EnumInfo &e : parseEnums(header)) {
-        if (e.name != enum_name)
-            continue;
-        for (const EnumeratorInfo &en : e.enumerators) {
-            if (en.name == "NUM")
-                continue; // count sentinel, never a real event
-            if (countIdent(exporter, en.name) < 2)
-                emit(header, en.line, "trace-complete",
-                     enum_name + " enumerator '" + en.name +
-                         "' is not handled by every trace exporter (" +
-                         exporter.path +
-                         " must mention it at least twice: the Chrome "
-                         "and Konata switches each)",
-                     out);
-        }
-    }
-}
-
-void
 ruleAuditComplete(const SourceFile &header,
                   const std::string &enum_name,
                   const SourceFile &tests,
@@ -797,31 +773,6 @@ ruleAuditComplete(const SourceFile &header,
                          " must mention it at least once: every "
                          "runtime invariant check needs a test "
                          "proving it fires)",
-                     out);
-        }
-    }
-}
-
-void
-ruleCritpathComplete(const SourceFile &header,
-                     const std::string &enum_name,
-                     const SourceFile &builder,
-                     std::vector<Finding> &out)
-{
-    for (const EnumInfo &e : parseEnums(header)) {
-        if (e.name != enum_name)
-            continue;
-        for (const EnumeratorInfo &en : e.enumerators) {
-            if (en.name == "NUM")
-                continue; // count sentinel, never a real event
-            if (countIdent(builder, en.name) < 1)
-                emit(header, en.line, "critpath-complete",
-                     enum_name + " enumerator '" + en.name +
-                         "' is not handled by the dependence-graph "
-                         "builder (" + builder.path +
-                         " must consume or explicitly ignore it in "
-                         "the event switch, or re-timed sweeps "
-                         "silently lose that pipeline behavior)",
                      out);
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Brace-matched scope tree over the redsoc_lint token stream — the
- * structural substrate of the semantic rules (R10-R12). Where R1-R9
+ * structural substrate of the semantic rules (R10-R12). Where R1-R8
  * are token- and line-local, the concurrency rules need to answer
  * "which function body am I in, of which class, annotated how?" —
  * this module answers exactly that and nothing more.

@@ -116,7 +116,7 @@ try {
     // SIGINT/SIGTERM abort the simulation cooperatively
     // (ShutdownInterrupt below) so in-flight run-cache writes either
     // complete their atomic rename or never start.
-    installGracefulShutdown(1);
+    installGracefulShutdown();
 
     std::string workload = "crc";
     std::string core = "big";
