@@ -44,58 +44,6 @@ edgeKindName(EdgeKind kind)
     return "unknown";
 }
 
-Milestone
-edgeSrcMilestone(EdgeKind kind)
-{
-    switch (kind) {
-    case EdgeKind::FrontendOrder:
-    case EdgeKind::FrontendWidth:
-    case EdgeKind::DispatchToSelect: return Milestone::D;
-    case EdgeKind::RsCap:
-    case EdgeKind::Wake:
-    case EdgeKind::FuStruct:
-    case EdgeKind::MemOrder:
-    case EdgeKind::SelectToExec: return Milestone::S;
-    case EdgeKind::Exec: return Milestone::X;
-    case EdgeKind::BranchRecover:
-    case EdgeKind::Data:
-    case EdgeKind::DataReady:
-    case EdgeKind::WbToCommit: return Milestone::W;
-    case EdgeKind::RobCap:
-    case EdgeKind::LsqCap:
-    case EdgeKind::CommitOrder:
-    case EdgeKind::CommitWidth: return Milestone::C;
-    case EdgeKind::NUM: break;
-    }
-    return Milestone::NUM;
-}
-
-Milestone
-edgeDstMilestone(EdgeKind kind)
-{
-    switch (kind) {
-    case EdgeKind::FrontendOrder:
-    case EdgeKind::FrontendWidth:
-    case EdgeKind::RobCap:
-    case EdgeKind::RsCap:
-    case EdgeKind::LsqCap:
-    case EdgeKind::BranchRecover: return Milestone::D;
-    case EdgeKind::DispatchToSelect:
-    case EdgeKind::Wake:
-    case EdgeKind::FuStruct:
-    case EdgeKind::MemOrder:
-    case EdgeKind::DataReady: return Milestone::S;
-    case EdgeKind::SelectToExec:
-    case EdgeKind::Data: return Milestone::X;
-    case EdgeKind::Exec: return Milestone::W;
-    case EdgeKind::WbToCommit:
-    case EdgeKind::CommitOrder:
-    case EdgeKind::CommitWidth: return Milestone::C;
-    case EdgeKind::NUM: break;
-    }
-    return Milestone::NUM;
-}
-
 std::string
 DepGraph::validate() const
 {

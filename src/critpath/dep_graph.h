@@ -94,8 +94,82 @@ enum class EdgeKind : u8 {
 };
 
 const char *edgeKindName(EdgeKind kind);
-Milestone edgeSrcMilestone(EdgeKind kind);
-Milestone edgeDstMilestone(EdgeKind kind);
+
+/** Source milestone of every edge of @p kind. Inline: the graph
+ *  validator, the Retimer's fence split, plan build and replay all
+ *  call it once per edge. */
+constexpr Milestone
+edgeSrcMilestone(EdgeKind kind)
+{
+    switch (kind) {
+    case EdgeKind::FrontendOrder:
+    case EdgeKind::FrontendWidth:
+    case EdgeKind::DispatchToSelect: return Milestone::D;
+    case EdgeKind::RsCap:
+    case EdgeKind::Wake:
+    case EdgeKind::FuStruct:
+    case EdgeKind::MemOrder:
+    case EdgeKind::SelectToExec: return Milestone::S;
+    case EdgeKind::Exec: return Milestone::X;
+    case EdgeKind::BranchRecover:
+    case EdgeKind::Data:
+    case EdgeKind::DataReady:
+    case EdgeKind::WbToCommit: return Milestone::W;
+    case EdgeKind::RobCap:
+    case EdgeKind::LsqCap:
+    case EdgeKind::CommitOrder:
+    case EdgeKind::CommitWidth: return Milestone::C;
+    case EdgeKind::NUM: break;
+    }
+    return Milestone::NUM;
+}
+
+/** Destination milestone of every edge of @p kind (the grouping key
+ *  of an op's CSR range). */
+constexpr Milestone
+edgeDstMilestone(EdgeKind kind)
+{
+    switch (kind) {
+    case EdgeKind::FrontendOrder:
+    case EdgeKind::FrontendWidth:
+    case EdgeKind::RobCap:
+    case EdgeKind::RsCap:
+    case EdgeKind::LsqCap:
+    case EdgeKind::BranchRecover: return Milestone::D;
+    case EdgeKind::DispatchToSelect:
+    case EdgeKind::Wake:
+    case EdgeKind::FuStruct:
+    case EdgeKind::MemOrder:
+    case EdgeKind::DataReady: return Milestone::S;
+    case EdgeKind::SelectToExec:
+    case EdgeKind::Data: return Milestone::X;
+    case EdgeKind::Exec: return Milestone::W;
+    case EdgeKind::WbToCommit:
+    case EdgeKind::CommitOrder:
+    case EdgeKind::CommitWidth: return Milestone::C;
+    case EdgeKind::NUM: break;
+    }
+    return Milestone::NUM;
+}
+
+/** Most distinct producers one op names: the rename replay walks at
+ *  most three source registers. */
+inline constexpr u32 kMaxProducers = 3;
+
+/**
+ * Worst-case edges of one op, counted per destination milestone from
+ * the EdgeKind taxonomy: the builder reserves this many per op up
+ * front, so the edge array never regrows mid-run.
+ */
+inline constexpr u32 kMaxEdgesPerOp =
+    6 +                     // -> D: BranchRecover, FrontendOrder,
+                            //    FrontendWidth, RobCap, RsCap, LsqCap
+    3 + 2 * kMaxProducers + // -> S: DispatchToSelect, FuStruct,
+                            //    MemOrder; Wake + DataReady per producer
+    1 + kMaxProducers +     // -> X: SelectToExec; Data per producer
+    1 +                     // -> W: Exec
+    3;                      // -> C: WbToCommit, CommitOrder, CommitWidth
+static_assert(kMaxEdgesPerOp == 23);
 
 /** Edge aux-payload flag bits (kind-specific; see EdgeKind docs). */
 inline constexpr u32 kEdgeWakeSpeculative = 1u << 0; ///< Wake: EGPW

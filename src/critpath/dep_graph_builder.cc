@@ -43,9 +43,10 @@ DepGraphBuilder::onBeginRun(Tick ticks_per_cycle)
     graph_.pool.assign(n, 0);
     graph_.pool_pos.assign(n, kNoPoolPos);
     graph_.edges.clear();
-    // ~14 edges per op in practice (3-source worst case is 19); a
-    // one-shot reserve keeps the streaming path allocation-quiet.
-    graph_.edges.reserve(size_t{n} * 14);
+    // Reserve the per-op worst case (~15 edges per op in practice):
+    // the array never regrows mid-run, and the never-written tail
+    // costs address space, not resident memory.
+    graph_.edges.reserve(size_t{n} * kMaxEdgesPerOp);
     graph_.edge_begin.assign(1, 0);
     graph_.edge_begin.reserve(size_t{n} + 1);
     graph_.topo.clear();
@@ -174,7 +175,7 @@ DepGraphBuilder::flushEdges(u32 i)
 
     // Deduplicate the replayed producer set (the core keeps
     // duplicates in OpCold::prod; one edge per distinct producer).
-    std::array<u32, 3> prod{};
+    std::array<u32, kMaxProducers> prod{};
     unsigned nprod = 0;
     for (unsigned a = 0; a < p.nprod; ++a) {
         bool dup = false;

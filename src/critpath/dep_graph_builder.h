@@ -56,7 +56,7 @@ class DepGraphBuilder : public TraceSink
     /** Per-op state only needed between dispatch and commit. */
     struct Pending
     {
-        std::array<u32, 3> prod{kNoOp, kNoOp, kNoOp};
+        std::array<u32, kMaxProducers> prod{kNoOp, kNoOp, kNoOp};
         u32 rs_src = kNoOp;   ///< RsCap source op (fixed at dispatch)
         u32 lsq_src = kNoOp;  ///< LsqCap source op
         u32 fuse_link = kNoOp; ///< MOS producer this op fused into

@@ -26,6 +26,9 @@ Retimer::Retimer(const DepGraph &graph)
     for (u32 i = 0; i < graph.num_ops; ++i) {
         u32 cur = graph.edge_begin[i];
         const u32 end = graph.edge_begin[i + 1];
+        fatal_if(end - cur > kMaxEdgesPerOp, "op ", i, " has ",
+                 end - cur, " edges, over the per-op bound ",
+                 kMaxEdgesPerOp);
         ms_begin_[i][0] = cur;
         for (u32 ms = 0; ms < kNumMilestones; ++ms) {
             while (cur < end &&
@@ -45,11 +48,6 @@ Retimer::buildPlan()
 {
     const DepGraph &g = *graph_;
     const Tick tpc = clock_.ticksPerCycle();
-    // Built op-major first (the prunes reason per op), then re-emitted
-    // in topological order below.
-    std::vector<PlanEntry> tmp_plan;
-    tmp_plan.reserve(g.edges.size());
-    std::vector<std::array<u32, 6>> tmp_begin(g.num_ops);
 
     // A producer is "plain" when its select, execute, and writeback
     // are model-invariantly chained: conventional select (not EGPW,
@@ -65,227 +63,209 @@ Retimer::buildPlan()
                   kOpFrontendResolved));
     };
 
-    std::array<std::vector<PlanEntry>, kNumMilestones> bucket;
-    for (auto &b : bucket)
-        b.reserve(16);
-    for (u32 i = 0; i < g.num_ops; ++i) {
+    // Fold X into W unconditionally: structurally W's only in-edge is
+    // Exec (W = X + kx verbatim in every model) and X's only consumer
+    // is that Exec edge (Data, DataReady and BranchRecover all source
+    // from W), so the W node takes X's in-edges, and both the Exec
+    // edge and the X node disappear. Linear entries (SelectToExec)
+    // absorb kx into k; arrival-masked Data entries switch to the
+    // post-mask-add classes, which add kx *after* the model's arrival
+    // quantization — exactly max(sel + kx, ceil(arrival) + kx) =
+    // X + kx = W. Returns false for an edge no model needs.
+    const auto classify = [&](const Edge &edge, u32 i, PlanEntry &p) {
         const u16 fl = g.flags[i];
-        const u32 kx = static_cast<u32>(g.obs_w[i] - g.obs_x[i]);
-        // Fold X into W unconditionally: structurally W's only
-        // in-edge is Exec (W = X + kx verbatim in every model) and
-        // X's only consumer is that Exec edge (Data, DataReady and
-        // BranchRecover all source from W), so X's in-edges move to
-        // W and both the Exec edge and the X node disappear. Linear
-        // entries (SelectToExec) absorb kx into k; arrival-masked
-        // Data entries switch to the post-mask-add classes, which
-        // add kx *after* the model's arrival quantization — exactly
-        // max(sel + kx, ceil(arrival) + kx) = X + kx = W.
-        for (auto &b : bucket)
-            b.clear();
-
-        for (u32 e = g.edge_begin[i]; e < g.edge_begin[i + 1]; ++e) {
-            const Edge &edge = g.edges[e];
-            PlanEntry p;
-            p.src = nodeId(edge.src, edgeSrcMilestone(edge.kind));
-            p.op = PlanOp::InvAdd;
-            u32 dst = static_cast<u32>(edgeDstMilestone(edge.kind));
-            switch (edge.kind) {
-            case EdgeKind::FrontendOrder:
-            case EdgeKind::RobCap:
-            case EdgeKind::RsCap:
-            case EdgeKind::LsqCap:
-            case EdgeKind::CommitOrder:
-            case EdgeKind::MemOrder:
-                break; // InvAdd k=0
-            case EdgeKind::FrontendWidth:
-            case EdgeKind::CommitWidth:
+        p.src = nodeId(edge.src, edgeSrcMilestone(edge.kind));
+        p.k = 0;
+        p.op = PlanOp::InvAdd;
+        switch (edge.kind) {
+        case EdgeKind::FrontendOrder:
+        case EdgeKind::RobCap:
+        case EdgeKind::RsCap:
+        case EdgeKind::LsqCap:
+        case EdgeKind::CommitOrder:
+        case EdgeKind::MemOrder:
+            return true; // InvAdd k=0
+        case EdgeKind::FrontendWidth:
+        case EdgeKind::CommitWidth:
+            p.k = static_cast<u32>(tpc);
+            return true;
+        case EdgeKind::BranchRecover:
+            p.op = PlanOp::Branch;
+            return true;
+        case EdgeKind::DispatchToSelect:
+            if (!(fl & kOpFrontendResolved))
                 p.k = static_cast<u32>(tpc);
-                break;
-            case EdgeKind::BranchRecover:
-                p.op = PlanOp::Branch;
-                break;
-            case EdgeKind::DispatchToSelect:
-                if (!(fl & kOpFrontendResolved))
-                    p.k = static_cast<u32>(tpc);
-                break;
-            case EdgeKind::Wake:
-                if (edge.aux & kEdgeWakeFused)
-                    break; // k=0
-                if (edge.aux & kEdgeWakeSpeculative)
-                    p.op = PlanOp::WakeSpec;
-                else
-                    p.k = static_cast<u32>(tpc);
-                break;
-            case EdgeKind::FuStruct:
-                // Re-derived per model from the pool grant order (the
-                // retimeAll FU gather); at fu_scale 1 the derivation
-                // reproduces this edge exactly.
+            return true;
+        case EdgeKind::Wake:
+            if (edge.aux & kEdgeWakeFused)
+                return true; // k=0
+            if (edge.aux & kEdgeWakeSpeculative)
+                p.op = PlanOp::WakeSpec;
+            else
+                p.k = static_cast<u32>(tpc);
+            return true;
+        case EdgeKind::FuStruct:
+            // Re-derived per model from the pool grant order (the
+            // retimeAll FU gather); at fu_scale 1 the derivation
+            // reproduces this edge exactly.
+            return false;
+        case EdgeKind::DataReady:
+            if (fl & kOpFused)
+                return false; // no constraint in any model
+            if (fl & kOpEgpwSelect)
+                p.op = (fl & kOpTransparent) ? PlanOp::DrEgpwTransp
+                                             : PlanOp::DrEgpwPlain;
+            else
+                p.op = (fl & kOpTransparent) ? PlanOp::DrTransp
+                                             : PlanOp::DrPlain;
+            return true;
+        case EdgeKind::SelectToExec:
+            if (fl & (kOpFused | kOpFrontendResolved))
+                p.k = static_cast<u32>(g.obs_x[i] - g.obs_s[i]);
+            else if (fl & kOpTransparent)
+                p.op = PlanOp::SelTransp;
+            else
+                p.k = static_cast<u32>(tpc);
+            p.k += static_cast<u32>(g.obs_w[i] - g.obs_x[i]);
+            return true;
+        case EdgeKind::Data:
+            p.op = (edge.aux & kEdgeDataTransparent) ? PlanOp::DataTranspW
+                                                     : PlanOp::DataPlainW;
+            p.k = static_cast<u32>(g.obs_w[i] - g.obs_x[i]);
+            return true;
+        case EdgeKind::WbToCommit:
+            p.op = PlanOp::Ceil;
+            return true;
+        case EdgeKind::Exec: // W's own range: replaced by the fold
+        case EdgeKind::NUM:
+            break;
+        }
+        panic("edge kind ", edgeKindName(edge.kind),
+              " outside the ranges the plan walks");
+        return false;
+    };
+
+    // Capacity-edge dominance: C-lane values are monotone in op index
+    // in every model (every C node chains off C(i-1) via CommitOrder),
+    // so of a D node's C-sourced k=0 capacity bounds (RobCap, LsqCap)
+    // only the youngest source can ever bind — drop the rest.
+    const auto pruneCapacity = [](PlanEntry *buf, u32 n) {
+        const auto isCapBound = [](const PlanEntry &p) {
+            return p.op == PlanOp::InvAdd && p.k == 0 &&
+                   nodeMilestone(p.src) == Milestone::C;
+        };
+        u32 youngest = 0;
+        u32 n_cap = 0;
+        for (u32 j = 0; j < n; ++j)
+            if (isCapBound(buf[j])) {
+                ++n_cap;
+                youngest = std::max(youngest, buf[j].src);
+            }
+        if (n_cap <= 1)
+            return n;
+        return static_cast<u32>(
+            std::remove_if(buf, buf + n,
+                           [&](const PlanEntry &p) {
+                               return isCapBound(p) && p.src != youngest;
+                           }) -
+            buf);
+    };
+
+    // Wake/DataReady pair dominance: a producer p constrains an op's
+    // select twice — Wake (S(p) side) and DataReady (W(p) side). For
+    // plain p both sides are fixed functions of S(p) in every model,
+    // so one always dominates: exec latency kx(p) <= tpc means
+    // ceil(W(p)) - window <= S(p) + tpc (the Wake bound) in all
+    // models — drop DataReady; kx(p) > tpc means ceil(kx) >= 2tpc, so
+    // DataReady clears the Wake bound even at the widest window —
+    // drop a plain Wake (a speculative Wake must stay: EGPW-honoring
+    // models collapse DataReady to zero but still need the
+    // same-cycle S(p) bound).
+    const auto pruneWakePairs = [&](PlanEntry *buf, u32 n) {
+        const auto erase = [&](u32 at) {
+            std::copy(buf + at + 1, buf + n, buf + at);
+            --n;
+        };
+        for (u32 d = 0; d < n; ++d) {
+            const PlanOp op = buf[d].op;
+            if (op != PlanOp::DrPlain && op != PlanOp::DrTransp &&
+                op != PlanOp::DrEgpwPlain && op != PlanOp::DrEgpwTransp)
                 continue;
-            case EdgeKind::DataReady:
-                if (fl & kOpFused)
-                    continue; // no constraint in any model
-                if (fl & kOpEgpwSelect)
-                    p.op = (fl & kOpTransparent) ? PlanOp::DrEgpwTransp
-                                                 : PlanOp::DrEgpwPlain;
-                else
-                    p.op = (fl & kOpTransparent) ? PlanOp::DrTransp
-                                                 : PlanOp::DrPlain;
-                break;
-            case EdgeKind::SelectToExec:
-                if (fl & (kOpFused | kOpFrontendResolved))
-                    p.k = static_cast<u32>(g.obs_x[i] - g.obs_s[i]);
-                else if (fl & kOpTransparent)
-                    p.op = PlanOp::SelTransp;
-                else
-                    p.k = static_cast<u32>(tpc);
-                p.k += kx;
-                dst = static_cast<u32>(Milestone::W);
-                break;
-            case EdgeKind::Data:
-                p.op = (edge.aux & kEdgeDataTransparent)
-                           ? PlanOp::DataTranspW
-                           : PlanOp::DataPlainW;
-                p.k = kx;
-                dst = static_cast<u32>(Milestone::W);
-                break;
-            case EdgeKind::Exec:
-                continue; // folded into the moved X in-edges
-            case EdgeKind::WbToCommit:
-                p.op = PlanOp::Ceil;
-                break;
-            case EdgeKind::NUM:
-                panic("unreachable edge kind");
+            const u32 prod = nodeOp(buf[d].src);
+            if (!plainOp(prod))
+                continue;
+            if (g.obs_w[prod] - g.obs_x[prod] <= tpc) {
+                erase(d--);
+                continue;
             }
-            bucket[dst].push_back(p);
-        }
-
-        // Capacity-edge dominance: C-lane values are monotone in op
-        // index in every model (every C node chains off C(i-1) via
-        // CommitOrder), so of this op's C-sourced k=0 capacity
-        // bounds (RobCap, LsqCap) only the youngest source can ever
-        // bind — drop the rest.
-        {
-            auto &db = bucket[static_cast<u32>(Milestone::D)];
-            const auto isCapBound = [](const PlanEntry &p) {
-                return p.op == PlanOp::InvAdd && p.k == 0 &&
-                       nodeMilestone(p.src) == Milestone::C;
-            };
-            u32 youngest = 0;
-            u32 n_cap = 0;
-            for (const PlanEntry &p : db)
-                if (isCapBound(p)) {
-                    ++n_cap;
-                    youngest = std::max(youngest, p.src);
-                }
-            if (n_cap > 1)
-                db.erase(std::remove_if(
-                             db.begin(), db.end(),
-                             [&](const PlanEntry &p) {
-                                 return isCapBound(p) &&
-                                        p.src != youngest;
-                             }),
-                         db.end());
-        }
-
-        // Wake/DataReady pair dominance: a producer p constrains this
-        // op's select twice — Wake (S(p) side) and DataReady (W(p)
-        // side). For plain p both sides are fixed functions of S(p)
-        // in every model, so one always dominates: exec latency
-        // kx(p) <= tpc means ceil(W(p)) - window <= S(p) + tpc (the
-        // Wake bound) in all models — drop DataReady; kx(p) > tpc
-        // means ceil(kx) >= 2tpc, so DataReady clears the Wake bound
-        // even at the widest window — drop a plain Wake (a
-        // speculative Wake must stay: EGPW-honoring models collapse
-        // DataReady to zero but still need the same-cycle S(p)
-        // bound).
-        {
-            auto &sb = bucket[static_cast<u32>(Milestone::S)];
-            for (size_t d = 0; d < sb.size(); ++d) {
-                const PlanOp op = sb[d].op;
-                const bool is_dr =
-                    op == PlanOp::DrPlain || op == PlanOp::DrTransp ||
-                    op == PlanOp::DrEgpwPlain ||
-                    op == PlanOp::DrEgpwTransp;
-                if (!is_dr)
-                    continue;
-                const u32 prod = nodeOp(sb[d].src);
-                if (!plainOp(prod))
-                    continue;
-                const u32 kxp =
-                    static_cast<u32>(g.obs_w[prod] - g.obs_x[prod]);
-                if (kxp <= tpc) {
-                    sb.erase(sb.begin() + d);
-                    --d;
-                    continue;
-                }
-                const u32 wake_src = nodeId(prod, Milestone::S);
-                for (size_t w = 0; w < sb.size(); ++w) {
-                    if (sb[w].op == PlanOp::InvAdd &&
-                        sb[w].src == wake_src && sb[w].k == tpc) {
-                        sb.erase(sb.begin() + w);
-                        if (w < d)
-                            --d;
-                        break;
-                    }
+            const u32 wake_src = nodeId(prod, Milestone::S);
+            for (u32 w = 0; w < n; ++w) {
+                if (buf[w].op == PlanOp::InvAdd &&
+                    buf[w].src == wake_src && buf[w].k == tpc) {
+                    erase(w);
+                    if (w < d)
+                        --d;
+                    break;
                 }
             }
         }
+        return n;
+    };
 
-        // Group same-class entries within each destination-milestone
-        // fence (max is commutative, so intra-group order is free):
-        // InvAdd first — it dominates the mix and the batched pass
-        // has a table-free fast path for it.
-        auto &fence = tmp_begin[i];
-        for (u32 ms = 0; ms < kNumMilestones; ++ms) {
-            fence[ms] = static_cast<u32>(tmp_plan.size());
-            auto &b = bucket[ms];
-            std::stable_sort(
-                b.begin(), b.end(),
-                [](const PlanEntry &a, const PlanEntry &c) {
-                    return (a.op == PlanOp::InvAdd
-                                ? 0u
-                                : 1u + static_cast<u32>(a.op)) <
-                           (c.op == PlanOp::InvAdd
-                                ? 0u
-                                : 1u + static_cast<u32>(c.op));
-                });
-            tmp_plan.insert(tmp_plan.end(), b.begin(), b.end());
-        }
-        fence[kNumMilestones] = static_cast<u32>(tmp_plan.size());
-    }
-
-    // Re-emit the plan in topological order: the batched pass settles
-    // nodes in g.topo order, so a topo-ordered stream turns both the
-    // per-node headers and the entry array into strictly sequential
-    // reads (the op-major CSR layout cost a random fence lookup and a
-    // scattered entry range per node). Folded X nodes vanish from the
-    // stream entirely — they have no in-edges left and no readers.
-    // A node's stream index is its rank; sources are rewritten to
-    // ranks here, and each rank's last reader is noted, so retimeAll
-    // can hold a row only while it is still to be read.
+    // One walk in topological order writes the rank-ordered stream:
+    // the batched pass settles nodes in g.topo order, so both the
+    // per-node headers and the entry array are read strictly
+    // sequentially. Each node classifies its own CSR milestone range
+    // (W takes X's), applies the prunes, and groups same-class entries
+    // (max is commutative, so intra-group order is free): InvAdd
+    // first — it dominates the mix and the batched pass has a
+    // table-free fast path for it. A node's stream index is its rank;
+    // sources are rewritten to ranks as they are written, and each
+    // rank's last reader is noted, so retimeAll can hold a row only
+    // while it is still to be read.
+    const auto classKey = [](PlanOp op) {
+        return op == PlanOp::InvAdd ? 0u : 1u + static_cast<u32>(op);
+    };
+    const size_t n_ranks = size_t{g.num_ops} * (kNumMilestones - 1);
     node_refs_.clear();
-    node_refs_.reserve(g.topo.size());
+    node_refs_.reserve(n_ranks);
     plan_.clear();
-    plan_.reserve(tmp_plan.size());
+    plan_.reserve(g.edges.size());
     rank_.assign(size_t{g.num_ops} * kNumMilestones, kNoNode);
     last_use_.clear();
-    last_use_.reserve(g.topo.size());
+    last_use_.reserve(n_ranks);
+    PlanEntry buf[kMaxEdgesPerOp];
     for (const u32 node : g.topo) {
         const Milestone ms = nodeMilestone(node);
-        const auto &fence = tmp_begin[nodeOp(node)];
-        const u32 msi = static_cast<u32>(ms);
-        const u32 b = fence[msi];
-        const u32 e = fence[msi + 1];
-        if (ms == Milestone::X) {
-            fatal_if(b != e, "folded X node still has plan entries");
-            continue;
+        if (ms == Milestone::X)
+            continue; // folded into W: no in-edges, no readers
+        const u32 i = nodeOp(node);
+        const u32 range = static_cast<u32>(
+            ms == Milestone::W ? Milestone::X : ms);
+        u32 n = 0;
+        for (u32 e = ms_begin_[i][range]; e < ms_begin_[i][range + 1];
+             ++e)
+            if (classify(g.edges[e], i, buf[n]))
+                ++n;
+        if (ms == Milestone::D)
+            n = pruneCapacity(buf, n);
+        else if (ms == Milestone::S)
+            n = pruneWakePairs(buf, n);
+        // Stable insertion sort by class over the few entries.
+        for (u32 a = 1; a < n; ++a) {
+            const PlanEntry p = buf[a];
+            u32 j = a;
+            for (; j > 0 && classKey(buf[j - 1].op) > classKey(p.op); --j)
+                buf[j] = buf[j - 1];
+            buf[j] = p;
         }
+
         const u32 r = static_cast<u32>(node_refs_.size());
         rank_[node] = r;
         last_use_.push_back(r);
-        node_refs_.push_back(NodeRef{node, e - b});
-        for (u32 j = b; j < e; ++j) {
-            PlanEntry p = tmp_plan[j];
+        node_refs_.push_back(NodeRef{node, n});
+        for (u32 j = 0; j < n; ++j) {
+            PlanEntry p = buf[j];
             p.src = rank_[p.src];
             fatal_if(p.src == kNoNode, "node ", node,
                      " reads a node not yet emitted in topo order");
@@ -300,12 +280,6 @@ Retimer::edgeCandidate(const WhatIfModel &m, const Edge &edge,
                        u32 dst_op, Tick src_t) const
 {
     const DepGraph &g = *graph_;
-    if (m.exact_replay) {
-        // Tight replay: re-apply the latency the simulator observed.
-        const Tick obs_src = g.obs(edgeSrcMilestone(edge.kind), edge.src);
-        const Tick obs_dst = g.obs(edgeDstMilestone(edge.kind), dst_op);
-        return src_t + (obs_dst - obs_src);
-    }
     const Tick tpc = clock_.ticksPerCycle();
     switch (edge.kind) {
     case EdgeKind::FrontendOrder:
@@ -394,6 +368,64 @@ Retimer::edgeCandidate(const WhatIfModel &m, const Edge &edge,
     return 0;
 }
 
+Retimer::PoolUnits
+Retimer::effectiveUnits(double fu_scale) const
+{
+    PoolUnits eff{};
+    for (size_t p = 0; p < eff.size(); ++p) {
+        const double scaled = graph_->params.units[p] * fu_scale;
+        eff[p] = scaled < 1.0 ? 1u : static_cast<u32>(scaled);
+    }
+    return eff;
+}
+
+template <typename Candidate>
+void
+Retimer::settleNodes(const Candidate &cand, const PoolUnits *fu_units)
+{
+    const DepGraph &g = *graph_;
+    const Tick tpc = clock_.ticksPerCycle();
+    for (const u32 node : g.topo) {
+        const u32 i = nodeOp(node);
+        const u32 ms = static_cast<u32>(nodeMilestone(node));
+        Tick best = 0;
+        u32 best_src = kNoNode;
+        u8 best_kind = static_cast<u8>(EdgeKind::NUM);
+        for (u32 e = ms_begin_[i][ms]; e < ms_begin_[i][ms + 1]; ++e) {
+            const Edge &edge = g.edges[e];
+            if (fu_units && edge.kind == EdgeKind::FuStruct)
+                continue;
+            const u32 src_node =
+                nodeId(edge.src, edgeSrcMilestone(edge.kind));
+            const Tick c = cand(edge, i, ms, time_[src_node]);
+            if (c > best) {
+                best = c;
+                best_src = src_node;
+                best_kind = static_cast<u8>(edge.kind);
+            }
+        }
+        if (fu_units && ms == static_cast<u32>(Milestone::S) &&
+            g.pool_pos[i] != kNoPoolPos) {
+            const u8 pool = g.pool[i];
+            const u32 pos = g.pool_pos[i];
+            const u32 units = (*fu_units)[pool];
+            if (pos >= units) {
+                const u32 src_node =
+                    nodeId(g.pool_order[pool][pos - units], Milestone::S);
+                const Tick c = time_[src_node] + tpc;
+                if (c > best) {
+                    best = c;
+                    best_src = src_node;
+                    best_kind = static_cast<u8>(EdgeKind::FuStruct);
+                }
+            }
+        }
+        time_[node] = best;
+        arg_src_[node] = best_src;
+        arg_kind_[node] = best_kind;
+    }
+}
+
 RetimeResult
 Retimer::retime(const WhatIfModel &model)
 {
@@ -407,55 +439,28 @@ Retimer::retime(const WhatIfModel &model)
     arg_src_.assign(n_nodes, kNoNode);
     arg_kind_.assign(n_nodes, static_cast<u8>(EdgeKind::NUM));
 
-    const bool derive_fu = !model.exact_replay && model.fu_scale != 1.0;
-    std::array<u32, static_cast<size_t>(FuPoolKind::NUM)> eff_units{};
-    for (size_t p = 0; p < eff_units.size(); ++p) {
-        const double scaled = g.params.units[p] * model.fu_scale;
-        eff_units[p] = scaled < 1.0 ? 1u : static_cast<u32>(scaled);
-    }
-    const Tick tpc = clock_.ticksPerCycle();
-
-    for (const u32 node : g.topo) {
-        const u32 i = nodeOp(node);
-        const Milestone ms = nodeMilestone(node);
-        Tick best = 0;
-        u32 best_src = kNoNode;
-        u8 best_kind = static_cast<u8>(EdgeKind::NUM);
-        const auto &fence = ms_begin_[i];
-        const u32 m = static_cast<u32>(ms);
-        for (u32 e = fence[m]; e < fence[m + 1]; ++e) {
-            const Edge &edge = g.edges[e];
-            if (derive_fu && edge.kind == EdgeKind::FuStruct)
-                continue;
-            const u32 src_node =
-                nodeId(edge.src, edgeSrcMilestone(edge.kind));
-            const Tick cand =
-                edgeCandidate(model, edge, i, time_[src_node]);
-            if (cand > best) {
-                best = cand;
-                best_src = src_node;
-                best_kind = static_cast<u8>(edge.kind);
-            }
-        }
-        if (derive_fu && ms == Milestone::S &&
-            g.pool_pos[i] != kNoPoolPos) {
-            const u8 pool = g.pool[i];
-            const u32 pos = g.pool_pos[i];
-            if (pos >= eff_units[pool]) {
-                const u32 src_node = nodeId(
-                    g.pool_order[pool][pos - eff_units[pool]],
-                    Milestone::S);
-                const Tick cand = time_[src_node] + tpc;
-                if (cand > best) {
-                    best = cand;
-                    best_src = src_node;
-                    best_kind = static_cast<u8>(EdgeKind::FuStruct);
-                }
-            }
-        }
-        time_[node] = best;
-        arg_src_[node] = best_src;
-        arg_kind_[node] = best_kind;
+    // The rule is chosen once per pass, not per edge.
+    if (model.exact_replay) {
+        // Tight replay: re-apply the latency the simulator observed.
+        // The source milestone varies per edge, so the observed lanes
+        // are read through a pointer table.
+        const std::array<const Tick *, kNumMilestones> obs{
+            g.obs_d.data(), g.obs_s.data(), g.obs_x.data(),
+            g.obs_w.data(), g.obs_c.data()};
+        settleNodes(
+            [&obs](const Edge &edge, u32 dst_op, u32 dst_ms, Tick src_t) {
+                const u32 src_ms =
+                    static_cast<u32>(edgeSrcMilestone(edge.kind));
+                return src_t + (obs[dst_ms][dst_op] - obs[src_ms][edge.src]);
+            },
+            nullptr);
+    } else {
+        const PoolUnits eff_units = effectiveUnits(model.fu_scale);
+        settleNodes(
+            [this, &model](const Edge &edge, u32 dst_op, u32, Tick src_t) {
+                return edgeCandidate(model, edge, dst_op, src_t);
+            },
+            model.fu_scale != 1.0 ? &eff_units : nullptr);
     }
 
     if (g.num_ops == 0)
@@ -506,7 +511,7 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     // effective unit-count signature (one gather per group).
     struct FuGroup
     {
-        std::array<u32, static_cast<size_t>(FuPoolKind::NUM)> eff{};
+        PoolUnits eff{};
         std::vector<u32> members;
     };
     std::vector<FuGroup> fu_groups;
@@ -541,11 +546,7 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         dr_ep_sub[m] = mod.egpw ? kSkip : dr_p_sub[m];
         dr_et_sub[m] = mod.egpw ? kSkip : dr_t_sub[m];
         {
-            std::array<u32, static_cast<size_t>(FuPoolKind::NUM)> eff{};
-            for (size_t p = 0; p < eff.size(); ++p) {
-                const double scaled = g.params.units[p] * mod.fu_scale;
-                eff[p] = scaled < 1.0 ? 1u : static_cast<u32>(scaled);
-            }
+            const PoolUnits eff = effectiveUnits(mod.fu_scale);
             FuGroup *grp = nullptr;
             for (FuGroup &cand : fu_groups)
                 if (cand.eff == eff)
@@ -609,10 +610,6 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         row(subtab, PlanOp::Null)[m] = ~u32{0};
         row(addtab, PlanOp::WakeSpec)[m] = wake_add[m];
         row(addtab, PlanOp::SelTransp)[m] = sel_add[m];
-        row(addtab, PlanOp::DataPlain)[m] = dp_add[m];
-        row(masktab, PlanOp::DataPlain)[m] = dp_mask[m];
-        row(addtab, PlanOp::DataTransp)[m] = dt_add[m];
-        row(masktab, PlanOp::DataTransp)[m] = dt_mask[m];
         row(addtab, PlanOp::DataPlainW)[m] = dp_add[m];
         row(masktab, PlanOp::DataPlainW)[m] = dp_mask[m];
         row(addtab, PlanOp::DataTranspW)[m] = dt_add[m];

@@ -77,8 +77,8 @@ struct RetimeResult
 class Retimer
 {
   public:
-    /** @p graph must outlive the Retimer; scratch arrays are sized
-     *  once here and reused across retime() calls. */
+    /** @p graph must outlive the Retimer. Builds the batched-pass
+     *  plan here; retime() sizes its per-node arrays on each call. */
     explicit Retimer(const DepGraph &graph);
 
     RetimeResult retime(const WhatIfModel &model);
@@ -108,9 +108,23 @@ class Retimer
 
   private:
     static constexpr u32 kNoNode = ~u32{0};
+    using PoolUnits =
+        std::array<u32, static_cast<size_t>(FuPoolKind::NUM)>;
 
+    /** Units per pool at @p fu_scale (floor, min 1 unit). */
+    PoolUnits effectiveUnits(double fu_scale) const;
+
+    /** An edge's bound under a what-if (non-exact) model. */
     Tick edgeCandidate(const WhatIfModel &model, const Edge &edge,
                        u32 dst_op, Tick src_t) const;
+
+    /** retime()'s longest-path node loop, shared by the exact and
+     *  what-if rules: @p cand maps (edge, destination op, destination
+     *  milestone, source time) to the edge's bound. With @p fu_units
+     *  set, stored FuStruct edges give way to bounds re-derived from
+     *  the pool grant order at those unit counts. */
+    template <typename Candidate>
+    void settleNodes(const Candidate &cand, const PoolUnits *fu_units);
 
     /** Batched-pass edge classes: what survives of edgeCandidate()
      *  once everything model-independent is folded into k. */
@@ -119,11 +133,9 @@ class Retimer
         InvAdd,     ///< src + k, identical across models
         WakeSpec,   ///< src + wake_add[m]
         SelTransp,  ///< src + sel_add[m]
-        FuStruct,   ///< unused: FU constraints are re-derived per model
-        DataPlain,  ///< (src + dp_add[m]) & dp_mask[m]
-        DataTransp, ///< (src + dt_add[m]) & dt_mask[m]
-        /** X folded into W: the operand-arrival bound shifted by the
-         *  op's exec latency, added after the arrival mask. */
+        /** Data, with X folded into W: the operand-arrival bound
+         *  shifted by the op's exec latency, added after the arrival
+         *  mask. */
         DataPlainW,  ///< ((src + dp_add[m]) & dp_mask[m]) + k
         DataTranspW, ///< ((src + dt_add[m]) & dt_mask[m]) + k
         DrPlain,    ///< sat(ceil(src) - dr_p_sub[m])

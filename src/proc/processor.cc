@@ -124,7 +124,7 @@ renderContention(const ProcStats &stats)
             std::to_string(llc.lines_owned),
             std::to_string(core.l1_load_misses),
             Table::num(asDouble(core.slack_recycled_ticks) /
-                           std::max<u64>(1, core.l1_load_misses),
+                           asDouble(std::max<u64>(1, core.l1_load_misses)),
                        2),
         });
     }

@@ -15,6 +15,7 @@
  *     workload x config x kernel point of the shared scheduler grid.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -121,6 +122,19 @@ expectBaseExact(const DepGraph &g, const CoreStats &stats,
     EXPECT_EQ(mismatches, 0u);
 }
 
+/** The builder reserves kMaxEdgesPerOp edges per op when a run
+ *  begins: no op may need more, so the edge array never regrows. */
+void
+expectEdgesWithinReservation(const DepGraph &g)
+{
+    u32 widest = 0;
+    for (u32 i = 0; i < g.num_ops; ++i)
+        widest = std::max(widest, g.edge_begin[i + 1] - g.edge_begin[i]);
+    EXPECT_LE(widest, kMaxEdgesPerOp);
+    EXPECT_EQ(g.edges.capacity(), size_t{g.num_ops} * kMaxEdgesPerOp)
+        << "the edge array regrew past its onBeginRun reservation";
+}
+
 // ---------------------------------------------------------------------
 // 1. Streaming-sink completeness
 // ---------------------------------------------------------------------
@@ -184,6 +198,17 @@ TEST_P(CritpathProperty, KernelsBuildIdenticalGraphs)
         rendered[i++] = renderDepGraph(tracedRun(trace, cfg).graph);
     }
     EXPECT_EQ(rendered[0], rendered[1]);
+}
+
+TEST_P(CritpathProperty, EdgesWithinPerOpBound)
+{
+    const Trace trace = randomTrace(GetParam(), 600);
+    for (const std::string core : {"big", "small"}) {
+        for (const auto &[tag, cfg] : differentialConfigs(core)) {
+            SCOPED_TRACE(core + "/" + tag);
+            expectEdgesWithinReservation(tracedRun(trace, cfg).graph);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CritpathProperty,
@@ -287,6 +312,17 @@ TEST_P(CritpathGrid, BaseRetimeBitIdenticalToSimulator)
                 const RetimeResult base = retimer.retime(WhatIfModel{});
                 EXPECT_EQ(base.cycles, r.stats.cycles);
             }
+        }
+    }
+}
+
+TEST_P(CritpathGrid, EdgesWithinPerOpBound)
+{
+    const Trace &trace = sharedDriver().trace(GetParam());
+    for (const std::string core : {"big", "small"}) {
+        for (const auto &[tag, cfg] : differentialConfigs(core)) {
+            SCOPED_TRACE(GetParam() + "/" + core + "/" + tag);
+            expectEdgesWithinReservation(tracedRun(trace, cfg).graph);
         }
     }
 }
