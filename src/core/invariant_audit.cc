@@ -13,9 +13,8 @@ const char *
 invariantAuditName(InvariantAudit kind)
 {
     switch (kind) {
-      case InvariantAudit::RsAgeOrder: return "rs-age-order";
+      case InvariantAudit::RsOccupancy: return "rs-occupancy";
       case InvariantAudit::RsPendingCount: return "rs-pending-count";
-      case InvariantAudit::RobProgramOrder: return "rob-program-order";
       case InvariantAudit::LsqProgramOrder: return "lsq-program-order";
       case InvariantAudit::CiRange: return "ci-range";
       case InvariantAudit::EgpwLeftoverSlot: return "egpw-leftover-slot";
@@ -45,18 +44,14 @@ make(InvariantAudit kind, const std::ostringstream &os)
 } // namespace
 
 std::optional<AuditViolation>
-InvariantAuditor::checkAgeOrder(const std::vector<SeqNum> &rs_entries)
+InvariantAuditor::checkRsOccupancy(size_t counted, size_t recounted)
 {
-    for (size_t i = 1; i < rs_entries.size(); ++i) {
-        if (rs_entries[i - 1] >= rs_entries[i]) {
-            std::ostringstream os;
-            os << "RS slots out of age order: slot " << i - 1
-               << " holds seq " << rs_entries[i - 1] << " >= slot " << i
-               << " seq " << rs_entries[i];
-            return make(InvariantAudit::RsAgeOrder, os);
-        }
-    }
-    return std::nullopt;
+    if (counted == recounted)
+        return std::nullopt;
+    std::ostringstream os;
+    os << "RS counts " << counted << " entries but " << recounted
+       << " in-flight ops are InRs";
+    return make(InvariantAudit::RsOccupancy, os);
 }
 
 std::optional<AuditViolation>
@@ -73,21 +68,15 @@ InvariantAuditor::checkPendingCount(SeqNum seq, unsigned recorded,
 }
 
 std::optional<AuditViolation>
-InvariantAuditor::checkProgramOrder(InvariantAudit which,
-                                    const std::vector<SeqNum> &order)
+InvariantAuditor::checkLsqOrder(const std::vector<SeqNum> &order)
 {
-    panic_if(which != InvariantAudit::RobProgramOrder &&
-                 which != InvariantAudit::LsqProgramOrder,
-             "checkProgramOrder on non-order invariant");
-    const char *what =
-        which == InvariantAudit::RobProgramOrder ? "ROB" : "LSQ";
     for (size_t i = 1; i < order.size(); ++i) {
         if (order[i - 1] >= order[i]) {
             std::ostringstream os;
-            os << what << " violates program order: entry " << i - 1
+            os << "LSQ violates program order: entry " << i - 1
                << " holds seq " << order[i - 1] << " >= entry " << i
                << " seq " << order[i];
-            return make(which, os);
+            return make(InvariantAudit::LsqProgramOrder, os);
         }
     }
     return std::nullopt;
@@ -173,20 +162,19 @@ InvariantAuditor::report(const std::optional<AuditViolation> &v)
 void
 InvariantAuditor::onCycleEnd(const OooCore &core)
 {
-    core.rs_.snapshot(rs_scratch_);
-    report(checkAgeOrder(rs_scratch_));
-
-    order_scratch_.assign(core.rob_.entries().begin(),
-                          core.rob_.entries().end());
-    report(checkProgramOrder(InvariantAudit::RobProgramOrder,
-                             order_scratch_));
+    // The ROB is the in-flight window and the RS its InRs members.
+    size_t in_rs = 0;
+    for (SeqNum seq = core.commit_ptr_; seq < core.next_fetch_; ++seq)
+        in_rs += core.inRs(seq) ? 1 : 0;
+    report(checkRsOccupancy(core.rs_.size(), in_rs));
     core.lsq_.seqs(order_scratch_);
-    report(checkProgramOrder(InvariantAudit::LsqProgramOrder,
-                             order_scratch_));
+    report(checkLsqOrder(order_scratch_));
 
     if (!core.event_kernel_)
         return;
-    for (SeqNum seq : rs_scratch_) {
+    for (SeqNum seq = core.commit_ptr_; seq < core.next_fetch_; ++seq) {
+        if (!core.inRs(seq))
+            continue;
         const auto &oc = core.cold_[seq];
         unsigned recount = 0;
         for (unsigned i = 0; i < oc.nprod; ++i) {

@@ -9,13 +9,11 @@
  * first corrupt cycle instead of surfacing thousands of cycles later
  * as a checksum mismatch:
  *
- *   rs-age-order         RS snapshots are strictly ascending in
- *                        sequence number (age order is what both
- *                        select phases walk).
+ *   rs-occupancy         The RS occupancy counter equals the number
+ *                        of InRs ops in the in-flight window.
  *   rs-pending-count     Event kernel: every waiting entry's pending
  *                        wakeup count equals a recount of its distinct
  *                        producers still in the RS.
- *   rob-program-order    ROB contents are strictly program-ordered.
  *   lsq-program-order    LSQ contents are strictly program-ordered.
  *   ci-range             Every issued op's sub-cycle completion
  *                        instant lies in [0, ticksPerCycle).
@@ -54,9 +52,8 @@ class OooCore;
 
 /** The invariant catalogue (DESIGN.md §11). */
 enum class InvariantAudit : u8 {
-    RsAgeOrder,
+    RsOccupancy,
     RsPendingCount,
-    RobProgramOrder,
     LsqProgramOrder,
     CiRange,
     EgpwLeftoverSlot,
@@ -85,19 +82,17 @@ class InvariantAuditor
 
     // --- Pure checks (unit-testable without a core) -----------------
 
-    /** rs-age-order: @p rs_entries strictly ascending. */
+    /** rs-occupancy: the RS counter equals the InRs recount. */
     static std::optional<AuditViolation>
-    checkAgeOrder(const std::vector<SeqNum> &rs_entries);
+    checkRsOccupancy(size_t counted, size_t recounted);
 
     /** rs-pending-count: recorded pending == producer recount. */
     static std::optional<AuditViolation>
     checkPendingCount(SeqNum seq, unsigned recorded, unsigned recounted);
 
-    /** rob-/lsq-program-order: @p order strictly ascending. @p which
-     *  must be RobProgramOrder or LsqProgramOrder. */
+    /** lsq-program-order: @p order strictly ascending. */
     static std::optional<AuditViolation>
-    checkProgramOrder(InvariantAudit which,
-                      const std::vector<SeqNum> &order);
+    checkLsqOrder(const std::vector<SeqNum> &order);
 
     /** ci-range: @p ci < @p ticks_per_cycle. */
     static std::optional<AuditViolation>
@@ -136,7 +131,6 @@ class InvariantAuditor
     /** Panic with the audit tag if @p v holds a violation. */
     static void report(const std::optional<AuditViolation> &v);
 
-    std::vector<SeqNum> rs_scratch_;
     std::vector<SeqNum> order_scratch_;
 };
 

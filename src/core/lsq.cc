@@ -1,6 +1,7 @@
 #include "core/lsq.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
@@ -9,34 +10,36 @@ namespace redsoc {
 Lsq::Lsq(unsigned capacity) : capacity_(capacity)
 {
     fatal_if(capacity == 0, "zero-entry LSQ");
+    ring_.resize(std::bit_ceil(static_cast<size_t>(capacity)));
+    mask_ = ring_.size() - 1;
 }
 
 void
 Lsq::dispatch(SeqNum seq, bool is_store)
 {
     panic_if(full(), "dispatch into full LSQ");
-    panic_if(!entries_.empty() && seq <= entries_.back().seq,
+    panic_if(size() != 0 && seq <= at(size() - 1).seq,
              "out-of-order LSQ dispatch");
-    entries_.push_back(Entry{seq, is_store});
+    ring_[tail_++ & mask_] = Entry{seq, is_store};
 }
 
 Lsq::Entry *
 Lsq::find(SeqNum seq)
 {
-    // dispatch() asserts program order, so the deque is sorted by
+    // dispatch() asserts program order, so the ring is sorted by
     // sequence number: resolve/setComplete lookups are O(log n).
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), seq,
-        [](const Entry &e, SeqNum s) { return e.seq < s; });
-    if (it == entries_.end() || it->seq != seq)
+    u64 lo = 0;
+    u64 hi = size();
+    while (lo < hi) {
+        const u64 mid = lo + (hi - lo) / 2;
+        if (at(mid).seq < seq)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo == size() || at(lo).seq != seq)
         return nullptr;
-    return &*it;
-}
-
-const Lsq::Entry *
-Lsq::find(SeqNum seq) const
-{
-    return const_cast<Lsq *>(this)->find(seq);
+    return &at(lo);
 }
 
 void
@@ -61,7 +64,8 @@ Lsq::setComplete(SeqNum seq, Tick complete)
 bool
 Lsq::olderStoreUnresolved(SeqNum seq) const
 {
-    for (const Entry &e : entries_) {
+    for (u64 i = 0; i < size(); ++i) {
+        const Entry &e = at(i);
         if (e.seq >= seq)
             break;
         if (e.is_store && !e.resolved)
@@ -74,7 +78,8 @@ SeqNum
 Lsq::youngestUnresolvedStoreBefore(SeqNum seq) const
 {
     SeqNum found = kNoSeq;
-    for (const Entry &e : entries_) {
+    for (u64 i = 0; i < size(); ++i) {
+        const Entry &e = at(i);
         if (e.seq >= seq)
             break;
         if (e.is_store && !e.resolved)
@@ -100,9 +105,8 @@ Lsq::forwardFrom(SeqNum load_seq, Addr addr, unsigned size) const
     unsigned contributors = 0;
     bool single_store_covers = false;
     Tick complete = 0;
-    for (auto it = entries_.rbegin();
-         it != entries_.rend() && need != 0; ++it) {
-        const Entry &e = *it;
+    for (u64 i = tail_ - head_; i-- > 0 && need != 0;) {
+        const Entry &e = at(i);
         if (e.seq >= load_seq || !e.is_store || !e.resolved)
             continue;
         const Addr lo = std::max(e.addr, addr);
@@ -133,16 +137,15 @@ void
 Lsq::seqs(std::vector<SeqNum> &out) const
 {
     out.clear();
-    for (const Entry &e : entries_)
-        out.push_back(e.seq);
+    for (u64 i = 0; i < size(); ++i)
+        out.push_back(at(i).seq);
 }
 
 void
 Lsq::commit(SeqNum seq)
 {
-    panic_if(entries_.empty() || entries_.front().seq != seq,
-             "out-of-order LSQ commit");
-    entries_.pop_front();
+    panic_if(size() == 0 || at(0).seq != seq, "out-of-order LSQ commit");
+    ++head_;
 }
 
 } // namespace redsoc

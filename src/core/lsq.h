@@ -2,13 +2,13 @@
  * @file
  * Unified load/store queue: occupancy, conservative load ordering
  * (loads issue only after all older store addresses are resolved)
- * and store-to-load forwarding.
+ * and store-to-load forwarding. Entries sit in a power-of-two ring in
+ * program order: dispatch appends at the tail, commit pops the head.
  */
 
 #ifndef REDSOC_CORE_LSQ_H
 #define REDSOC_CORE_LSQ_H
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -21,8 +21,8 @@ class Lsq
   public:
     explicit Lsq(unsigned capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
-    size_t size() const { return entries_.size(); }
+    bool full() const { return size() >= capacity_; }
+    size_t size() const { return static_cast<size_t>(tail_ - head_); }
 
     /** Allocate an entry at dispatch (program order). */
     void dispatch(SeqNum seq, bool is_store);
@@ -83,9 +83,6 @@ class Lsq
     /** Release the entry at commit. */
     void commit(SeqNum seq);
 
-    u64 forwards() const { return forwards_; }
-    void noteForward() { ++forwards_; }
-
   private:
     struct Entry
     {
@@ -97,12 +94,17 @@ class Lsq
         Tick complete = 0;
     };
 
-    const Entry *find(SeqNum seq) const;
+    /** The @p i-th entry from the oldest. */
+    Entry &at(u64 i) { return ring_[(head_ + i) & mask_]; }
+    const Entry &at(u64 i) const { return ring_[(head_ + i) & mask_]; }
+
     Entry *find(SeqNum seq);
 
     unsigned capacity_;
-    std::deque<Entry> entries_; ///< program order
-    u64 forwards_ = 0;
+    std::vector<Entry> ring_; ///< power-of-two ring, program order
+    u64 mask_ = 0;            ///< ring_.size() - 1
+    u64 head_ = 0;            ///< oldest entry (monotonic index)
+    u64 tail_ = 0;            ///< one past the youngest
 };
 
 } // namespace redsoc

@@ -81,7 +81,6 @@ OooCore::OooCore(CoreConfig config)
       branch_pred_(config_.branch_pred),
       width_pred_(config_.width_pred),
       la_pred_(config_.last_arrival),
-      rob_(config_.rob_entries),
       lsq_(config_.lsq_entries),
       rs_(config_.rs_entries),
       fu_(config_),
@@ -105,7 +104,6 @@ OooCore::OooCore(CoreConfig config)
     // must never allocate (redsoc_lint R8 hot-alloc).
     ready_.configure(config_.rob_entries);
     eager_.configure(config_.rob_entries);
-    scan_.reserve(config_.rs_entries);
     conv_grants_.reserve(config_.rs_entries);
     next_arms_.reserve(2 * config_.rs_entries);
 }
@@ -162,6 +160,8 @@ OooCore::buildInstMeta(const Program &program)
                          : packCls(FuPoolKind::Alu, FuClass::None);
         m.mem_size =
             is_mem ? static_cast<u8>(memAccessSize(inst.op)) : u8{0};
+        m.src = inst.sources();
+        m.dst = inst.destination();
         meta_[pc] = m;
     }
 }
@@ -269,7 +269,7 @@ OooCore::dispatchPhase(const Trace &trace)
         const bool is_mem = (m.flags & kMetaMem) != 0;
         const bool needs_rs = (m.flags & kMetaNeedsRs) != 0;
 
-        if (rob_.full())
+        if (robFull())
             return;
         if (needs_rs && rs_.full())
             return;
@@ -277,7 +277,6 @@ OooCore::dispatchPhase(const Trace &trace)
             return;
 
         const SeqNum seq = next_fetch_++;
-        rob_.push(seq);
         emitFrontend(seq);
 
         // Direct unconditional control flow is resolved entirely in
@@ -288,7 +287,7 @@ OooCore::dispatchPhase(const Trace &trace)
             cls_[seq] = packCls(FuPoolKind::Alu, FuClass::None);
             sel_[seq] = cycle_;
             OpCold &oc = cold_[seq];
-            oc = OpCold{};
+            oc = kFreshCold;
             oc.dispatch_cycle = cycle_;
             oc.start_tick = clock_.cycleStart(cycle_ + 1);
             done_[seq] = oc.start_tick;
@@ -297,13 +296,11 @@ OooCore::dispatchPhase(const Trace &trace)
                  ciArg(done_[seq]));
             if (m.seed & kIsBranch) {
                 // Rename the link register and predict as usual.
-                const Inst &inst = trace.inst(seq);
-                const RegIdx dst = inst.destination();
-                if (dst != kNoReg)
-                    rat_.setWriter(dst, seq);
+                if (m.dst != kNoReg)
+                    rat_.setWriter(m.dst, seq);
                 ++stats_.branch_lookups;
-                oc.predicted_next =
-                    branch_pred_.predict(dyn.pc, inst, dyn.pc + 1);
+                oc.predicted_next = branch_pred_.predict(
+                    dyn.pc, trace.inst(seq), dyn.pc + 1);
                 if (oc.predicted_next != dyn.next_pc) {
                     oc.cflags |= kColdBranchMispred;
                     fetch_blocked_on_ = seq;
@@ -320,20 +317,19 @@ OooCore::dispatchPhase(const Trace &trace)
         armed_[seq] = kNoCycle;
         pending_[seq] = 0;
         OpCold &oc = cold_[seq];
-        oc = OpCold{};
+        oc = kFreshCold;
         oc.dispatch_cycle = cycle_;
 
         // Rename: derive true dependencies and claim the destination.
-        for (RegIdx r : inst.sources()) {
+        for (RegIdx r : m.src) {
             if (r == kNoReg)
-                continue;
+                break; // sources are compacted
             const SeqNum writer = rat_.writer(r);
             if (writer != kNoSeq)
                 oc.prod[oc.nprod++] = writer;
         }
-        const RegIdx dst = inst.destination();
-        if (dst != kNoReg)
-            rat_.setWriter(dst, seq);
+        if (m.dst != kNoReg)
+            rat_.setWriter(m.dst, seq);
 
         // EX-TIME estimate (Sec.IV-C step 5): LUT at decode, using
         // the predicted width class for width-sensitive scalar ops.
@@ -369,7 +365,7 @@ OooCore::dispatchPhase(const Trace &trace)
                 oc.cflags |= kColdBranchMispred;
         }
 
-        rs_.insert(seq);
+        rs_.insert();
         if (is_mem) {
             lsq_.dispatch(seq, (m.seed & kIsStore) != 0);
             st_[seq] |= kInLsq;
@@ -495,11 +491,10 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
                 Cycle t = sg;
                 const Tick producers_t = producersComplete(seq);
                 if (producers_t > clock_.cycleStart(sg + 1)) {
-                    const Tick tpc = clock_.ticksPerCycle();
                     const Cycle c_data =
-                        (producers_t + tpc - 1) / tpc - 1;
+                        clock_.cycleOf(clock_.ceilToBoundary(producers_t)) - 1;
                     const Cycle c_try =
-                        (maybe_transparent && producers_t % tpc != 0)
+                        (maybe_transparent && clock_.ciOf(producers_t) != 0)
                             ? c_data - 1
                             : c_data;
                     t = std::max(sg, c_try);
@@ -540,10 +535,10 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
                 // arrival + period) is c_data - 1, so an eligible
                 // consumer re-evaluates there first to test the
                 // (possibly dynamic) threshold.
-                const Tick tpc = clock_.ticksPerCycle();
-                const Cycle c_data = (producers_t + tpc - 1) / tpc - 1;
+                const Cycle c_data =
+                    clock_.cycleOf(clock_.ceilToBoundary(producers_t)) - 1;
                 Cycle t = c_data;
-                if (maybe_transparent && producers_t % tpc != 0 &&
+                if (maybe_transparent && clock_.ciOf(producers_t) != 0 &&
                     cycle_ < c_data - 1)
                     t = c_data - 1;
                 *next_try = t;
@@ -698,6 +693,7 @@ void
 OooCore::issueOp(const Candidate &cand)
 {
     const SeqNum seq = cand.seq;
+    panic_if(!inRs(seq), "issue of op not in RS");
     setState(seq, St::Done);
     sel_[seq] = cycle_;
     OpCold &oc = cold_[seq];
@@ -705,7 +701,7 @@ OooCore::issueOp(const Candidate &cand)
     done_[seq] = cand.complete;
     if (cand.transparent)
         oc.cflags |= kColdTransparent;
-    rs_.remove(seq);
+    rs_.remove();
     if (event_kernel_)
         ready_.erase(seq); // may be resident (Phase-A retention)
 
@@ -849,7 +845,6 @@ OooCore::memCompleteTick(SeqNum seq, Tick arrival)
     const auto fwd = lsq_.forwardFrom(seq, dyn.mem_addr, size);
     if (fwd && fwd->full_cover) {
         ++stats_.store_forwards;
-        lsq_.noteForward();
         const Tick ready =
             std::max(arrival, clock_.ceilToBoundary(fwd->store_complete));
         return ready + Tick{config_.memory.l1_latency} * tpc;
@@ -1047,13 +1042,14 @@ OooCore::issuePhase()
         }
         in_phase_a_ = false;
     } else {
-        // Snapshot into the reusable scan buffer: issueOp removes the
-        // granted entry from the RS mid-scan. The oracle deliberately
-        // keeps the copying shape the paper-era kernel had.
+        // The oracle evaluates every RS entry, oldest first: the
+        // in-flight window filtered on InRs. Nothing dispatches during
+        // issue, so the window is fixed for the whole phase, and an
+        // entry issued mid-scan fails every later InRs test.
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
-        rs_.snapshot(scan_);
-        for (SeqNum seq : scan_)
-            phaseAEntry(seq, interleave_spec, fu_denied, nullptr);
+        for (SeqNum seq = commit_ptr_; seq < next_fetch_; ++seq)
+            if (inRs(seq))
+                phaseAEntry(seq, interleave_spec, fu_denied, nullptr);
     }
 
     // Phase B: EGPW speculative requests from leftover units (the
@@ -1113,17 +1109,10 @@ OooCore::issuePhase()
                 phase_b(seq);
             }
         } else {
-            // Copy-free live-slot walk: issueOp tombstones mid-scan,
-            // and the guard defers compaction until the walk ends.
-            // Entries issued earlier this cycle fail evalEager's
-            // InRs check exactly as they did under the snapshot.
-            ReservationStations::ScanGuard guard(rs_);
-            const size_t nslots = rs_.slotCount();
-            for (size_t i = 0; i < nslots; ++i) {
-                const SeqNum seq = rs_.liveAt(i);
-                if (seq != kNoSeq)
+            // The same oldest-first window walk as Phase A.
+            for (SeqNum seq = commit_ptr_; seq < next_fetch_; ++seq)
+                if (inRs(seq))
                     phase_b(seq);
-            }
         }
     }
 
@@ -1133,7 +1122,7 @@ OooCore::issuePhase()
     // the InRs check in tryFuse. The event kernel walks the granted
     // producer's age-ordered consumer list instead (fusion requires
     // the producer among the consumer's sources, so non-consumers can
-    // never match); the scan kernel walks the live RS slots in place.
+    // never match); the scan kernel walks every RS entry in the window.
     if (config_.mode == SchedMode::MOS) {
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
         if (event_kernel_) {
@@ -1147,17 +1136,13 @@ OooCore::issuePhase()
                         break; // one fusion per producer
             }
         } else {
-            ReservationStations::ScanGuard guard(rs_);
-            const size_t nslots = rs_.slotCount();
             for (const Candidate &pg : conv_grants_) {
                 if (!(st_[pg.seq] & kEligible) ||
                     cold_[pg.seq].est_ticks == 0)
                     continue;
-                for (size_t i = 0; i < nslots; ++i) {
-                    const SeqNum cseq = rs_.liveAt(i);
-                    if (cseq != kNoSeq && tryFuse(pg, cseq))
+                for (SeqNum cseq = commit_ptr_; cseq < next_fetch_; ++cseq)
+                    if (inRs(cseq) && tryFuse(pg, cseq))
                         break; // one fusion per producer
-                }
             }
         }
     }
@@ -1201,12 +1186,11 @@ OooCore::commitPhase()
 {
     unsigned committed = 0;
     const Tick now = clock_.cycleStart(cycle_);
-    while (committed < config_.commit_width && !rob_.empty()) {
-        const SeqNum seq = rob_.head();
+    while (committed < config_.commit_width && !robEmpty()) {
+        const SeqNum seq = commit_ptr_;
         if (stateOf(seq) != St::Done || done_[seq] > now)
             break;
 
-        rob_.pop(seq);
         const u8 st = st_[seq];
         if (st & kInLsq)
             lsq_.commit(seq);
@@ -1273,13 +1257,9 @@ OooCore::fastForward(bool adapting)
 
     // The next commit: the ROB head's completion boundary. (A head
     // still in the RS becomes Done through a wake-queue event.)
-    if (!rob_.empty()) {
-        const SeqNum head = rob_.head();
-        if (stateOf(head) == St::Done) {
-            const Tick tpc = clock_.ticksPerCycle();
-            target = std::min(target, (done_[head] + tpc - 1) / tpc);
-        }
-    }
+    if (!robEmpty() && stateOf(commit_ptr_) == St::Done)
+        target = std::min(target, clock_.cycleOf(clock_.ceilToBoundary(
+                                      done_[commit_ptr_])));
 
     // The next dispatch. Structural stalls (ROB/RS/LSQ full) clear
     // through commits or issues, which the two events above already
@@ -1296,7 +1276,7 @@ OooCore::fastForward(bool adapting)
         } else {
             const InstMeta &m = meta_[dyn_[next_fetch_].pc];
             const bool blocked =
-                rob_.full() ||
+                robFull() ||
                 ((m.flags & kMetaNeedsRs) != 0 && rs_.full()) ||
                 ((m.flags & kMetaMem) != 0 && lsq_.full());
             if (!blocked)
@@ -1333,24 +1313,39 @@ OooCore::beginRun(const Trace &trace)
 {
     wall_start_ = std::chrono::steady_clock::now();
 
-    // Reset all run state so a core object can be reused. The SoA
-    // lanes are resized, not cleared: every lane field is written at
-    // the op's dispatch before any read (DESIGN.md §12), so stale
-    // values from a previous run are unobservable.
+    // Reset all run state so a core object can be reused. A reused
+    // core gets back the cold predictors, caches and FU bookings of a
+    // fresh one, and empty LSQ and RS (an aborted run, DeadlockError,
+    // leaves entries in both). The SoA lanes are neither zeroed nor
+    // cleared: every lane field is written at the op's dispatch before
+    // any read (DESIGN.md §12), so uninitialized or stale values are
+    // unobservable.
+    if (trace_ != nullptr) {
+        memory_.reset();
+        branch_pred_ = BranchPredictor(config_.branch_pred);
+        width_pred_ = WidthPredictor(config_.width_pred);
+        la_pred_ = LastArrivalPredictor(config_.last_arrival);
+        fu_ = FuPool(config_);
+        lsq_ = Lsq(config_.lsq_entries);
+        rs_ = ReservationStations(config_.rs_entries);
+    }
     trace_ = &trace;
     dyn_ = trace.ops().data();
     buildInstMeta(trace.program());
     const size_t n = static_cast<size_t>(trace.size());
-    st_.resize(n);
-    cls_.resize(n);
-    pending_.resize(n);
-    gate_.resize(n);
-    armed_.resize(n);
-    sel_.resize(n);
-    done_.resize(n);
-    cold_.resize(n);
-    park_head_.resize(n);
-    park_next_.resize(n);
+    if (n > lane_ops_) {
+        st_ = std::make_unique_for_overwrite<u8[]>(n);
+        cls_ = std::make_unique_for_overwrite<u8[]>(n);
+        pending_ = std::make_unique_for_overwrite<u8[]>(n);
+        gate_ = std::make_unique_for_overwrite<Cycle[]>(n);
+        armed_ = std::make_unique_for_overwrite<Cycle[]>(n);
+        sel_ = std::make_unique_for_overwrite<Cycle[]>(n);
+        done_ = std::make_unique_for_overwrite<Tick[]>(n);
+        cold_ = std::make_unique_for_overwrite<OpCold[]>(n);
+        park_head_ = std::make_unique_for_overwrite<SeqNum[]>(n);
+        park_next_ = std::make_unique_for_overwrite<SeqNum[]>(n);
+        lane_ops_ = n;
+    }
     next_fetch_ = 0;
     commit_ptr_ = 0;
     cycle_ = 0;
@@ -1366,7 +1361,6 @@ OooCore::beginRun(const Trace &trace)
     last_epoch_commits_ = 0;
     stats_.threshold_min = cur_threshold_;
     stats_.threshold_max = cur_threshold_;
-    rs_.clear();
     cons_edges_.clear();
     // Pre-size the consumer-edge pool to the common case (about one
     // in-RS consumer edge per op); heavier fan-out traces grow it

@@ -36,7 +36,6 @@
 #include "core/invariant_audit.h"
 #include "core/lsq.h"
 #include "core/rat.h"
-#include "core/rob.h"
 #include "core/rs.h"
 #include "func/trace.h"
 #include "predictors/branch_predictor.h"
@@ -274,29 +273,36 @@ class OooCore
      */
     struct OpCold
     {
-        std::array<SeqNum, 3> prod{kNoSeq, kNoSeq, kNoSeq};
-        Cycle dispatch_cycle = 0;
-        Tick start_tick = 0;
-        u32 predicted_next = 0;  ///< branch predictor outcome
+        std::array<SeqNum, 3> prod;
+        Cycle dispatch_cycle;
+        Tick start_tick;
+        u32 predicted_next;  ///< branch predictor outcome
         /** Head/tail of this op's consumer-edge list (kNoEdge = none). */
-        u32 cons_head = kNoEdge;
-        u32 cons_tail = kNoEdge;
+        u32 cons_head;
+        u32 cons_tail;
         /** LUT estimate (predicted bucket); bounded by ticksPerCycle
          *  <= 2^ci_precision_bits, so 16 bits are exact. */
-        u16 est_ticks = 0;
-        u8 nprod = 0;
+        u16 est_ticks;
+        u8 nprod;
         /** Operational design: predicted last-arriving producer slot
          *  (index into prod), 0xff = no prediction needed. */
-        u8 pred_last_slot = 0xff;
-        WidthClass pred_wc = WidthClass::W64;
-        WidthClass actual_wc = WidthClass::W64;
-        u8 cflags = 0;
+        u8 pred_last_slot;
+        WidthClass pred_wc;
+        WidthClass actual_wc;
+        u8 cflags;
     };
+
+    /** The record dispatch starts every op from. OpCold itself has no
+     *  member initializers, so the lanes can be allocated without a
+     *  per-run fill. */
+    static constexpr OpCold kFreshCold{
+        {kNoSeq, kNoSeq, kNoSeq}, 0, 0, 0, kNoEdge, kNoEdge, 0, 0, 0xff,
+        WidthClass::W64, WidthClass::W64, 0};
 
     /**
      * Per-static-instruction scheduling metadata, precomputed once
      * per run so dispatch and fast-forward never re-derive opcode
-     * properties through out-of-line classifier calls.
+     * properties or decode registers through out-of-line calls.
      */
     struct InstMeta
     {
@@ -306,6 +312,9 @@ class OooCore
         u8 cls = 0;      ///< packed pool|fu
         u8 flags = 0;    ///< kMeta* properties below
         u8 mem_size = 0; ///< access bytes (memory ops only)
+        /** Inst::sources(): compacted, kNoReg-padded. */
+        std::array<RegIdx, 3> src{kNoReg, kNoReg, kNoReg};
+        RegIdx dst = kNoReg; ///< Inst::destination()
     };
 
     static constexpr u8 kMetaMem = 1u << 0;
@@ -354,6 +363,13 @@ class OooCore
     FuClass fuOf(SeqNum seq) const
     {
         return static_cast<FuClass>(cls_[seq] >> 2);
+    }
+
+    // --- The ROB: in-flight ops are exactly [commit_ptr_, next_fetch_)
+    bool robEmpty() const { return commit_ptr_ == next_fetch_; }
+    bool robFull() const
+    {
+        return next_fetch_ - commit_ptr_ >= config_.rob_entries;
     }
 
     void commitPhase();
@@ -454,7 +470,6 @@ class OooCore
     WidthPredictor width_pred_;
     LastArrivalPredictor la_pred_;
 
-    Rob rob_;
     Lsq lsq_;
     ReservationStations rs_;
     FuPool fu_;
@@ -469,17 +484,20 @@ class OooCore
     // commit; pending_/armed_ belong to the event kernel's wakeup
     // network; gate_ is the earliest-eval cycle max(dispatch_cycle+1,
     // retry_cycle); cold_ is written at dispatch and read at
-    // issue/commit. Lanes are resized (not cleared) per run: every
-    // field is fully initialized at the op's dispatch, and no lane is
-    // read for an undispatched op.
-    std::vector<u8> st_;       ///< lifecycle state + flag bits
-    std::vector<u8> cls_;      ///< packed FU pool | FuClass
-    std::vector<u8> pending_;  ///< producers still in RS (event kernel)
-    std::vector<Cycle> gate_;  ///< earliest conventional-eval cycle
-    std::vector<Cycle> armed_; ///< live wake_pq_ arm (stale-guard)
-    std::vector<Cycle> sel_;   ///< select cycle (valid once issued)
-    std::vector<Tick> done_;   ///< completion tick (valid once issued)
-    std::vector<OpCold> cold_; ///< dispatch/commit-only record
+    // issue/commit. Lanes are allocated uninitialized and reused by
+    // later runs that fit: every field is fully initialized at the
+    // op's dispatch, and no lane is read for an undispatched op.
+    template <typename T>
+    using Lane = std::unique_ptr<T[]>;
+    Lane<u8> st_;       ///< lifecycle state + flag bits
+    Lane<u8> cls_;      ///< packed FU pool | FuClass
+    Lane<u8> pending_;  ///< producers still in RS (event kernel)
+    Lane<Cycle> gate_;  ///< earliest conventional-eval cycle
+    Lane<Cycle> armed_; ///< live wake_pq_ arm (stale-guard)
+    Lane<Cycle> sel_;   ///< select cycle (valid once issued)
+    Lane<Tick> done_;   ///< completion tick (valid once issued)
+    Lane<OpCold> cold_; ///< dispatch/commit-only record
+    size_t lane_ops_ = 0; ///< ops every lane has room for
 
     std::vector<InstMeta> meta_; ///< per static instruction
     const DynOp *dyn_ = nullptr; ///< trace_->ops().data() (hoisted)
@@ -497,9 +515,8 @@ class OooCore
     SeqNum epoch_start_commits_ = 0;
     SeqNum last_epoch_commits_ = 0;
 
-    // Reusable per-cycle scratch buffers (hot path: issuePhase runs
-    // every cycle and must not allocate or copy the RS wholesale).
-    std::vector<SeqNum> scan_;        ///< RS snapshot for select scans
+    // Reusable per-cycle scratch buffer (hot path: issuePhase runs
+    // every cycle and must not allocate).
     std::vector<Candidate> conv_grants_; ///< this cycle's conv. grants
 
     // --- Event-kernel state (SchedKernel::Event) --------------------
@@ -536,8 +553,8 @@ class OooCore
      *  intrusive list threaded through park_next_[load]; a parked
      *  load is marked by armed_[load] == kParkLoad. Both lanes are
      *  written at the op's dispatch before any read. */
-    std::vector<SeqNum> park_head_;
-    std::vector<SeqNum> park_next_;
+    Lane<SeqNum> park_head_;
+    Lane<SeqNum> park_next_;
 
     /** First cycle NOT covered by a parked span-denied steady
      *  requester. Every cycle below it holds at least one ready
@@ -565,20 +582,20 @@ class OooCore
     // Lane geometry is part of the perf contract: the status/class/
     // pending lanes must stay one byte (64 entries per cache line),
     // the cycle/tick lanes one word, and the cold record one line.
-    static_assert(sizeof(decltype(st_)::value_type) == 1,
+    static_assert(sizeof(decltype(st_)::element_type) == 1,
                   "status lane must be 1 byte per op");
-    static_assert(sizeof(decltype(cls_)::value_type) == 1,
+    static_assert(sizeof(decltype(cls_)::element_type) == 1,
                   "class lane must be 1 byte per op");
-    static_assert(sizeof(decltype(pending_)::value_type) == 1,
+    static_assert(sizeof(decltype(pending_)::element_type) == 1,
                   "pending lane must be 1 byte per op");
     static_assert(sizeof(Cycle) == 8 && sizeof(Tick) == 8,
                   "cycle/tick lanes must be 8-byte words");
     static_assert(sizeof(OpCold) == 64 && alignof(OpCold) == 8,
                   "cold record must stay one 64-byte cache line");
-    static_assert(std::is_trivially_copyable_v<OpCold>,
-                  "cold record must be trivially copyable (bulk reset)");
-    static_assert(sizeof(InstMeta) == 4,
-                  "per-static-inst metadata must stay 4 bytes");
+    static_assert(std::is_trivially_default_constructible_v<OpCold>,
+                  "cold record must allocate without a fill");
+    static_assert(sizeof(InstMeta) == 8,
+                  "per-static-inst metadata must stay 8 bytes");
     static_assert(static_cast<u8>(FuPoolKind::NUM) <= 4,
                   "class lane reserves 2 bits for the FU pool");
     static_assert(static_cast<u8>(FuClass::None) < 64,

@@ -12,6 +12,7 @@
 
 #include <array>
 
+#include "common/logging.h"
 #include "isa/inst.h"
 
 namespace redsoc {
@@ -19,16 +20,25 @@ namespace redsoc {
 class Rat
 {
   public:
-    Rat();
+    Rat() { reset(); }
 
     /** Youngest in-flight writer of @p reg, or kNoSeq. */
-    SeqNum writer(RegIdx reg) const;
+    SeqNum writer(RegIdx reg) const
+    {
+        panic_if(reg >= kNumRegs, "RAT index out of range");
+        return writer_[reg];
+    }
 
     /** Record @p seq as the writer of @p reg (rename). */
-    void setWriter(RegIdx reg, SeqNum seq);
+    void setWriter(RegIdx reg, SeqNum seq)
+    {
+        panic_if(reg >= kNumRegs, "RAT index out of range");
+        panic_if(reg == kZeroReg, "renaming the zero register");
+        writer_[reg] = seq;
+    }
 
     /** Forget writers (used between independent runs). */
-    void reset();
+    void reset() { writer_.fill(kNoSeq); }
 
   private:
     std::array<SeqNum, kNumRegs> writer_;

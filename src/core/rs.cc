@@ -10,80 +10,6 @@ ReservationStations::ReservationStations(unsigned capacity)
     : capacity_(capacity)
 {
     fatal_if(capacity == 0, "zero-entry reservation stations");
-    slots_.reserve(2 * capacity);
-}
-
-void
-ReservationStations::insert(SeqNum seq)
-{
-    panic_if(full(), "insert into full RS");
-    panic_if(seq & kDeadBit, "sequence number overflows the RS");
-    panic_if(!slots_.empty() && seq <= (slots_.back() & ~kDeadBit),
-             "RS inserts must be in program order");
-    panic_if(open_scans_ != 0, "RS insert during an open scan");
-    slots_.push_back(seq);
-    ++live_;
-}
-
-void
-ReservationStations::remove(SeqNum seq)
-{
-    // Slot values are immutable and ascending (tombstoning only sets
-    // the top bit), so the position is a binary search away.
-    auto it = std::lower_bound(slots_.begin(), slots_.end(), seq,
-                               [](SeqNum slot, SeqNum want) {
-                                   return (slot & ~kDeadBit) < want;
-                               });
-    panic_if(it == slots_.end() || (*it & ~kDeadBit) != seq ||
-                 (*it & kDeadBit),
-             "remove of op not in RS");
-    *it |= kDeadBit;
-    --live_;
-    // Amortized sweep: at most one compaction per live_-many removes,
-    // so remove() stays O(log n) amortized. Deferred while a scan
-    // walks the slots in place (compaction moves them).
-    if (slots_.size() - live_ > live_ + 8) {
-        if (open_scans_ != 0)
-            compact_pending_ = true;
-        else
-            compact();
-    }
-}
-
-void
-ReservationStations::clear()
-{
-    slots_.clear();
-    live_ = 0;
-    compact_pending_ = false;
-}
-
-void
-ReservationStations::compact()
-{
-    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
-                                [](SeqNum slot) {
-                                    return (slot & kDeadBit) != 0;
-                                }),
-                 slots_.end());
-}
-
-void
-ReservationStations::snapshot(std::vector<SeqNum> &out) const
-{
-    out.clear();
-    for (SeqNum slot : slots_)
-        if (!(slot & kDeadBit))
-            out.push_back(slot);
-}
-
-std::vector<SeqNum>
-ReservationStations::entries() const
-{
-    std::vector<SeqNum> out;
-    out.reserve(live_);
-    snapshot(out);
-    return out;
 }
 
 void

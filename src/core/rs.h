@@ -1,17 +1,13 @@
 /**
  * @file
- * Reservation-station pool: capacity-bounded, age-ordered container
- * of waiting operations. Entries are allocated at dispatch and freed
- * at issue. The slack-aware RSE fields of Figs.7-8 (parent/
- * grandparent tags, EX-TIME, COMP-INST) live in the core's per-op
- * scheduling state; this class owns occupancy and ordering.
+ * Reservation-station pool and the event kernel's ready set.
  *
- * Removal is the scheduler's hot path (every issued op frees its
- * entry mid-scan), so it is O(log n): sequence numbers only ever
- * arrive in program order, which keeps the slot array sorted, and a
- * freed slot is tombstoned in place rather than erased from the
- * middle. Tombstones are swept by an amortized compaction that
- * trivially preserves oldest-first age order.
+ * The RS is an occupancy counter. Which ops wait in it is the core's
+ * status lane (InRs), and in-flight ops are exactly the sequence
+ * numbers [commit, fetch) dispatch handed out, so walking that window
+ * and filtering on InRs visits every waiting op oldest first. The
+ * slack-aware RSE fields of Figs.7-8 (parent/grandparent tags,
+ * EX-TIME, COMP-INST) live in the core's per-op scheduling state too.
  */
 
 #ifndef REDSOC_CORE_RS_H
@@ -19,11 +15,10 @@
 
 #include <bit>
 #include <cstddef>
-#include <type_traits>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/types.h"
-#include "core/fu_pool.h"
 
 namespace redsoc {
 
@@ -32,87 +27,28 @@ class ReservationStations
   public:
     explicit ReservationStations(unsigned capacity);
 
-    bool full() const { return size() >= capacity_; }
-    bool empty() const { return live_ == 0; }
-    size_t size() const { return live_; }
+    bool full() const { return size_ >= capacity_; }
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
     unsigned capacity() const { return capacity_; }
 
-    /** Allocate an entry (program order = age order). */
-    void insert(SeqNum seq);
-
-    /** Free an entry at issue (O(log n): tombstone + amortized sweep). */
-    void remove(SeqNum seq);
-
-    /** Drop all slots, tombstoned or not. A drained pool can still
-     *  hold up to a sweep's worth of tombstones whose raw values
-     *  would trip the program-order assert on the next run; core
-     *  reset clears them. */
-    void clear();
-
-    /**
-     * Copy the waiting ops, oldest first, into @p out (cleared
-     * first). The legacy scan kernel's select loops snapshot into a
-     * reusable buffer so they can issue (and thus remove) entries
-     * mid-scan; the oracle deliberately keeps this shape.
-     */
-    void snapshot(std::vector<SeqNum> &out) const;
-
-    /** Waiting ops, oldest first (convenience/tests). */
-    std::vector<SeqNum> entries() const;
-
-    // --- Copy-free live-slot iteration ------------------------------
-    //
-    // The alternative to snapshot(): walk the slot array in place,
-    // oldest first, skipping tombstones. Legal while entries are
-    // being remove()d mid-walk because removal only sets the dead
-    // bit; a ScanGuard defers the amortized compaction (which moves
-    // slots) until every open scan closes. Insertions during a scan
-    // remain illegal (the walkers run before dispatch each cycle).
-
-    /** Raw slot count (live + tombstoned) for index-based walks. */
-    size_t slotCount() const { return slots_.size(); }
-
-    /** The live seq in slot @p i, or kNoSeq when tombstoned. */
-    SeqNum liveAt(size_t i) const
+    /** Allocate an entry at dispatch. */
+    void insert()
     {
-        const SeqNum slot = slots_[i];
-        return (slot & kDeadBit) ? kNoSeq : slot;
+        panic_if(full(), "insert into full RS");
+        ++size_;
     }
 
-    /** RAII compaction deferral for in-place scans. */
-    class ScanGuard
+    /** Free an entry at issue. */
+    void remove()
     {
-      public:
-        explicit ScanGuard(ReservationStations &rs) : rs_(rs)
-        {
-            ++rs_.open_scans_;
-        }
-        ~ScanGuard()
-        {
-            if (--rs_.open_scans_ == 0 && rs_.compact_pending_) {
-                rs_.compact_pending_ = false;
-                rs_.compact();
-            }
-        }
-        ScanGuard(const ScanGuard &) = delete;
-        ScanGuard &operator=(const ScanGuard &) = delete;
-
-      private:
-        ReservationStations &rs_;
-    };
+        panic_if(size_ == 0, "remove from empty RS");
+        --size_;
+    }
 
   private:
-    void compact();
-
-    /** Tombstone marker: real sequence numbers never set the top bit
-     *  (a trace would need 2^63 dynamic ops). */
-    static constexpr SeqNum kDeadBit = SeqNum{1} << 63;
-
     unsigned capacity_;
-    std::vector<SeqNum> slots_; ///< ascending seqs; dead = top bit set
-    size_t live_ = 0;
-    unsigned open_scans_ = 0;   ///< live ScanGuards (defer compaction)
-    bool compact_pending_ = false;
+    size_t size_ = 0;
 };
 
 /**

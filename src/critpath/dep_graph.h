@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/page_region.h"
 #include "common/types.h"
 #include "core/fu_pool.h"
 
@@ -253,22 +254,22 @@ struct DepGraph
     u32 num_ops = 0;
 
     /** Observed milestone ticks, indexed [op]. */
-    std::vector<Tick> obs_d, obs_s, obs_x, obs_w, obs_c;
-    std::vector<u16> flags;
+    RegionVector<Tick> obs_d, obs_s, obs_x, obs_w, obs_c;
+    RegionVector<u16> flags;
     /** FU pool of the op's issue (valid when pool_pos != kNoPoolPos). */
-    std::vector<u8> pool;
+    RegionVector<u8> pool;
     /** Position in pool_order[pool[op]] (kNoPoolPos = never issued
      *  through a pool: frontend-resolved). */
-    std::vector<u32> pool_pos;
+    RegionVector<u32> pool_pos;
     /** Per-pool op ids in select (issue) order — lets the Retimer
      *  re-derive FU structural constraints under N x unit counts. */
-    std::array<std::vector<u32>, static_cast<size_t>(FuPoolKind::NUM)>
+    std::array<RegionVector<u32>, static_cast<size_t>(FuPoolKind::NUM)>
         pool_order;
 
     /** CSR: edges[edge_begin[i] .. edge_begin[i+1]) target op i, in
      *  destination-milestone order (D, S, X, W, C). */
-    std::vector<Edge> edges;
-    std::vector<u32> edge_begin;
+    RegionVector<Edge> edges;
+    RegionVector<u32> edge_begin;
 
     /**
      * A topological order over all 5*num_ops milestone nodes
@@ -279,7 +280,7 @@ struct DepGraph
      * The Retimer replays models in exactly this order; validate()
      * proves every stored edge goes forward in it (acyclicity).
      */
-    std::vector<u32> topo;
+    RegionVector<u32> topo;
 
     // --- Build provenance / bookkeeping -----------------------------
     /** Events the builder consumed, by raw kind ordinal. */

@@ -44,8 +44,9 @@ DepGraphBuilder::onBeginRun(Tick ticks_per_cycle)
     graph_.pool_pos.assign(n, kNoPoolPos);
     graph_.edges.clear();
     // Reserve the per-op worst case (~15 edges per op in practice):
-    // the array never regrows mid-run, and the never-written tail
-    // costs address space, not resident memory.
+    // the array never regrows mid-run. The never-written tail is
+    // page-region address space, resident only where other arrays
+    // have used those pages before.
     graph_.edges.reserve(size_t{n} * kMaxEdgesPerOp);
     graph_.edge_begin.assign(1, 0);
     graph_.edge_begin.reserve(size_t{n} + 1);

@@ -75,13 +75,13 @@ class DepGraphBuilder : public TraceSink
     const CoreConfig *config_;
 
     DepGraph graph_;
-    std::vector<Pending> pending_;
+    RegionVector<Pending> pending_;
     /** Rename-table replay: last claimed writer per register. */
     std::array<u32, kNumRegs> reg_writer_{};
     /** RS issues in grant order (RsCap sources). */
-    std::vector<u32> rs_issue_order_;
+    RegionVector<u32> rs_issue_order_;
     /** Memory ops in dispatch order (LsqCap sources). */
-    std::vector<u32> mem_order_;
+    RegionVector<u32> mem_order_;
     /** The committed store with the latest observed Select so far:
      *  the op whose address resolution (at its select) lifted the
      *  conservative older-store block last (MemOrder source). */

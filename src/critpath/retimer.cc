@@ -587,7 +587,7 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     // Lane records are a whole number of 32-byte vectors; keep their
     // bases 64-byte aligned so no vector load or store straddles a
     // cache line (vector<u32> alone only guarantees 16).
-    const auto alignedBase = [](std::vector<u32> &v, size_t n) {
+    const auto alignedBase = [](auto &v, size_t n) {
         v.resize(n + 16);
         void *base = v.data();
         size_t space = v.size() * sizeof(u32);
@@ -654,7 +654,7 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     // before the sources that die at it release theirs, so it never
     // lands on a row it still reads.
     const u32 n_ranks = static_cast<u32>(node_refs_.size());
-    std::vector<u32> last(last_use_);
+    RegionVector<u32> last(last_use_);
     for (u32 r = 0; r < n_ranks; ++r)
         forEachGather(node_refs_[r].node, [&](const FuGroup &, u32 s) {
             last[s] = std::max(last[s], r);
@@ -663,7 +663,7 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         g.num_ops == 0 ? kNoNode : rank_[nodeId(g.num_ops - 1, Milestone::C)];
     if (end_rank != kNoNode)
         last[end_rank] = kNoNode;
-    std::vector<u32> slot(n_ranks);
+    RegionVector<u32> slot(n_ranks);
     std::vector<u32> free_rows;
     u32 rows = 0;
     for (u32 r = 0, e = 0; r < n_ranks; ++r) {

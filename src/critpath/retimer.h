@@ -11,10 +11,11 @@
  * node's re-timed tick equals its observed tick and the final cycle
  * count is bit-identical to the simulator's. What-if models replace
  * observed latencies with analytic transfer functions; they are
- * approximations with known one-sided biases (they re-time the traced
+ * approximations whose error runs both ways (they re-time the traced
  * schedule's dependence structure and cannot invent events the traced
  * run never exhibited, e.g. new EGPW windows or new transparent
- * passes at higher CI precision).
+ * passes at higher CI precision, nor drop orderings the new timing
+ * would not have produced).
  */
 
 #ifndef REDSOC_CRITPATH_RETIMER_H
@@ -100,7 +101,7 @@ class Retimer
     /** Re-timed tick per milestone node (nodeId() indexing), valid
      *  after the last retime() call — the exactness tests compare
      *  this against the graph's observed lanes. */
-    const std::vector<Tick> &nodeTimes() const { return time_; }
+    const RegionVector<Tick> &nodeTimes() const { return time_; }
 
     /** Lane rows the last retimeAll() pass kept live at once: its
      *  lane array holds this many rows, not one per node. */
@@ -158,11 +159,11 @@ class Retimer
     SubCycleClock clock_;
     /** CSR sub-boundaries: per op, the first edge index targeting
      *  each destination milestone (6 fences per op). */
-    std::vector<std::array<u32, 6>> ms_begin_;
-    std::vector<Tick> time_;
+    RegionVector<std::array<u32, 6>> ms_begin_;
+    RegionVector<Tick> time_;
     /** Binding constraint per node for the critical-path walk. */
-    std::vector<u32> arg_src_;
-    std::vector<u8> arg_kind_;
+    RegionVector<u32> arg_src_;
+    RegionVector<u8> arg_kind_;
     /** One batched-pass stream element: a destination node and how
      *  many consecutive plan_ entries feed it. */
     struct NodeRef
@@ -178,15 +179,15 @@ class Retimer
      *  (now in-edge-free, reader-free) X nodes from the stream, so
      *  the plan is shorter than the edge array. A node's index in
      *  node_refs_ is its rank; plan_ sources are ranks. */
-    std::vector<NodeRef> node_refs_;
-    std::vector<PlanEntry> plan_;
+    RegionVector<NodeRef> node_refs_;
+    RegionVector<PlanEntry> plan_;
     /** Rank per milestone node (nodeId() indexing); kNoNode for the
      *  folded X nodes, which have no row. */
-    std::vector<u32> rank_;
+    RegionVector<u32> rank_;
     /** Per rank, the rank of its last plan_ reader (its own rank when
      *  nothing reads it). retimeAll() extends these with its FU
      *  gathers, which depend on the models. */
-    std::vector<u32> last_use_;
+    RegionVector<u32> last_use_;
     /** Batched time lanes, lanes_[row * MP + m] with MP the padded
      *  model count: retimeAll() advances every model's lane in one
      *  pass, so a node's record is one contiguous row and the inner
@@ -194,7 +195,7 @@ class Retimer
      *  to its last reader's, so the array holds the live set, not
      *  every node. Rows are written before they are read (topological
      *  order), so no zero-fill is needed. */
-    std::vector<u32> lanes_;
+    RegionVector<u32> lanes_;
     u32 lane_rows_ = 0;
 };
 

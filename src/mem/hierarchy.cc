@@ -22,6 +22,14 @@ MemHierarchy::MemHierarchy(HierarchyConfig config)
 }
 
 void
+MemHierarchy::reset()
+{
+    l1_ = Cache(config_.l1);
+    l2_ = Cache(config_.l2);
+    prefetcher_ = StridePrefetcher(config_.prefetcher);
+}
+
+void
 MemHierarchy::attachSharedLlc(SharedLlc *llc, unsigned core_id,
                               Addr addr_offset)
 {

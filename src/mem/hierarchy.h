@@ -96,6 +96,10 @@ class MemHierarchy
 
     void resetStats();
 
+    /** Empty the caches and the prefetcher, as at construction. The
+     *  shared-LLC attachment stays. */
+    void reset();
+
   private:
     Cycle scaled(Cycle lat) const;
 

@@ -27,13 +27,6 @@ SubCycleClock::delayTicks(Picos ps) const
     return t;
 }
 
-Tick
-SubCycleClock::ceilToBoundary(Tick t) const
-{
-    const Tick rem = t % ticks_per_cycle_;
-    return rem == 0 ? t : t + (ticks_per_cycle_ - rem);
-}
-
 double
 SubCycleClock::ticksToPs(Tick t) const
 {

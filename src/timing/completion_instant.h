@@ -36,14 +36,14 @@ class SubCycleClock
     Tick delayTicks(Picos ps) const;
 
     /** Absolute tick of the start of @p cycle. */
-    Tick cycleStart(Cycle cycle) const { return cycle * ticks_per_cycle_; }
+    Tick cycleStart(Cycle cycle) const { return cycle << precision_bits_; }
 
     /** Cycle containing absolute tick @p t (boundary ticks belong to
      *  the cycle they begin). */
-    Cycle cycleOf(Tick t) const { return t / ticks_per_cycle_; }
+    Cycle cycleOf(Tick t) const { return t >> precision_bits_; }
 
     /** CI field value: offset of @p t within its cycle. */
-    Tick ciOf(Tick t) const { return t % ticks_per_cycle_; }
+    Tick ciOf(Tick t) const { return t & (ticks_per_cycle_ - 1); }
 
     /**
      * True if an operation starting at absolute tick @p start and
@@ -58,7 +58,10 @@ class SubCycleClock
     }
 
     /** Round @p t up to the next cycle boundary (no-op if on one). */
-    Tick ceilToBoundary(Tick t) const;
+    Tick ceilToBoundary(Tick t) const
+    {
+        return (t + ticks_per_cycle_ - 1) & ~(ticks_per_cycle_ - 1);
+    }
 
     /** Convert ticks back to picoseconds (for reporting). */
     double ticksToPs(Tick t) const;

@@ -105,7 +105,7 @@ expectBaseExact(const DepGraph &g, const CoreStats &stats,
     const RetimeResult base = retimer.retime(WhatIfModel{});
     EXPECT_EQ(base.cycles, stats.cycles);
     EXPECT_EQ(base.ops, stats.committed);
-    const std::vector<Tick> &t = retimer.nodeTimes();
+    const auto &t = retimer.nodeTimes();
     u64 mismatches = 0;
     for (u32 i = 0; i < g.num_ops && mismatches < 8; ++i) {
         for (u32 m = 0; m < kNumMilestones; ++m) {

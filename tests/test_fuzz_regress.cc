@@ -352,14 +352,13 @@ expectViolation(const std::optional<AuditViolation> &v,
         << v->message;
 }
 
-TEST(InvariantAuditChecks, RsAgeOrder)
+TEST(InvariantAuditChecks, RsOccupancy)
 {
-    EXPECT_FALSE(InvariantAuditor::checkAgeOrder({}).has_value());
-    EXPECT_FALSE(InvariantAuditor::checkAgeOrder({3, 5, 9}).has_value());
-    expectViolation(InvariantAuditor::checkAgeOrder({3, 9, 5}),
-                    InvariantAudit::RsAgeOrder, "out of age order");
-    expectViolation(InvariantAuditor::checkAgeOrder({3, 3}),
-                    InvariantAudit::RsAgeOrder, "slot 0 holds seq 3");
+    EXPECT_FALSE(InvariantAuditor::checkRsOccupancy(0, 0).has_value());
+    EXPECT_FALSE(InvariantAuditor::checkRsOccupancy(5, 5).has_value());
+    expectViolation(InvariantAuditor::checkRsOccupancy(4, 3),
+                    InvariantAudit::RsOccupancy,
+                    "RS counts 4 entries but 3");
 }
 
 TEST(InvariantAuditChecks, RsPendingCount)
@@ -371,23 +370,12 @@ TEST(InvariantAuditChecks, RsPendingCount)
                     "records 2 pending wakeups but 1");
 }
 
-TEST(InvariantAuditChecks, RobProgramOrder)
-{
-    EXPECT_FALSE(InvariantAuditor::checkProgramOrder(
-                     InvariantAudit::RobProgramOrder, {1, 2, 8})
-                     .has_value());
-    expectViolation(
-        InvariantAuditor::checkProgramOrder(
-            InvariantAudit::RobProgramOrder, {1, 8, 2}),
-        InvariantAudit::RobProgramOrder, "ROB violates program order");
-}
-
 TEST(InvariantAuditChecks, LsqProgramOrder)
 {
-    expectViolation(
-        InvariantAuditor::checkProgramOrder(
-            InvariantAudit::LsqProgramOrder, {4, 4}),
-        InvariantAudit::LsqProgramOrder, "LSQ violates program order");
+    EXPECT_FALSE(InvariantAuditor::checkLsqOrder({1, 2, 8}).has_value());
+    expectViolation(InvariantAuditor::checkLsqOrder({4, 4}),
+                    InvariantAudit::LsqProgramOrder,
+                    "LSQ violates program order");
 }
 
 TEST(InvariantAuditChecks, CiRange)

@@ -14,7 +14,9 @@
  *     unresolved older stores.
  *
  * Plus unit tests for the two new structures the event kernel leans
- * on: ReadySet and FuPool::freeSpan.
+ * on, ReadySet and FuPool::freeSpan, and a check that a core reused
+ * for a smaller run matches a fresh core (the per-op lanes are never
+ * reset between runs).
  */
 
 #include <string>
@@ -174,6 +176,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTraceDifferential,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u,
                                            8u, 0xdeadbeefu,
                                            0xfeedfaceu));
+
+// ---------------------------------------------------------------------
+// Lane reuse: a core's per-op lanes are allocated uninitialized and
+// reused by later runs, so a run must never read a lane entry before
+// its own dispatch wrote it.
+// ---------------------------------------------------------------------
+
+TEST(LaneReuse, SmallRunAfterLargeMatchesFreshCore)
+{
+    const Trace large = randomTrace(11, 2000);
+    const Trace small = randomTrace(12, 400);
+    ASSERT_GT(large.size(), small.size());
+    for (const SchedKernel kernel : {SchedKernel::Scan, SchedKernel::Event}) {
+        for (const SchedMode mode :
+             {SchedMode::Baseline, SchedMode::ReDSOC, SchedMode::MOS}) {
+            CoreConfig cfg = coreByName("big");
+            cfg.mode = mode;
+            cfg.sched_kernel = kernel;
+            const CoreStats fresh = runCore(small, cfg);
+            OooCore reused(cfg);
+            reused.run(large);
+            expectStatsEqual(fresh, reused.run(small),
+                             std::string(schedKernelName(kernel)) + "/" +
+                                 schedModeName(mode));
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Layer 3: targeted regressions

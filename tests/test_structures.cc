@@ -1,23 +1,29 @@
 /**
  * @file
- * Pipeline-structure tests: ROB ordering, LSQ ordering/forwarding,
- * reservation stations, RAT, FU-pool booking (including the 2-cycle
+ * Pipeline-structure tests: the core's ROB window, LSQ ordering/
+ * forwarding (including across the ring wrap), reservation-station
+ * occupancy, RAT, FU-pool booking (including the 2-cycle
  * transparent holds), and the cache-model property suite (LRU state
  * equality, prefetcher replay determinism, shared-LLC inclusion and
- * MSHR accounting).
+ * MSHR accounting), and the page region behind the critical-path
+ * arrays.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/page_region.h"
 #include "common/rng.h"
 #include "core/fu_pool.h"
 #include "core/lsq.h"
-#include "isa/builder.h"
 #include "core/rat.h"
-#include "core/rob.h"
 #include "core/rs.h"
+#include "helpers.h"
+#include "isa/builder.h"
 #include "mem/cache.h"
 #include "mem/prefetcher.h"
 #include "proc/llc.h"
@@ -25,25 +31,54 @@
 namespace redsoc {
 namespace {
 
-TEST(Rob, FifoDiscipline)
+/** Tracks the core's in-flight window from its Dispatch and Commit
+ *  events: commit emits before dispatch within a cycle, so the count
+ *  after each dispatch is the ROB occupancy. */
+class RobWindowSink : public TraceSink
 {
-    Rob rob(3);
-    rob.push(0);
-    rob.push(1);
-    rob.push(2);
-    EXPECT_TRUE(rob.full());
-    EXPECT_EQ(rob.head(), 0u);
-    rob.pop(0);
-    EXPECT_EQ(rob.head(), 1u);
-    EXPECT_THROW(rob.pop(2), std::logic_error); // out of order
-    EXPECT_THROW(rob.push(0), std::logic_error); // not in order
-}
+  public:
+    void onBeginRun(Tick) override {}
+    void onEvent(const PipeEvent &e) override
+    {
+        if (e.kind == PipeEventKind::Dispatch) {
+            EXPECT_EQ(e.seq, dispatched) << "dispatch out of order";
+            ++dispatched;
+            max_in_flight = std::max(max_in_flight, dispatched - committed);
+        } else if (e.kind == PipeEventKind::Commit) {
+            EXPECT_EQ(e.seq, committed) << "commit out of order";
+            ++committed;
+        }
+    }
+    SeqNum dispatched = 0;
+    SeqNum committed = 0;
+    SeqNum max_in_flight = 0;
+};
 
-TEST(Rob, OverflowPanics)
+TEST(Rob, WindowBoundsInFlightOpsAndCommitsInOrder)
 {
-    Rob rob(1);
-    rob.push(5);
-    EXPECT_THROW(rob.push(6), std::logic_error);
+    // A divide chain at the head stalls commit while independent ops
+    // keep dispatching, so the window fills to exactly its capacity.
+    ProgramBuilder b("rob_fill");
+    b.movImm(x(1), 1000);
+    b.movImm(x(2), 3);
+    for (int i = 0; i < 4; ++i)
+        b.sdiv(x(1), x(1), x(2));
+    for (int i = 0; i < 40; ++i)
+        b.alui(Opcode::ADD, x(3 + i % 4), x(8), i);
+    b.halt();
+    const Trace trace = test::makeTrace(b);
+
+    CoreConfig cfg = coreByName("big");
+    cfg.rob_entries = 8;
+    PipeTracer tracer;
+    RobWindowSink sink;
+    tracer.setSink(&sink);
+    OooCore core(cfg);
+    core.setTracer(&tracer);
+    const CoreStats stats = core.run(trace);
+    EXPECT_EQ(sink.dispatched, trace.size());
+    EXPECT_EQ(sink.committed, stats.committed);
+    EXPECT_EQ(sink.max_in_flight, 8u);
 }
 
 TEST(Lsq, OlderStoreGatesLoads)
@@ -210,72 +245,63 @@ TEST(Lsq, CommitInProgramOrder)
     EXPECT_EQ(lsq.size(), 0u);
 }
 
-TEST(Rs, AgeOrderMaintained)
+TEST(Lsq, ForwardingAcrossRingWrap)
 {
-    ReservationStations rs(4);
-    rs.insert(10);
-    rs.insert(11);
-    rs.insert(12);
-    rs.remove(11);
-    ASSERT_EQ(rs.entries().size(), 2u);
-    EXPECT_EQ(rs.entries()[0], 10u);
-    EXPECT_EQ(rs.entries()[1], 12u);
-    EXPECT_THROW(rs.remove(99), std::logic_error);
-    EXPECT_THROW(rs.insert(5), std::logic_error); // violates order
-}
-
-TEST(Rs, SnapshotMatchesEntries)
-{
-    ReservationStations rs(8);
-    std::vector<SeqNum> buf = {99, 98}; // stale contents get cleared
-    rs.insert(4);
-    rs.insert(7);
-    rs.insert(9);
-    rs.remove(7);
-    rs.snapshot(buf);
-    EXPECT_EQ(buf, (std::vector<SeqNum>{4, 9}));
-    EXPECT_EQ(rs.entries(), buf);
-}
-
-// Regression for the tombstone + amortized-compaction scheme: age
-// (oldest-first) order must survive arbitrary interleavings of
-// in-order inserts and out-of-order removes, across many sweeps.
-TEST(Rs, OrderPreservedAcrossInterleavedInsertRemove)
-{
-    ReservationStations rs(16);
-    std::vector<SeqNum> model; // straightforward reference
-    SeqNum next = 0;
-    u64 prng = 0x243f6a8885a308d3ull;
-    for (int step = 0; step < 5000; ++step) {
-        prng = prng * 6364136223846793005ull + 1442695040888963407ull;
-        const bool do_insert =
-            !rs.full() && (model.empty() || (prng >> 33) % 3 != 0);
-        if (do_insert) {
-            rs.insert(next);
-            model.push_back(next);
-            ++next;
-        } else {
-            // Remove a pseudo-random live entry (issue is unordered).
-            const size_t victim = (prng >> 33) % model.size();
-            rs.remove(model[victim]);
-            model.erase(model.begin() + victim);
-        }
-        ASSERT_EQ(rs.size(), model.size()) << "step " << step;
-        ASSERT_EQ(rs.entries(), model) << "step " << step;
-        ASSERT_EQ(rs.empty(), model.empty());
-        ASSERT_EQ(rs.full(), model.size() >= 16);
+    // Capacity 3 rounds up to a 4-slot ring: after ten commits the
+    // live entries straddle the wrap, and forwarding must still pick
+    // the youngest older store.
+    Lsq lsq(3);
+    SeqNum seq = 0;
+    for (; seq < 10; ++seq) {
+        lsq.dispatch(seq, true);
+        lsq.resolve(seq, 0x100, 8, seq);
+        lsq.commit(seq);
     }
+    lsq.dispatch(10, true);
+    lsq.dispatch(11, true);
+    lsq.dispatch(12, false);
+    EXPECT_TRUE(lsq.full());
+    EXPECT_THROW(lsq.dispatch(13, false), std::logic_error);
+    EXPECT_TRUE(lsq.olderStoreUnresolved(12));
+    EXPECT_EQ(lsq.youngestUnresolvedStoreBefore(12), 11u);
+    lsq.resolve(10, 0x100, 8, 70);
+    lsq.resolve(11, 0x100, 8, 30);
+    EXPECT_FALSE(lsq.olderStoreUnresolved(12));
+    const auto fwd = lsq.forwardFrom(12, 0x100, 8);
+    ASSERT_TRUE(fwd.has_value());
+    EXPECT_TRUE(fwd->full_cover);
+    EXPECT_EQ(fwd->store_complete, 30u); // store 11, not store 10
+    std::vector<SeqNum> out;
+    lsq.seqs(out);
+    EXPECT_EQ(out, (std::vector<SeqNum>{10, 11, 12}));
+    EXPECT_THROW(lsq.commit(11), std::logic_error);
+    lsq.commit(10);
+    lsq.commit(11);
+    lsq.commit(12);
+    EXPECT_EQ(lsq.size(), 0u);
 }
 
-TEST(Rs, DoubleRemovePanics)
+TEST(Rs, InsertWhenFullPanics)
 {
-    ReservationStations rs(4);
-    rs.insert(3);
-    rs.insert(5);
-    rs.remove(3);
-    EXPECT_THROW(rs.remove(3), std::logic_error); // tombstoned
-    EXPECT_THROW(rs.remove(4), std::logic_error); // never inserted
-    EXPECT_EQ(rs.entries(), (std::vector<SeqNum>{5}));
+    ReservationStations rs(2);
+    rs.insert();
+    rs.insert();
+    EXPECT_TRUE(rs.full());
+    EXPECT_THROW(rs.insert(), std::logic_error);
+    rs.remove();
+    EXPECT_FALSE(rs.full());
+    rs.insert();
+    EXPECT_EQ(rs.size(), 2u);
+}
+
+TEST(Rs, RemoveWhenEmptyPanics)
+{
+    ReservationStations rs(2);
+    EXPECT_THROW(rs.remove(), std::logic_error);
+    rs.insert();
+    rs.remove();
+    EXPECT_TRUE(rs.empty());
+    EXPECT_THROW(rs.remove(), std::logic_error);
 }
 
 TEST(Rat, TracksYoungestWriter)
@@ -498,6 +524,62 @@ TEST(CacheProperties, LruStateEqualAfterIdenticalAccessSequences)
     EXPECT_EQ(a.misses(), b.misses());
     for (Addr line : touched)
         ASSERT_EQ(a.contains(line), b.contains(line));
+}
+
+TEST(PageRegion, FreedRangesCoalesceSoLayoutIgnoresHistory)
+{
+    if (!page_region::kEnabled)
+        GTEST_SKIP() << "AddressSanitizer build: arrays use operator new";
+    // Where a set of arrays lands, given what else the region holds.
+    const auto layout = [] {
+        RegionVector<u32> a(size_t{1} << 18);
+        RegionVector<u64> b(size_t{3} << 17);
+        RegionVector<u8> c(size_t{5} << 20);
+        return std::vector<std::uintptr_t>{
+            reinterpret_cast<std::uintptr_t>(a.data()),
+            reinterpret_cast<std::uintptr_t>(b.data()),
+            reinterpret_cast<std::uintptr_t>(c.data())};
+    };
+    const std::vector<std::uintptr_t> first = layout();
+    for (const std::uintptr_t p : first)
+        EXPECT_EQ(p % 4096, 0u);
+
+    // Arrays of other sizes come and go, freed out of allocation order
+    // and split into more pieces than the layout above used.
+    for (int round = 0; round < 3; ++round) {
+        std::vector<RegionVector<u32>> pieces;
+        for (int i = 0; i < 9; ++i)
+            pieces.emplace_back(size_t{70'000} + size_t{130'000} * i);
+        for (size_t i = 0; i < pieces.size(); i += 2)
+            pieces[i] = RegionVector<u32>();
+        RegionVector<u32> grown;
+        for (u32 i = 0; i < 600'000; ++i)
+            grown.push_back(i);
+    }
+    EXPECT_EQ(layout(), first);
+}
+
+TEST(PageRegion, ConcurrentArraysNeverOverlap)
+{
+    // Each thread fills its arrays with its own id and checks them
+    // after every other thread had the chance to allocate and write.
+    std::vector<std::thread> threads;
+    std::vector<int> bad(4, 0);
+    for (u32 t = 0; t < 4; ++t)
+        threads.emplace_back([t, &bad] {
+            for (u32 round = 0; round < 40; ++round) {
+                RegionVector<u32> a(size_t{20'000} + 7'000 * round, t);
+                RegionVector<u32> b(size_t{90'000} - 1'000 * round, t);
+                std::this_thread::yield();
+                bad[t] += std::count(a.begin(), a.end(), t) !=
+                              static_cast<long>(a.size()) ||
+                          std::count(b.begin(), b.end(), t) !=
+                              static_cast<long>(b.size());
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(bad, std::vector<int>(4, 0));
 }
 
 } // namespace
