@@ -202,46 +202,52 @@ OooCore::selGate(SeqNum seq) const
     return gate;
 }
 
-void
-OooCore::emitFrontend(SeqNum seq)
+u16
+OooCore::recordFlags(const InstMeta &m)
 {
-    // The model's frontend is one macro-stage: all four events carry
-    // the dispatch cycle's tick (trace_events.h).
-    const Tick t = clock_.cycleStart(cycle_);
-    emit(PipeEventKind::Fetch, seq, t);
-    emit(PipeEventKind::Decode, seq, t);
-    emit(PipeEventKind::Rename, seq, t);
-    emit(PipeEventKind::Dispatch, seq, t);
+    u16 f = 0;
+    if (m.flags & kMetaMem)
+        f |= kOpMem;
+    if (m.seed & kIsLoad)
+        f |= kOpLoad;
+    if (m.seed & kIsStore)
+        f |= kOpStore;
+    if (m.seed & kIsBranch)
+        f |= kOpBranch;
+    if (m.seed & kEligible)
+        f |= kOpEligible;
+    if (!(m.flags & kMetaNeedsRs))
+        f |= kOpFrontendResolved;
+    return f;
 }
 
 void
 OooCore::emitIssue(const Candidate &cand)
 {
-    // The entry's conventional wakeup cycle is the select gate; an
-    // EGPW grant (and a MOS fusion) is woken in the grant cycle
-    // itself. Every input below is part of the committed schedule,
-    // so both scheduler kernels emit identical events.
+    // Every input below is part of the committed schedule, so both
+    // scheduler kernels report identical issues.
     const SeqNum seq = cand.seq;
     const OpCold &oc = cold_[seq];
-    const SeqNum last = lastProducer(seq);
-    const Cycle wake = cand.speculative
-                           ? cycle_
-                           : std::min(selGate(seq), cycle_);
-    emit(PipeEventKind::Wakeup, seq, clock_.cycleStart(wake), 0, last);
-    emit(PipeEventKind::Select, seq, clock_.cycleStart(cycle_),
-         cand.speculative ? u8{1} : u8{0});
-    if (cand.speculative)
-        emit(PipeEventKind::EgpwFire, seq, clock_.cycleStart(cycle_));
-    if (oc.cflags & kColdTransparent) {
-        emit(PipeEventKind::TransparentPass, seq, oc.start_tick,
-             ciArg(oc.start_tick));
-        emit(PipeEventKind::RecycleLink, seq, oc.start_tick, 0, last);
-    }
-    if (oc.cflags & kColdWidthReplayed)
-        emit(PipeEventKind::Replay, seq, clock_.cycleStart(cycle_), 2);
-    emit(PipeEventKind::ExecBegin, seq, oc.start_tick,
-         ciArg(oc.start_tick));
-    emit(PipeEventKind::Writeback, seq, done_[seq], ciArg(done_[seq]));
+    IssueRecord op;
+    op.seq = seq;
+    op.select = clock_.cycleStart(cycle_);
+    op.start = oc.start_tick;
+    op.done = done_[seq];
+    op.prod = oc.prod.data();
+    op.nprod = oc.nprod;
+    op.speculative = cand.speculative;
+    op.transparent = (oc.cflags & kColdTransparent) != 0;
+    op.width_replayed = (oc.cflags & kColdWidthReplayed) != 0;
+    // The entry's conventional wakeup cycle is the select gate; an
+    // EGPW grant (and a MOS fusion) is woken in the grant cycle
+    // itself.
+    const auto wake = [&] {
+        const Cycle c = cand.speculative
+                            ? cycle_
+                            : std::min(selGate(seq), cycle_);
+        return WakeRecord{clock_.cycleStart(c), lastProducer(seq)};
+    };
+    observe([&](auto &h) { h.issue(op, wake); });
 }
 
 void
@@ -277,7 +283,10 @@ OooCore::dispatchPhase(const Trace &trace)
             return;
 
         const SeqNum seq = next_fetch_++;
-        emitFrontend(seq);
+        observe([&](auto &h) {
+            h.dispatch(seq, clock_.cycleStart(cycle_), recordFlags(m),
+                       static_cast<u8>(m.cls & kClsPoolMask));
+        });
 
         // Direct unconditional control flow is resolved entirely in
         // the front end (target known at decode, RAS for returns):
@@ -292,8 +301,7 @@ OooCore::dispatchPhase(const Trace &trace)
             oc.start_tick = clock_.cycleStart(cycle_ + 1);
             done_[seq] = oc.start_tick;
             // Frontend-resolved: no RS life, straight to writeback.
-            emit(PipeEventKind::Writeback, seq, done_[seq],
-                 ciArg(done_[seq]));
+            observe([&](auto &h) { h.frontendWriteback(seq, done_[seq]); });
             if (m.seed & kIsBranch) {
                 // Rename the link register and predict as usual.
                 if (m.dst != kNoReg)
@@ -466,8 +474,9 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
             la_pred_.recordOutcome(correct);
             if (!correct) {
                 ++stats_.la_mispredictions;
-                emit(PipeEventKind::Replay, seq,
-                     clock_.cycleStart(cycle_), 1);
+                observe([&](auto &h) {
+                    h.laReplay(seq, clock_.cycleStart(cycle_));
+                });
                 // Woke early on the wrong tag: replay penalty.
                 // true_ready >= dispatch_cycle + 1, so the gate fold
                 // stays valid.
@@ -871,12 +880,13 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
         is_req = evalEager(seq, cand);
         if (is_req) {
             ++stats_.egpw_requests;
-            if (tracer_) {
-                const SeqNum parent = lastProducer(seq);
-                emit(PipeEventKind::EgpwArm, seq,
-                     clock_.cycleStart(cycle_), 0,
-                     parent == kNoSeq ? kNoSeq : lastProducer(parent));
-            }
+            observe([&](auto &h) {
+                h.egpwArm(seq, clock_.cycleStart(cycle_), [&] {
+                    const SeqNum parent = lastProducer(seq);
+                    return parent == kNoSeq ? kNoSeq
+                                            : lastProducer(parent);
+                });
+            });
         }
     }
     if (!is_req)
@@ -895,8 +905,9 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
         if (!cand.recycle_ok) {
             fu_.book(pool, cycle_ + 1, 1);
             ++stats_.egpw_wasted;
-            emit(PipeEventKind::EgpwWaste, seq,
-                 clock_.cycleStart(cycle_), 0);
+            observe([&](auto &h) {
+                h.egpwWaste(seq, clock_.cycleStart(cycle_), 0);
+            });
             return true;
         }
     }
@@ -904,8 +915,9 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
         if (cand.speculative) {
             fu_.book(pool, cycle_ + 1, 1);
             ++stats_.egpw_wasted;
-            emit(PipeEventKind::EgpwWaste, seq,
-                 clock_.cycleStart(cycle_), 1);
+            observe([&](auto &h) {
+                h.egpwWaste(seq, clock_.cycleStart(cycle_), 1);
+            });
         } else {
             fu_denied = true;
             st_[seq] |= kReadyConv; // steady requester: see Phase A
@@ -980,8 +992,9 @@ OooCore::tryFuse(const Candidate &pg, SeqNum cseq)
     issueOp(fc);
     cold_[cseq].cflags |= kColdFused;
     ++stats_.fused_ops;
-    emit(PipeEventKind::Fuse, cseq, clock_.cycleStart(cycle_), 0,
-         pg.seq);
+    observe([&](auto &h) {
+        h.fuse(cseq, clock_.cycleStart(cycle_), pg.seq);
+    });
     return true;
 }
 
@@ -1061,12 +1074,13 @@ OooCore::issuePhase()
             if (!evalEager(seq, cand))
                 return;
             ++stats_.egpw_requests;
-            if (tracer_) {
-                const SeqNum parent = lastProducer(seq);
-                emit(PipeEventKind::EgpwArm, seq,
-                     clock_.cycleStart(cycle_), 0,
-                     parent == kNoSeq ? kNoSeq : lastProducer(parent));
-            }
+            observe([&](auto &h) {
+                h.egpwArm(seq, clock_.cycleStart(cycle_), [&] {
+                    const SeqNum parent = lastProducer(seq);
+                    return parent == kNoSeq ? kNoSeq
+                                            : lastProducer(parent);
+                });
+            });
             const FuPoolKind pool = poolOf(seq);
             if (fu_.freeUnits(pool, cycle_ + 1) == 0) {
                 // Not granted (no conventional op was displaced), but
@@ -1084,15 +1098,17 @@ OooCore::issuePhase()
                 // recycle gating).
                 fu_.book(pool, cycle_ + 1, 1);
                 ++stats_.egpw_wasted;
-                emit(PipeEventKind::EgpwWaste, seq,
-                     clock_.cycleStart(cycle_), 0);
+                observe([&](auto &h) {
+                    h.egpwWaste(seq, clock_.cycleStart(cycle_), 0);
+                });
                 return;
             }
             if (!fu_.freeSpan(pool, cycle_ + 1, cand.span)) {
                 fu_.book(pool, cycle_ + 1, 1);
                 ++stats_.egpw_wasted;
-                emit(PipeEventKind::EgpwWaste, seq,
-                     clock_.cycleStart(cycle_), 1);
+                observe([&](auto &h) {
+                    h.egpwWaste(seq, clock_.cycleStart(cycle_), 1);
+                });
                 return;
             }
             fu_.book(pool, cycle_ + 1, cand.span);
@@ -1221,8 +1237,9 @@ OooCore::commitPhase()
         fold(((oc.cflags & kColdTransparent) ? 1u : 0u) |
              ((oc.cflags & kColdFused) ? 2u : 0u));
 
-        emit(PipeEventKind::Commit, seq, now,
-             (oc.cflags & kColdBranchMispred) ? u8{1} : u8{0});
+        observe([&](auto &h) {
+            h.commit(seq, now, (oc.cflags & kColdBranchMispred) != 0);
+        });
 
         ++commit_ptr_;
         ++committed;
@@ -1379,6 +1396,8 @@ OooCore::beginRun(const Trace &trace)
     eager_.clear();
     denied_horizon_ = 0;
     in_phase_a_ = false;
+    recorder_ = tracer_ && tracer_->enabled() ? tracer_->recorder()
+                                              : nullptr;
     if (tracer_)
         tracer_->beginRun(clock_.ticksPerCycle());
 

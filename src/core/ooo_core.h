@@ -199,11 +199,12 @@ class OooCore
 
     /**
      * Attach (or detach, with nullptr) a pipeline event tracer for
-     * subsequent run()s. The core does not own the tracer. Tracing is
-     * observation-only: every event is emitted at a site both
-     * scheduler kernels execute with identical arguments, and a
-     * traced run's CoreStats are byte-identical to an untraced one
-     * (tests/test_trace_equiv.cc).
+     * subsequent run()s. The core does not own the tracer. When the
+     * tracer carries a GraphRecorder, each run reports to the
+     * recorder instead. Tracing is observation-only: every hook is
+     * called at a site both scheduler kernels execute with identical
+     * arguments, and a traced run's CoreStats are byte-identical to
+     * an untraced one (tests/test_trace_equiv.cc).
      */
     void setTracer(PipeTracer *tracer) { tracer_ = tracer; }
 
@@ -442,23 +443,26 @@ class OooCore
     /** Precompute meta_ for the trace's program. */
     void buildInstMeta(const Program &program);
 
-    /** Trace-emission helper: one predictable branch when detached. */
-    void emit(PipeEventKind kind, SeqNum seq, Tick tick, u8 arg = 0,
-              SeqNum link = kNoSeq)
+    /**
+     * Report to the run's observer: @p hook is called with the graph
+     * recorder when the attached tracer carries one, else with the
+     * tracer. @p hook is generic, so every hook the core calls must
+     * exist on both observers (trace/graph_recorder.h). One
+     * predictable branch when detached.
+     */
+    template <typename Hook>
+    void observe(Hook &&hook)
     {
-        if (tracer_)
-            tracer_->record(kind, seq, tick, arg, link);
+        if (tracer_) {
+            if (recorder_)
+                hook(*recorder_);
+            else
+                hook(*tracer_);
+        }
     }
-    /** The sub-cycle CI payload of a tick: ciOf() < ticks-per-cycle
-     *  (at most 8), so the narrowing is lossless by construction. */
-    u8 ciArg(Tick tick) const
-    {
-        // redsoc-lint: allow(cycle-narrow)
-        return static_cast<u8>(clock_.ciOf(tick));
-    }
-    /** The full frontend ladder (one macro-stage in this model). */
-    void emitFrontend(SeqNum seq);
-    /** All issue-time events for a granted candidate. */
+    /** The dispatch hook's op flags (the graph's kOp* bits). */
+    static u16 recordFlags(const InstMeta &m);
+    /** Report a granted candidate's issue. */
     void emitIssue(const Candidate &cand);
 
     CoreConfig config_;
@@ -564,6 +568,9 @@ class OooCore
     Cycle denied_horizon_ = 0;
 
     PipeTracer *tracer_ = nullptr; ///< not owned; nullptr = off
+    /** The tracer's graph recorder, fixed when a run begins (an
+     *  enabled tracer only); nullptr = report to the tracer. */
+    GraphRecorder *recorder_ = nullptr;
 
     /** REDSOC_AUDIT=1 at construction: run the invariant audit. When
      *  off, the whole subsystem costs one branch per hook site. */

@@ -48,19 +48,22 @@ std::string
 DepGraph::validate() const
 {
     std::ostringstream err;
-    if (edge_begin.size() != size_t{num_ops} + 1) {
-        err << "edge_begin size " << edge_begin.size() << " != num_ops+1";
+    const size_t n_nodes = size_t{num_ops} * kNumMilestones;
+    if (edge_begin.size() != n_nodes + 1) {
+        err << "edge_begin size " << edge_begin.size()
+            << " != 5*num_ops+1";
         return err.str();
     }
-    if (num_ops != 0 && edge_begin.back() != edges.size()) {
+    if (edge_begin.back() != edges.size()) {
         err << "edge_begin tail " << edge_begin.back() << " != edge count "
             << edges.size();
         return err.str();
     }
+    for (size_t n = 0; n < n_nodes; ++n)
+        if (edge_begin[n] > edge_begin[n + 1])
+            return "edge_begin not monotone at node " +
+                   std::to_string(n);
     for (u32 i = 0; i < num_ops; ++i) {
-        if (edge_begin[i] > edge_begin[i + 1])
-            return "edge_begin not monotone at op " +
-                   std::to_string(i);
         // Milestones of one op must themselves be tick-ordered.
         if (!(obs_d[i] <= obs_s[i] && obs_s[i] <= obs_x[i] &&
               obs_x[i] <= obs_w[i] && obs_w[i] <= obs_c[i])) {
@@ -69,18 +72,19 @@ DepGraph::validate() const
                 << " W=" << obs_w[i] << " C=" << obs_c[i];
             return err.str();
         }
-        u8 last_ms = 0;
-        for (u32 e = edge_begin[i]; e < edge_begin[i + 1]; ++e) {
+        for (u32 e = edge_begin[nodeId(i, Milestone::D)];
+             e < edge_begin[nodeId(i + 1, Milestone::D)]; ++e) {
             const Edge &edge = edges[e];
             if (edge.src >= num_ops)
                 return "edge source op out of range at op " +
                        std::to_string(i);
             const Milestone sms = edgeSrcMilestone(edge.kind);
             const Milestone dms = edgeDstMilestone(edge.kind);
-            if (static_cast<u8>(dms) < last_ms)
-                return "edges of op " + std::to_string(i) +
-                       " not in destination-milestone order";
-            last_ms = static_cast<u8>(dms);
+            if (e < edge_begin[nodeId(i, dms)] ||
+                e >= edge_begin[nodeId(i, dms) + 1])
+                return std::string(edgeKindName(edge.kind)) +
+                       " edge of op " + std::to_string(i) +
+                       " filed outside its destination node";
             // DataReady is tick-non-monotone by design (the producer
             // may complete up to the arrival window after the grant);
             // the topo-forward check below still covers it.
@@ -100,10 +104,9 @@ DepGraph::validate() const
             if (op >= num_ops)
                 return "pool_order op out of range";
 
-    // The emission-order node list must be a permutation of all
-    // milestone nodes, and every stored edge must go forward in it —
-    // together a constructive acyclicity proof.
-    const size_t n_nodes = size_t{num_ops} * kNumMilestones;
+    // The reported node order must be a permutation of all milestone
+    // nodes, and every stored edge must go forward in it — together
+    // a constructive acyclicity proof.
     if (topo.size() != n_nodes) {
         err << "topo size " << topo.size() << " != " << n_nodes;
         return err.str();
@@ -116,14 +119,13 @@ DepGraph::validate() const
             return "topo node listed twice";
         rank[topo[r]] = static_cast<u32>(r);
     }
-    for (u32 i = 0; i < num_ops; ++i) {
-        for (u32 e = edge_begin[i]; e < edge_begin[i + 1]; ++e) {
+    for (u32 dst = 0; dst < n_nodes; ++dst) {
+        for (u32 e = edge_begin[dst]; e < edge_begin[dst + 1]; ++e) {
             const Edge &edge = edges[e];
             const u32 src = nodeId(edge.src, edgeSrcMilestone(edge.kind));
-            const u32 dst = nodeId(i, edgeDstMilestone(edge.kind));
             if (rank[src] >= rank[dst]) {
                 err << edgeKindName(edge.kind) << " edge op "
-                    << edge.src << " -> op " << i
+                    << edge.src << " -> op " << nodeOp(dst)
                     << " goes backward in the topo order";
                 return err.str();
             }
@@ -150,7 +152,8 @@ renderDepGraph(const DepGraph &g)
             os << " pool=" << unsigned{g.pool[i]}
                << " pos=" << g.pool_pos[i];
         os << "\n";
-        for (u32 e = g.edge_begin[i]; e < g.edge_begin[i + 1]; ++e) {
+        for (u32 e = g.edge_begin[nodeId(i, Milestone::D)];
+             e < g.edge_begin[nodeId(i + 1, Milestone::D)]; ++e) {
             const Edge &edge = g.edges[e];
             os << "  " << edgeKindName(edge.kind) << " <- op "
                << edge.src << ":"

@@ -33,11 +33,12 @@
 #include "common/page_region.h"
 #include "common/types.h"
 #include "core/fu_pool.h"
+#include "trace/graph_recorder.h"
 
 namespace redsoc {
 
-/** The five per-op scheduling milestones, in pipeline order. */
-enum class Milestone : u8 { D, S, X, W, C, NUM };
+static_assert(kNumRecordedPools == static_cast<size_t>(FuPoolKind::NUM),
+              "the graph recorder's pool orders must cover every pool");
 
 const char *milestoneName(Milestone ms);
 
@@ -45,9 +46,9 @@ const char *milestoneName(Milestone ms);
  * Edge kinds. Each kind has a fixed (source, destination) milestone
  * pair — see edgeSrcMilestone()/edgeDstMilestone() — so an Edge only
  * stores its source *op*. Kinds are grouped by destination milestone
- * because the builder appends a committed op's edges in exactly this
- * order (all D-targeted edges, then S, X, W, C): the Retimer walks
- * one contiguous CSR range per op and never re-sorts.
+ * because the builder emits an op's edges in exactly this order (all
+ * D-targeted edges, then S, X, W, C): each (op, milestone) node's
+ * in-edges are one contiguous CSR range.
  */
 enum class EdgeKind : u8 {
     // -> D: dispatch ordering, bandwidth, capacity and recovery.
@@ -97,8 +98,7 @@ enum class EdgeKind : u8 {
 const char *edgeKindName(EdgeKind kind);
 
 /** Source milestone of every edge of @p kind. Inline: the graph
- *  validator, the Retimer's fence split, plan build and replay all
- *  call it once per edge. */
+ *  validator, plan build and replay all call it once per edge. */
 constexpr Milestone
 edgeSrcMilestone(EdgeKind kind)
 {
@@ -153,14 +153,11 @@ edgeDstMilestone(EdgeKind kind)
     return Milestone::NUM;
 }
 
-/** Most distinct producers one op names: the rename replay walks at
- *  most three source registers. */
-inline constexpr u32 kMaxProducers = 3;
-
 /**
  * Worst-case edges of one op, counted per destination milestone from
  * the EdgeKind taxonomy: the builder reserves this many per op up
- * front, so the edge array never regrows mid-run.
+ * front, so the edge array never regrows, and fails on an op that
+ * needs more.
  */
 inline constexpr u32 kMaxEdgesPerOp =
     6 +                     // -> D: BranchRecover, FrontendOrder,
@@ -191,20 +188,6 @@ struct Edge
 
 static_assert(sizeof(Edge) <= 12, "Edge must stay compact");
 
-/** Per-op flag bits (DepGraph::flags). */
-inline constexpr u16 kOpFrontendResolved = 1u << 0; ///< no RS life
-inline constexpr u16 kOpMem = 1u << 1;
-inline constexpr u16 kOpLoad = 1u << 2;
-inline constexpr u16 kOpStore = 1u << 3;
-inline constexpr u16 kOpBranch = 1u << 4;
-inline constexpr u16 kOpBranchMispred = 1u << 5;
-inline constexpr u16 kOpTransparent = 1u << 6;  ///< recycled start
-inline constexpr u16 kOpEgpwSelect = 1u << 7;   ///< speculative grant
-inline constexpr u16 kOpFused = 1u << 8;        ///< MOS fusion
-inline constexpr u16 kOpWidthReplay = 1u << 9;
-inline constexpr u16 kOpLaReplay = 1u << 10;
-inline constexpr u16 kOpEligible = 1u << 11; ///< slack-eligible class
-
 /** Machine parameters frozen from the traced run's CoreConfig: the
  *  knobs the what-if transfer functions need. */
 struct MachineParams
@@ -222,31 +205,11 @@ struct MachineParams
     Tick slack_threshold_ticks = 6;
 };
 
-/** "no pool position" marker (frontend-resolved / fused ops). */
-inline constexpr u32 kNoPoolPos = ~u32{0};
-
-/** Milestone-node addressing: the graph has 5 nodes per op. */
-inline constexpr u32 kNumMilestones =
-    static_cast<u32>(Milestone::NUM);
-
-inline u32
-nodeId(u32 op, Milestone ms)
-{
-    return op * kNumMilestones + static_cast<u32>(ms);
-}
-
-inline u32 nodeOp(u32 node) { return node / kNumMilestones; }
-
-inline Milestone
-nodeMilestone(u32 node)
-{
-    return static_cast<Milestone>(node % kNumMilestones);
-}
-
 /**
  * The frozen dependence graph: SoA observed-milestone lanes, per-op
  * flags, per-pool issue order, and a CSR edge list grouped by
- * destination op. Built once by DepGraphBuilder; read-only afterward.
+ * destination node. Built once by DepGraphBuilder; read-only
+ * afterward.
  */
 struct DepGraph
 {
@@ -266,15 +229,17 @@ struct DepGraph
     std::array<RegionVector<u32>, static_cast<size_t>(FuPoolKind::NUM)>
         pool_order;
 
-    /** CSR: edges[edge_begin[i] .. edge_begin[i+1]) target op i, in
-     *  destination-milestone order (D, S, X, W, C). */
+    /** Per-node CSR: edges[edge_begin[n] .. edge_begin[n+1]) target
+     *  milestone node n (nodeId() encoding), so op i's edges are
+     *  [edge_begin[5i], edge_begin[5i+5]) in destination-milestone
+     *  order (D, S, X, W, C). 5 * num_ops + 1 entries. */
     RegionVector<Edge> edges;
     RegionVector<u32> edge_begin;
 
     /**
      * A topological order over all 5*num_ops milestone nodes
-     * (nodeId() encoding): the event *emission* order of the traced
-     * run, which the core's fixed phase order (commit, issue,
+     * (nodeId() encoding): the order in which the traced run reported
+     * them, which the core's fixed phase order (commit, issue,
      * dispatch) makes consistent with every stored edge — including
      * FuStruct edges whose source op id exceeds the destination's.
      * The Retimer replays models in exactly this order; validate()
@@ -282,9 +247,7 @@ struct DepGraph
      */
     RegionVector<u32> topo;
 
-    // --- Build provenance / bookkeeping -----------------------------
-    /** Events the builder consumed, by raw kind ordinal. */
-    std::array<u64, 18> event_counts{};
+    // --- Build bookkeeping ------------------------------------------
     /** Data edges dropped because the observed source tick exceeded
      *  the destination (width-replay conservative re-execution and
      *  MOS fusion can overlap a producer's mid-cycle completion; the
@@ -295,7 +258,7 @@ struct DepGraph
      *  zero: the blocking rule forbids a load selecting before an
      *  older store resolves, so the store's Select can never
      *  strictly exceed the load's — the counter guards the stored
-     *  graph's monotonicity if the event stream ever disagrees. */
+     *  graph's monotonicity if the recorded ticks ever disagree. */
     u64 dropped_nonmonotone_mem = 0;
 
     Tick obs(Milestone ms, u32 op) const
@@ -315,8 +278,8 @@ struct DepGraph
 
     /**
      * Structural validation: CSR well-formed, every edge's source op
-     * in range, every stored edge tick-monotone, milestone order
-     * respected within each op. Returns an empty string when valid,
+     * in range, every stored edge tick-monotone and filed under its
+     * destination milestone's node. Returns an empty string when valid,
      * else a description of the first violation (test hook; the
      * builder's finalize() asserts this in debug builds).
      */

@@ -18,28 +18,6 @@ Retimer::Retimer(const DepGraph &graph)
              "graph tpc ", graph.params.ticks_per_cycle,
              " inconsistent with ci_precision_bits ",
              graph.params.ci_precision_bits);
-
-    // Split each op's CSR range into its five destination-milestone
-    // sub-ranges once, so a retime pass indexes straight into the
-    // edges of the (op, milestone) node being settled.
-    ms_begin_.resize(graph.num_ops);
-    for (u32 i = 0; i < graph.num_ops; ++i) {
-        u32 cur = graph.edge_begin[i];
-        const u32 end = graph.edge_begin[i + 1];
-        fatal_if(end - cur > kMaxEdgesPerOp, "op ", i, " has ",
-                 end - cur, " edges, over the per-op bound ",
-                 kMaxEdgesPerOp);
-        ms_begin_[i][0] = cur;
-        for (u32 ms = 0; ms < kNumMilestones; ++ms) {
-            while (cur < end &&
-                   static_cast<u32>(edgeDstMilestone(
-                       graph.edges[cur].kind)) == ms)
-                ++cur;
-            ms_begin_[i][ms + 1] = cur;
-        }
-        fatal_if(cur != end, "op ", i,
-                 " has edges out of milestone order");
-    }
     buildPlan();
 }
 
@@ -215,7 +193,7 @@ Retimer::buildPlan()
     // One walk in topological order writes the rank-ordered stream:
     // the batched pass settles nodes in g.topo order, so both the
     // per-node headers and the entry array are read strictly
-    // sequentially. Each node classifies its own CSR milestone range
+    // sequentially. Each node classifies its own CSR range
     // (W takes X's), applies the prunes, and groups same-class entries
     // (max is commutative, so intra-group order is free): InvAdd
     // first — it dominates the mix and the batched pass has a
@@ -240,10 +218,10 @@ Retimer::buildPlan()
         if (ms == Milestone::X)
             continue; // folded into W: no in-edges, no readers
         const u32 i = nodeOp(node);
-        const u32 range = static_cast<u32>(
-            ms == Milestone::W ? Milestone::X : ms);
+        const u32 range =
+            ms == Milestone::W ? nodeId(i, Milestone::X) : node;
         u32 n = 0;
-        for (u32 e = ms_begin_[i][range]; e < ms_begin_[i][range + 1];
+        for (u32 e = g.edge_begin[range]; e < g.edge_begin[range + 1];
              ++e)
             if (classify(g.edges[e], i, buf[n]))
                 ++n;
@@ -391,7 +369,7 @@ Retimer::settleNodes(const Candidate &cand, const PoolUnits *fu_units)
         Tick best = 0;
         u32 best_src = kNoNode;
         u8 best_kind = static_cast<u8>(EdgeKind::NUM);
-        for (u32 e = ms_begin_[i][ms]; e < ms_begin_[i][ms + 1]; ++e) {
+        for (u32 e = g.edge_begin[node]; e < g.edge_begin[node + 1]; ++e) {
             const Edge &edge = g.edges[e];
             if (fu_units && edge.kind == EdgeKind::FuStruct)
                 continue;
@@ -708,8 +686,8 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
                 const u32 *const src = &lanes[size_t{slot[p.src]} * CMP];
                 // InvAdd dominates the edge mix and needs none of the
                 // class tables; buildPlan sorts classes within each
-                // fence range, so this branch flips at most twice per
-                // node.
+                // node's entries, so this branch flips at most twice
+                // per node.
                 if (p.op == PlanOp::InvAdd) {
                     const u32 k = p.k;
                     for (u32 m = 0; m < CMP; ++m) {

@@ -157,9 +157,6 @@ class Retimer
 
     const DepGraph *graph_;
     SubCycleClock clock_;
-    /** CSR sub-boundaries: per op, the first edge index targeting
-     *  each destination milestone (6 fences per op). */
-    RegionVector<std::array<u32, 6>> ms_begin_;
     RegionVector<Tick> time_;
     /** Binding constraint per node for the critical-path walk. */
     RegionVector<u32> arg_src_;
@@ -173,7 +170,7 @@ class Retimer
     };
     /** Batched-pass entry stream, laid out in topological order so
      *  the hot pass reads node_refs_ and plan_ strictly sequentially
-     *  (the op-major CSR fences would make the walk jump around).
+     *  (the node-major CSR would make the walk jump around).
      *  buildPlan() prunes model-independently dominated edges, folds
      *  whole-cycle Exec hops into their W nodes, and drops the
      *  (now in-edge-free, reader-free) X nodes from the stream, so

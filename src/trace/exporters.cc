@@ -208,7 +208,7 @@ exportChromeTrace(const PipeTracer &tracer, const Trace &trace,
     os << "{\"displayTimeUnit\":\"ns\",\"otherData\":{"
        << "\"ticks_per_cycle\":" << tpc
        << ",\"events\":" << tracer.size()
-       << ",\"dropped_events\":" << tracer.dropped() << "},\n"
+       << ",\"dropped_events\":" << tracer.droppedEvents() << "},\n"
        << "\"traceEvents\":[\n";
 
     ChromeWriter w(os);

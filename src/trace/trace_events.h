@@ -21,10 +21,9 @@
 namespace redsoc {
 
 /**
- * One kind per pipeline moment. Both trace exporters and the critpath
- * dependence-graph builder switch over this enum without a
- * `default:`, so -Werror=switch makes a new kind a build error until
- * every one of them handles it.
+ * One kind per pipeline moment. Both trace exporters switch over this
+ * enum without a `default:`, so -Werror=switch makes a new kind a
+ * build error until each of them handles it.
  */
 enum class PipeEventKind : u8 {
     // Frontend. The model's frontend is a single macro-stage (fetch,

@@ -300,7 +300,7 @@ TEST_P(TraceLifecycle, EveryOpEmitsWellFormedSequence)
     cfg.mode = SchedMode::ReDSOC;
     const PipeTracer tracer =
         runTraced(trace, cfg, SchedKernel::Event);
-    ASSERT_EQ(tracer.dropped(), 0u) << "grow the test ring capacity";
+    ASSERT_EQ(tracer.droppedEvents(), 0u) << "grow the test ring capacity";
 
     const Tick tpc = tracer.ticksPerCycle();
     std::map<SeqNum, OpEvents> ops;

@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "critpath/dep_graph_builder.h"
 #include "helpers.h"
+#include "sched_grid.h"
 #include "trace/pipe_tracer.h"
 
 namespace redsoc {
@@ -86,7 +88,7 @@ expectEventsEqual(const PipeTracer &scan, const PipeTracer &event,
 {
     SCOPED_TRACE(what);
     ASSERT_EQ(scan.size(), event.size());
-    ASSERT_EQ(scan.dropped(), event.dropped());
+    ASSERT_EQ(scan.droppedEvents(), event.droppedEvents());
     const std::vector<PipeEvent> a = scan.events();
     const std::vector<PipeEvent> b = event.events();
     for (size_t i = 0; i < a.size(); ++i) {
@@ -170,6 +172,39 @@ INSTANTIATE_TEST_SUITE_P(Workloads, TraceNeutrality,
                          [](const auto &pinfo) { return pinfo.param; });
 
 // ---------------------------------------------------------------------
+// A graph recorder is just as neutral: the core reports to it through
+// its own hooks, which must not perturb the schedule either.
+// ---------------------------------------------------------------------
+
+TEST(TraceNeutralityUnit, GraphRecorderRunIsBitIdentical)
+{
+    for (const u64 seed : {1u, 2u, 3u}) {
+        const Trace trace = test::randomTrace(seed, 1200);
+        for (const std::string core : {"big", "small"}) {
+            for (const auto &[tag, cfg] :
+                 test::differentialConfigs(core)) {
+                for (const SchedKernel kernel :
+                     {SchedKernel::Scan, SchedKernel::Event}) {
+                    const std::string what =
+                        "seed " + std::to_string(seed) + "/" + core +
+                        "/" + tag + "/" + schedKernelName(kernel);
+                    const CoreStats off =
+                        runKernel(trace, cfg, kernel, nullptr);
+                    PipeTracer tracer(1);
+                    DepGraphBuilder builder(trace, cfg);
+                    tracer.setSink(&builder);
+                    const CoreStats on =
+                        runKernel(trace, cfg, kernel, &tracer);
+                    expectStatsEqual(off, on, what);
+                    EXPECT_EQ(builder.finalize().num_ops, trace.size())
+                        << what;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // A disabled tracer records nothing; a detached core stays silent.
 // ---------------------------------------------------------------------
 
@@ -189,7 +224,7 @@ TEST(TraceNeutralityUnit, DisabledTracerRecordsNothing)
     core.setTracer(&tracer);
     (void)core.run(trace);
     EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_EQ(tracer.droppedEvents(), 0u);
 
     // Re-enabling records on the next run without a fresh attach.
     tracer.setEnabled(true);
@@ -217,7 +252,7 @@ TEST(TraceNeutralityUnit, RingWrapKeepsTailAndCountsDropped)
     core.setTracer(&small);
     (void)core.run(trace);
     EXPECT_EQ(small.size(), 32u);
-    EXPECT_EQ(small.dropped(), full.size() - 32);
+    EXPECT_EQ(small.droppedEvents(), full.size() - 32);
 
     // The retained window is exactly the tail of the full stream.
     const std::vector<PipeEvent> all = full.events();
