@@ -273,8 +273,8 @@ main(int argc, char **argv)
         wr.workload = workload;
         const Trace trace = traceWorkload(workload, max_ops);
 
-        // Traced reference run: the graph is built on the fly by the
-        // streaming sink, so the ring capacity does not bound it.
+        // Traced reference run: the core reports straight to the
+        // graph builder, so the ring capacity does not bound it.
         auto t0 = std::chrono::steady_clock::now();
         DepGraphBuilder builder(trace, traced_cfg);
         PipeTracer tracer(1u << 12);
