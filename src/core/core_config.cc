@@ -35,6 +35,47 @@ schedKernelName(SchedKernel kernel)
     }
 }
 
+namespace {
+
+/** Find the enumerator among @p all whose name is @p text. */
+template <class E, size_t N>
+bool
+parseByName(std::string_view text, E &out, const E (&all)[N])
+{
+    for (E e : all) {
+        if (text == enumText(e)) {
+            out = e;
+            return true;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+bool
+parseEnum(std::string_view text, SchedMode &mode)
+{
+    constexpr SchedMode kAll[] = {SchedMode::Baseline, SchedMode::ReDSOC,
+                                  SchedMode::MOS};
+    return parseByName(text, mode, kAll);
+}
+
+bool
+parseEnum(std::string_view text, RsDesign &design)
+{
+    constexpr RsDesign kAll[] = {RsDesign::Illustrative,
+                                 RsDesign::Operational};
+    return parseByName(text, design, kAll);
+}
+
+bool
+parseEnum(std::string_view text, SchedKernel &kernel)
+{
+    constexpr SchedKernel kAll[] = {SchedKernel::Scan, SchedKernel::Event};
+    return parseByName(text, kernel, kAll);
+}
+
 CoreConfig
 smallCore()
 {

@@ -9,7 +9,9 @@
 #define REDSOC_CORE_CORE_CONFIG_H
 
 #include <string>
+#include <string_view>
 
+#include "common/fields.h"
 #include "mem/hierarchy.h"
 #include "predictors/branch_predictor.h"
 #include "predictors/last_arrival_predictor.h"
@@ -54,6 +56,18 @@ enum class SchedKernel : u8 {
 };
 
 const char *schedKernelName(SchedKernel kernel);
+
+/** Enum leaves of the config visitor (common/fields.h): the names
+ *  above, and their inverse (false on an unknown name). */
+inline const char *enumText(SchedMode mode) { return schedModeName(mode); }
+inline const char *enumText(RsDesign design) { return rsDesignName(design); }
+inline const char *enumText(SchedKernel kernel)
+{
+    return schedKernelName(kernel);
+}
+bool parseEnum(std::string_view text, SchedMode &mode);
+bool parseEnum(std::string_view text, RsDesign &design);
+bool parseEnum(std::string_view text, SchedKernel &kernel);
 
 struct CoreConfig
 {
@@ -129,6 +143,13 @@ struct CoreConfig
      *  speculative and conventional requests equally). */
     bool skewed_select = true;
 };
+
+REDSOC_FIELDS(CoreConfig, name, frontend_width, commit_width, rob_entries,
+              lsq_entries, rs_entries, alu_units, simd_units, fp_units,
+              mem_ports, redirect_penalty, memory, timing, branch_pred,
+              width_pred, last_arrival, mode, rs_design, sched_kernel,
+              ci_precision_bits, slack_threshold_ticks, dynamic_threshold,
+              threshold_epoch, no_commit_horizon, egpw, skewed_select)
 
 /** Table I presets. */
 CoreConfig smallCore();

@@ -33,41 +33,17 @@ StatGroup
 toStatGroup(const CoreStats &stats, const std::string &name)
 {
     StatGroup group(name);
-    group.recordScalar("cycles", static_cast<double>(stats.cycles));
-    group.recordScalar("committed",
-                       static_cast<double>(stats.committed));
+    forEachLeaf(stats, [&group](const std::string &path, const auto &v) {
+        if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>)
+            group.recordScalar(path, static_cast<double>(v));
+    });
     group.recordScalar("ipc", stats.ipc());
     group.recordScalar("fu_stall_rate", stats.fuStallRate());
-    group.recordScalar("recycled_ops",
-                       static_cast<double>(stats.recycled_ops));
-    group.recordScalar("two_cycle_holds",
-                       static_cast<double>(stats.two_cycle_holds));
-    group.recordScalar("slack_recycled_ticks",
-                       static_cast<double>(stats.slack_recycled_ticks));
-    group.recordScalar("egpw_requests",
-                       static_cast<double>(stats.egpw_requests));
-    group.recordScalar("egpw_grants",
-                       static_cast<double>(stats.egpw_grants));
-    group.recordScalar("egpw_wasted",
-                       static_cast<double>(stats.egpw_wasted));
-    group.recordScalar("fused_ops",
-                       static_cast<double>(stats.fused_ops));
     group.recordScalar("la_mispredict_rate", stats.laMispredictRate());
     group.recordScalar("width_aggressive_rate",
                        stats.widthAggressiveRate());
     group.recordScalar("branch_mispredict_rate",
                        stats.branchMispredictRate());
-    group.recordScalar("loads", static_cast<double>(stats.loads));
-    group.recordScalar("stores", static_cast<double>(stats.stores));
-    group.recordScalar("l1_load_misses",
-                       static_cast<double>(stats.l1_load_misses));
-    group.recordScalar("store_forwards",
-                       static_cast<double>(stats.store_forwards));
-    group.recordScalar("expected_chain_length",
-                       stats.expected_chain_length);
-    group.recordScalar("threshold_final",
-                       static_cast<double>(stats.threshold_final));
-    group.recordScalar("sim_seconds", stats.sim_seconds);
     group.recordScalar("sim_mips", stats.simMips());
     return group;
 }

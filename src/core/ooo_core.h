@@ -96,11 +96,11 @@ struct CoreStats
      * Host wall-clock seconds the simulation took. Observability
      * only: NOT part of the deterministic architectural result (the
      * determinism tests and table output ignore it), but preserved by
-     * the run cache so throughput trends stay visible. Deliberately
-     * absent from the kernel-equivalence comparator: wall-clock time
-     * legitimately differs between bit-identical runs.
+     * the run cache so throughput trends stay visible. The
+     * equivalence comparator (firstDifference) skips it: wall-clock
+     * time legitimately differs between bit-identical runs.
      */
-    double sim_seconds = 0.0; // redsoc-lint: allow(stat-complete)
+    double sim_seconds = 0.0;
 
     /** Simulated millions of committed ops per host second. */
     double simMips() const
@@ -129,7 +129,17 @@ struct CoreStats
     }
 };
 
-/** Export run statistics as a named StatGroup (gem5-style dump). */
+REDSOC_FIELDS(CoreStats, cycles, committed, fu_stall_cycles, recycled_ops,
+              two_cycle_holds, slack_recycled_ticks, egpw_requests,
+              egpw_grants, egpw_wasted, fused_ops, la_predictions,
+              la_mispredictions, width_predictions, width_aggressive,
+              width_conservative, branch_lookups, branch_mispredicts, loads,
+              stores, l1_load_misses, store_forwards, threshold_min,
+              threshold_max, threshold_final, chain_lengths,
+              expected_chain_length, commit_checksum, sim_seconds)
+
+/** Export run statistics as a named StatGroup (gem5-style dump):
+ *  every scalar CoreStats field plus the derived rates. */
 StatGroup toStatGroup(const CoreStats &stats, const std::string &name);
 
 /**

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -23,6 +24,8 @@ struct CacheConfig
     unsigned assoc = 4;
     unsigned line_bytes = 64;
 };
+
+REDSOC_FIELDS(CacheConfig, name, size_bytes, assoc, line_bytes)
 
 class Cache
 {

@@ -12,6 +12,7 @@
 
 #include <memory>
 
+#include "common/fields.h"
 #include "mem/cache.h"
 #include "mem/prefetcher.h"
 
@@ -44,6 +45,10 @@ struct HierarchyConfig
      */
     double offcore_latency_scale = 1.0;
 };
+
+REDSOC_FIELDS(HierarchyConfig, l1, l2, prefetch, prefetch_fill_l1,
+              prefetcher, l1_latency, l2_latency, mem_latency,
+              offcore_latency_scale)
 
 class MemHierarchy
 {

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace redsoc {
@@ -20,6 +21,8 @@ struct PrefetcherConfig
     unsigned degree = 2;      ///< lines fetched ahead per trigger
     unsigned min_confidence = 2;
 };
+
+REDSOC_FIELDS(PrefetcherConfig, entries, degree, min_confidence)
 
 class StridePrefetcher
 {

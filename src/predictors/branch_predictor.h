@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "isa/inst.h"
 
 namespace redsoc {
@@ -21,6 +22,8 @@ struct BranchPredictorConfig
     unsigned table_bits = 12; ///< 4K two-bit counters
     unsigned ras_entries = 16;
 };
+
+REDSOC_FIELDS(BranchPredictorConfig, table_bits, ras_entries)
 
 class BranchPredictor
 {

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace redsoc {
@@ -22,6 +23,8 @@ struct LastArrivalConfig
 {
     unsigned entries = 1024; ///< paper: 1K-entry, 1 bit per entry
 };
+
+REDSOC_FIELDS(LastArrivalConfig, entries)
 
 class LastArrivalPredictor
 {

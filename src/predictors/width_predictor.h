@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/stats.h"
 #include "timing/timing_model.h"
 
@@ -24,6 +25,8 @@ struct WidthPredictorConfig
     unsigned entries = 4096;    ///< paper: 4K-entry table
     unsigned confidence_bits = 2;
 };
+
+REDSOC_FIELDS(WidthPredictorConfig, entries, confidence_bits)
 
 class WidthPredictor
 {

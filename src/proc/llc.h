@@ -28,6 +28,7 @@
 #include <map>
 #include <vector>
 
+#include "common/fields.h"
 #include "mem/cache.h"
 
 namespace redsoc {
@@ -48,6 +49,8 @@ struct DramConfig
     Cycle bank_occupancy = 16;
 };
 
+REDSOC_FIELDS(DramConfig, banks, bank_occupancy)
+
 /** Per-core slice of the LLC statistics. */
 struct LlcCoreStats
 {
@@ -61,6 +64,10 @@ struct LlcCoreStats
     u64 lines_owned = 0;        ///< census: lines this core last filled
 };
 
+REDSOC_FIELDS(LlcCoreStats, accesses, hits, misses, mshr_merges,
+              prefetch_fills, bank_wait_cycles, back_invalidations,
+              lines_owned)
+
 /** Shared-LLC statistics: totals plus one per-core slice. */
 struct LlcStats
 {
@@ -68,6 +75,8 @@ struct LlcStats
     u64 writebacks = 0;         ///< dirty victims
     std::vector<LlcCoreStats> per_core{};
 };
+
+REDSOC_FIELDS(LlcStats, evictions, writebacks, per_core)
 
 class SharedLlc
 {

@@ -62,6 +62,8 @@ struct ProcConfig
     }
 };
 
+REDSOC_FIELDS(ProcConfig, num_cores, core, llc, dram, share_address_space)
+
 /** Reject invalid configurations via fatal() (std::logic_error):
  *  zero cores, unreasonable core counts, LLC/L1 line-size mismatch
  *  (cache geometry itself is validated by the Cache constructor). */

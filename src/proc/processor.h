@@ -33,6 +33,8 @@ struct ProcStats
     Cycle cycles = 0; ///< slowest core's cycle count
 };
 
+REDSOC_FIELDS(ProcStats, cores, llc, cycles)
+
 class Processor
 {
   public:

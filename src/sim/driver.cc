@@ -1,6 +1,5 @@
 #include "sim/driver.h"
 
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/shutdown.h"
@@ -44,56 +43,13 @@ SimDriver::trace(const std::string &workload)
 std::string
 SimDriver::configKey(const CoreConfig &config)
 {
-    std::ostringstream os;
-    os << config.name << '|' << schedModeName(config.mode) << '|'
-       << rsDesignName(config.rs_design) << '|'
-       << schedKernelName(config.sched_kernel) << '|'
-       << config.ci_precision_bits << '|' << config.slack_threshold_ticks
-       << '|' << config.egpw << config.skewed_select << '|'
-       << config.dynamic_threshold << config.threshold_epoch << '|'
-       << config.no_commit_horizon << '|'
-       // Structural capacities (v5 key dimension): before these were
-       // fingerprinted, two configs differing only in e.g. rs_entries
-       // aliased to one cache entry. The named presets never collide
-       // (the name disambiguates), but any sweep that mutates a
-       // preset's fields in place would be served the wrong result.
-       << config.frontend_width << ',' << config.commit_width << '|'
-       << config.rob_entries << ',' << config.lsq_entries << ','
-       << config.rs_entries << '|' << config.alu_units << ','
-       << config.simd_units << ',' << config.fp_units << ','
-       << config.mem_ports << '|' << config.redirect_penalty << '|'
-       << config.branch_pred.table_bits << ','
-       << config.branch_pred.ras_entries << '|'
-       << config.width_pred.entries << ','
-       << config.width_pred.confidence_bits << '|'
-       << config.last_arrival.entries << '|'
-       << config.memory.prefetcher.entries << ','
-       << config.memory.prefetcher.degree << ','
-       << config.memory.prefetcher.min_confidence << '|'
-       << config.timing.clock_period_ps << '|'
-       << config.timing.pvt_derate << '|'
-       << config.memory.offcore_latency_scale << '|'
-       << config.memory.prefetch << config.memory.prefetch_fill_l1
-       << '|' << config.memory.l1.size_bytes << '/'
-       << config.memory.l1.assoc << '/' << config.memory.l1.line_bytes
-       << '|' << config.memory.l2.size_bytes << '/'
-       << config.memory.l2.assoc << '/' << config.memory.l2.line_bytes
-       << '|' << config.memory.l1_latency
-       << ',' << config.memory.l2_latency << ','
-       << config.memory.mem_latency;
-    return os.str();
+    return fieldsText(config);
 }
 
 std::string
 SimDriver::procConfigKey(const ProcConfig &config)
 {
-    std::ostringstream os;
-    os << configKey(config.core) << "|cores=" << config.num_cores
-       << "|llc=" << config.llc.size_bytes << '/' << config.llc.assoc
-       << '/' << config.llc.line_bytes << "|dram=" << config.dram.banks
-       << '/' << config.dram.bank_occupancy
-       << "|shared=" << config.share_address_space;
-    return os.str();
+    return fieldsText(config);
 }
 
 std::string

@@ -104,12 +104,13 @@ class SimDriver
     /** Arithmetic mean (the paper reports arithmetic suite means). */
     static double mean(const std::vector<double> &values);
 
-    /** Configuration fingerprint used as the cache key (includes the
-     *  full cache-hierarchy geometry — v4 key dimension). */
+    /** Configuration fingerprint used as the cache key: every leaf
+     *  of the CoreConfig visitor as "path=value" (common/fields.h),
+     *  so no two configs that differ in any field share a key. */
     static std::string configKey(const CoreConfig &config);
 
-    /** Multi-core fingerprint: core template key + core count, LLC
-     *  geometry, DRAM banking and address-space sharing. */
+    /** Multi-core fingerprint: every ProcConfig leaf, the core
+     *  template's included. */
     static std::string procConfigKey(const ProcConfig &config);
 
     /** Full run key: workload @ configKey # trace length cap. */

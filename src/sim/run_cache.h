@@ -35,8 +35,10 @@ class RunCache
      *  — ROB/RS/LSQ entries, widths, FU counts, predictor geometry —
      *  so configs differing only structurally no longer alias; v6:
      *  run keys carry the L2 line size, so 64-B and 128-B L2 lines
-     *  no longer alias). */
-    static constexpr unsigned kFormatVersion = 6;
+     *  no longer alias; v7: keys and entries are derived from the
+     *  field visitors — every config leaf, doubles at round-trip
+     *  precision, so 0.85 and 0.8500001 no longer alias). */
+    static constexpr unsigned kFormatVersion = 7;
 
     /**
      * Opens (and creates if missing) the cache directory. Opening
@@ -130,6 +132,16 @@ std::string serializeProcStats(const std::string &key,
                                const ProcStats &stats);
 std::optional<ProcStats> deserializeProcStats(const std::string &text,
                                               const std::string &expect_key);
+
+/**
+ * The equivalence comparator: path of the first field in which two
+ * results differ ("cycles", "chain_lengths",
+ * "cores.1.commit_checksum", "llc.per_core.0.hits"), or "" when they
+ * are identical. Compares exact values of every field the codec
+ * carries except the host wall clock, sim_seconds.
+ */
+std::string firstDifference(CoreStats a, CoreStats b);
+std::string firstDifference(ProcStats a, ProcStats b);
 
 } // namespace redsoc
 

@@ -16,6 +16,7 @@
 #ifndef REDSOC_TIMING_TIMING_MODEL_H
 #define REDSOC_TIMING_TIMING_MODEL_H
 
+#include "common/fields.h"
 #include "isa/inst.h"
 
 namespace redsoc {
@@ -45,6 +46,8 @@ struct TimingConfig
      */
     double pvt_derate = 1.0;
 };
+
+REDSOC_FIELDS(TimingConfig, clock_period_ps, pvt_derate)
 
 class TimingModel
 {

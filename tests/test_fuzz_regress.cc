@@ -119,8 +119,7 @@ TEST(FuzzHarness, DiffOutcomeReportsTheFirstDifferingField)
     EXPECT_EQ(diffOutcome(a, b), "");
 
     b.stats.commit_checksum ^= 1;
-    EXPECT_NE(diffOutcome(a, b).find("commit_checksum"),
-              std::string::npos);
+    EXPECT_EQ(diffOutcome(a, b), "commit_checksum");
 
     b = a;
     b.deadlock = true;
@@ -143,23 +142,68 @@ TEST(FuzzHarness, MinimizeReturnsACleanCaseUnchanged)
     EXPECT_EQ(serializeCase(minimizeCase(fc)), serializeCase(fc));
 }
 
+/** A valid config line (every leaf of the small preset), with
+ *  @p from replaced by @p to when given. */
+std::string
+configLine(const std::string &from = "", const std::string &to = "")
+{
+    std::string line = "config " + fieldsText(smallCore()) + "\n";
+    if (!from.empty()) {
+        const size_t at = line.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        line.replace(at, from.size(), to);
+    }
+    return line;
+}
+
 TEST(FuzzHarness, ParserRejectsMalformedFixtures)
 {
+    const std::string inst = "inst alu sel=1 d=1 a=1 b=1 imm=0\n";
+    EXPECT_NO_THROW(parseCase(configLine() + inst));
+    // No config line, no program.
     EXPECT_THROW(parseCase(""), std::runtime_error);
-    EXPECT_THROW(parseCase("config core=medium\n"), std::runtime_error);
-    EXPECT_THROW(parseCase("inst alu sel=1 d=1 a=1 b=1 imm=0\n"),
+    EXPECT_THROW(parseCase(configLine()), std::runtime_error);
+    EXPECT_THROW(parseCase(inst), std::runtime_error);
+    // An unknown enum name, an unknown key, an unknown inst kind.
+    EXPECT_THROW(parseCase(configLine("mode=baseline", "mode=warp") +
+                           inst),
                  std::runtime_error);
-    EXPECT_THROW(
-        parseCase("config core=warp\ninst alu sel=1 d=1 a=1 b=1 imm=0\n"),
-        std::runtime_error);
-    EXPECT_THROW(
-        parseCase("config core=small bogus=1\ninst alu sel=1 d=1 a=1 "
-                  "b=1 imm=0\n"),
-        std::runtime_error);
-    EXPECT_THROW(
-        parseCase("config core=small\ninst warp sel=1 d=1 a=1 b=1 "
-                  "imm=0\n"),
-        std::runtime_error);
+    EXPECT_THROW(parseCase(configLine("\n", " bogus=1\n") + inst),
+                 std::runtime_error);
+    EXPECT_THROW(parseCase(configLine() +
+                           "inst warp sel=1 d=1 a=1 b=1 imm=0\n"),
+                 std::runtime_error);
+    // A bad number, trailing junk, a negative count, a fraction in
+    // an integer leaf.
+    for (const char *bad : {"rob_entries=x", "rob_entries=40x",
+                            "rob_entries=-4", "rob_entries=4.5"})
+        EXPECT_THROW(parseCase(configLine("rob_entries=40", bad) + inst),
+                     std::runtime_error)
+            << bad;
+    EXPECT_THROW(parseCase(configLine("timing.pvt_derate=1",
+                                      "timing.pvt_derate=1z") +
+                           inst),
+                 std::runtime_error);
+    // A missing leaf, a repeated leaf, a token that is not key=value.
+    EXPECT_THROW(parseCase(configLine(" rob_entries=40", "") + inst),
+                 std::runtime_error);
+    EXPECT_THROW(parseCase(configLine("rob_entries=40",
+                                      "rob_entries=40 rob_entries=40") +
+                           inst),
+                 std::runtime_error);
+    EXPECT_THROW(parseCase(configLine("rob_entries=40", "rob_entries") +
+                           inst),
+                 std::runtime_error);
+}
+
+TEST(FuzzHarness, ConfigLineCarriesDoublesExactly)
+{
+    FuzzCase fc = randomCase(3);
+    fc.config.timing.pvt_derate = 0.8500001;
+    fc.config.memory.offcore_latency_scale = 1.0 / 0.85;
+    const FuzzCase back = parseCase(serializeCase(fc));
+    EXPECT_EQ(back.config.timing.pvt_derate, 0.8500001);
+    EXPECT_EQ(back.config.memory.offcore_latency_scale, 1.0 / 0.85);
 }
 
 // ---------------------------------------------------------------------
@@ -213,7 +257,7 @@ TEST(FuzzProc, FixtureRoundTripsMultiCoreCases)
 TEST(FuzzProc, ParserRejectsMalformedProcFixtures)
 {
     const std::string base =
-        "config core=small\ninst alu sel=1 d=1 a=1 b=1 imm=0\n";
+        configLine() + "inst alu sel=1 d=1 a=1 b=1 imm=0\n";
     // Zero or absurd core counts.
     EXPECT_THROW(parseCase(base + "proc cores=0\n"),
                  std::runtime_error);
@@ -245,24 +289,23 @@ TEST(FuzzProc, DiffProcOutcomeWalksEveryLayer)
     EXPECT_EQ(diffProcOutcome(a, b), "");
 
     b.stats.cycles = 501;
-    EXPECT_NE(diffProcOutcome(a, b).find("cycles"), std::string::npos);
+    EXPECT_EQ(diffProcOutcome(a, b), "cycles");
 
     b = a;
     b.stats.cores[1].commit_checksum ^= 1;
-    const std::string core_diff = diffProcOutcome(a, b);
-    EXPECT_NE(core_diff.find("core 1"), std::string::npos);
-    EXPECT_NE(core_diff.find("commit_checksum"), std::string::npos);
+    EXPECT_EQ(diffProcOutcome(a, b), "cores.1.commit_checksum");
 
     b = a;
     b.stats.llc.per_core[0].mshr_merges = 9;
-    const std::string llc_diff = diffProcOutcome(a, b);
-    EXPECT_NE(llc_diff.find("llc core 0"), std::string::npos);
-    EXPECT_NE(llc_diff.find("mshr_merges"), std::string::npos);
+    EXPECT_EQ(diffProcOutcome(a, b), "llc.per_core.0.mshr_merges");
 
     b = a;
     b.stats.llc.writebacks = 3;
-    EXPECT_NE(diffProcOutcome(a, b).find("llc.writebacks"),
-              std::string::npos);
+    EXPECT_EQ(diffProcOutcome(a, b), "llc.writebacks");
+
+    b = a;
+    b.stats.cores.resize(3);
+    EXPECT_EQ(diffProcOutcome(a, b), "cores");
 
     b = a;
     b.deadlock = true;

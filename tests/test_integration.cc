@@ -45,6 +45,19 @@ TEST_F(IntegrationTest, ConfigKeysDistinguishVariants)
     CoreConfig d = b;
     d.memory.l2.line_bytes = 128;
     EXPECT_NE(SimDriver::configKey(b), SimDriver::configKey(d));
+    // Doubles are keyed at round-trip precision: the PVT derate sweep
+    // and the timing-speculation latency rescale must not alias
+    // neighbouring points.
+    CoreConfig e = b;
+    CoreConfig f = b;
+    e.timing.pvt_derate = 0.85;
+    f.timing.pvt_derate = 0.8500001;
+    EXPECT_NE(SimDriver::configKey(e), SimDriver::configKey(f));
+    e = b;
+    f = b;
+    e.memory.offcore_latency_scale = 1.0 / 0.85;
+    f.memory.offcore_latency_scale = 1.1764705;
+    EXPECT_NE(SimDriver::configKey(e), SimDriver::configKey(f));
 }
 
 TEST_F(IntegrationTest, RedsocSpeedsUpComputeKernels)

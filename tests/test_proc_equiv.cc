@@ -41,88 +41,6 @@ using test::differentialConfigs;
 using test::randomTrace;
 using test::runCore;
 
-// ---------------------------------------------------------------------
-// Comparators
-// ---------------------------------------------------------------------
-
-/** Every deterministic CoreStats field (sim_seconds is host wall
- *  clock and intentionally excluded). */
-void
-expectCoreStatsEqual(const CoreStats &a, const CoreStats &b,
-                     const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.fu_stall_cycles, b.fu_stall_cycles);
-    EXPECT_EQ(a.recycled_ops, b.recycled_ops);
-    EXPECT_EQ(a.two_cycle_holds, b.two_cycle_holds);
-    EXPECT_EQ(a.slack_recycled_ticks, b.slack_recycled_ticks);
-    EXPECT_EQ(a.egpw_requests, b.egpw_requests);
-    EXPECT_EQ(a.egpw_grants, b.egpw_grants);
-    EXPECT_EQ(a.egpw_wasted, b.egpw_wasted);
-    EXPECT_EQ(a.fused_ops, b.fused_ops);
-    EXPECT_EQ(a.la_predictions, b.la_predictions);
-    EXPECT_EQ(a.la_mispredictions, b.la_mispredictions);
-    EXPECT_EQ(a.width_predictions, b.width_predictions);
-    EXPECT_EQ(a.width_aggressive, b.width_aggressive);
-    EXPECT_EQ(a.width_conservative, b.width_conservative);
-    EXPECT_EQ(a.branch_lookups, b.branch_lookups);
-    EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.l1_load_misses, b.l1_load_misses);
-    EXPECT_EQ(a.store_forwards, b.store_forwards);
-    EXPECT_EQ(a.threshold_min, b.threshold_min);
-    EXPECT_EQ(a.threshold_max, b.threshold_max);
-    EXPECT_EQ(a.threshold_final, b.threshold_final);
-    EXPECT_EQ(a.commit_checksum, b.commit_checksum);
-    EXPECT_DOUBLE_EQ(a.expected_chain_length, b.expected_chain_length);
-
-    const Histogram &ha = a.chain_lengths;
-    const Histogram &hb = b.chain_lengths;
-    EXPECT_EQ(ha.maxSample(), hb.maxSample());
-    EXPECT_EQ(ha.count(), hb.count());
-    EXPECT_EQ(ha.total(), hb.total());
-    EXPECT_EQ(ha.sumSquares(), hb.sumSquares());
-    EXPECT_EQ(ha.rawBuckets(), hb.rawBuckets());
-}
-
-/** Every LlcCoreStats field. */
-void
-expectLlcCoreStatsEqual(const LlcCoreStats &a, const LlcCoreStats &b,
-                        const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.mshr_merges, b.mshr_merges);
-    EXPECT_EQ(a.prefetch_fills, b.prefetch_fills);
-    EXPECT_EQ(a.bank_wait_cycles, b.bank_wait_cycles);
-    EXPECT_EQ(a.back_invalidations, b.back_invalidations);
-    EXPECT_EQ(a.lines_owned, b.lines_owned);
-}
-
-/** Every ProcStats field: per-core slices, LLC block, global cycle. */
-void
-expectProcStatsEqual(const ProcStats &a, const ProcStats &b,
-                     const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(a.cycles, b.cycles);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (size_t i = 0; i < a.cores.size(); ++i)
-        expectCoreStatsEqual(a.cores[i], b.cores[i],
-                             "core " + std::to_string(i));
-    EXPECT_EQ(a.llc.evictions, b.llc.evictions);
-    EXPECT_EQ(a.llc.writebacks, b.llc.writebacks);
-    ASSERT_EQ(a.llc.per_core.size(), b.llc.per_core.size());
-    for (size_t i = 0; i < a.llc.per_core.size(); ++i)
-        expectLlcCoreStatsEqual(a.llc.per_core[i], b.llc.per_core[i],
-                                "llc core " + std::to_string(i));
-}
-
 /** 1-core ProcConfig whose shared LLC has exactly the geometry of
  *  the core template's private L2 — the bit-identity configuration. */
 ProcConfig
@@ -158,10 +76,9 @@ TEST_P(SharedLlcBitIdentity, OneCoreSharedLlcEqualsSeedAcrossGrid)
                 Processor proc(soloConfig(cfg));
                 const ProcStats pstats = proc.run(trace);
                 ASSERT_EQ(pstats.cores.size(), 1u);
-                expectCoreStatsEqual(
-                    solo, pstats.cores[0],
-                    "seed=" + std::to_string(seed) + "/" + core + "/" +
-                        tag + "/" + schedKernelName(kernel));
+                EXPECT_EQ(firstDifference(solo, pstats.cores[0]), "")
+                    << "seed=" << seed << "/" << core << "/" << tag << "/"
+                    << schedKernelName(kernel);
                 // Single core: every contention charge is zero by
                 // construction (the cross-core-only rule).
                 ASSERT_EQ(pstats.llc.per_core.size(), 1u);
@@ -249,8 +166,8 @@ TEST(ProcInterference, HugeLlcNoBankingMixEqualsSolo)
     const ProcStats mixed = proc.run({&t0, &t1});
     ASSERT_EQ(mixed.cores.size(), 2u);
     for (size_t i = 0; i < 2; ++i) {
-        expectCoreStatsEqual(solo[i].cores[0], mixed.cores[i],
-                             "mixed core " + std::to_string(i));
+        EXPECT_EQ(firstDifference(solo[i].cores[0], mixed.cores[i]), "")
+            << "mixed core " << i;
         // And the LLC charged no cross-core wait to anyone.
         EXPECT_EQ(mixed.llc.per_core[i].mshr_merges, 0u);
         EXPECT_EQ(mixed.llc.per_core[i].bank_wait_cycles, 0u);
@@ -327,7 +244,7 @@ TEST(ProcStatsCodec, RoundTripsExactly)
     const std::string text = serializeProcStats("k1", stats);
     const auto back = deserializeProcStats(text, "k1");
     ASSERT_TRUE(back.has_value());
-    expectProcStatsEqual(stats, *back, "round-trip");
+    EXPECT_EQ(firstDifference(stats, *back), "");
     // Byte-stable: serializing the deserialized value reproduces the
     // entry exactly (the determinism harness relies on this).
     EXPECT_EQ(serializeProcStats("k1", *back), text);
@@ -376,7 +293,7 @@ TEST(ProcStatsCodec, DiskRoundTripViaRunCache)
     cache.storeProc(key, stats);
     const auto back = cache.loadProc(key);
     ASSERT_TRUE(back.has_value());
-    expectProcStatsEqual(stats, *back, "disk round-trip");
+    EXPECT_EQ(firstDifference(stats, *back), "");
     // Proc entries live in their own namespace: no crosstalk with
     // single-core entries under the same key.
     EXPECT_FALSE(cache.load(key).has_value());

@@ -28,6 +28,7 @@
 #include "common/rng.h"
 #include "helpers.h"
 #include "sched_grid.h"
+#include "sim/run_cache.h"
 
 namespace redsoc {
 namespace {
@@ -40,50 +41,6 @@ using test::runCore;
 // ---------------------------------------------------------------------
 // Differential harness
 // ---------------------------------------------------------------------
-
-/** Compare every deterministic CoreStats field (sim_seconds is host
- *  wall clock and intentionally excluded). */
-void
-expectStatsEqual(const CoreStats &scan, const CoreStats &event,
-                 const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(scan.cycles, event.cycles);
-    EXPECT_EQ(scan.committed, event.committed);
-    EXPECT_EQ(scan.fu_stall_cycles, event.fu_stall_cycles);
-    EXPECT_EQ(scan.recycled_ops, event.recycled_ops);
-    EXPECT_EQ(scan.two_cycle_holds, event.two_cycle_holds);
-    EXPECT_EQ(scan.slack_recycled_ticks, event.slack_recycled_ticks);
-    EXPECT_EQ(scan.egpw_requests, event.egpw_requests);
-    EXPECT_EQ(scan.egpw_grants, event.egpw_grants);
-    EXPECT_EQ(scan.egpw_wasted, event.egpw_wasted);
-    EXPECT_EQ(scan.fused_ops, event.fused_ops);
-    EXPECT_EQ(scan.la_predictions, event.la_predictions);
-    EXPECT_EQ(scan.la_mispredictions, event.la_mispredictions);
-    EXPECT_EQ(scan.width_predictions, event.width_predictions);
-    EXPECT_EQ(scan.width_aggressive, event.width_aggressive);
-    EXPECT_EQ(scan.width_conservative, event.width_conservative);
-    EXPECT_EQ(scan.branch_lookups, event.branch_lookups);
-    EXPECT_EQ(scan.branch_mispredicts, event.branch_mispredicts);
-    EXPECT_EQ(scan.loads, event.loads);
-    EXPECT_EQ(scan.stores, event.stores);
-    EXPECT_EQ(scan.l1_load_misses, event.l1_load_misses);
-    EXPECT_EQ(scan.store_forwards, event.store_forwards);
-    EXPECT_EQ(scan.threshold_min, event.threshold_min);
-    EXPECT_EQ(scan.threshold_max, event.threshold_max);
-    EXPECT_EQ(scan.threshold_final, event.threshold_final);
-    EXPECT_EQ(scan.commit_checksum, event.commit_checksum);
-    EXPECT_DOUBLE_EQ(scan.expected_chain_length,
-                     event.expected_chain_length);
-
-    const Histogram &hs = scan.chain_lengths;
-    const Histogram &he = event.chain_lengths;
-    EXPECT_EQ(hs.maxSample(), he.maxSample());
-    EXPECT_EQ(hs.count(), he.count());
-    EXPECT_EQ(hs.total(), he.total());
-    EXPECT_EQ(hs.sumSquares(), he.sumSquares());
-    EXPECT_EQ(hs.rawBuckets(), he.rawBuckets());
-}
 
 CoreStats
 runKernel(const Trace &trace, CoreConfig cfg, SchedKernel kernel)
@@ -100,7 +57,7 @@ expectKernelsAgree(const Trace &trace, const CoreConfig &cfg,
 {
     CoreStats scan = runKernel(trace, cfg, SchedKernel::Scan);
     CoreStats event = runKernel(trace, cfg, SchedKernel::Event);
-    expectStatsEqual(scan, event, what);
+    EXPECT_EQ(firstDifference(scan, event), "") << what;
     return scan;
 }
 
@@ -197,9 +154,8 @@ TEST(LaneReuse, SmallRunAfterLargeMatchesFreshCore)
             const CoreStats fresh = runCore(small, cfg);
             OooCore reused(cfg);
             reused.run(large);
-            expectStatsEqual(fresh, reused.run(small),
-                             std::string(schedKernelName(kernel)) + "/" +
-                                 schedModeName(mode));
+            EXPECT_EQ(firstDifference(fresh, reused.run(small)), "")
+                << schedKernelName(kernel) << "/" << schedModeName(mode);
         }
     }
 }

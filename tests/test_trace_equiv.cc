@@ -20,55 +20,13 @@
 #include "critpath/dep_graph_builder.h"
 #include "helpers.h"
 #include "sched_grid.h"
+#include "sim/run_cache.h"
 #include "trace/pipe_tracer.h"
 
 namespace redsoc {
 namespace {
 
 using test::makeTrace;
-
-/** Compare every deterministic CoreStats field (sim_seconds is host
- *  wall clock and intentionally excluded). */
-void
-expectStatsEqual(const CoreStats &off, const CoreStats &on,
-                 const std::string &what)
-{
-    SCOPED_TRACE(what);
-    EXPECT_EQ(off.cycles, on.cycles);
-    EXPECT_EQ(off.committed, on.committed);
-    EXPECT_EQ(off.fu_stall_cycles, on.fu_stall_cycles);
-    EXPECT_EQ(off.recycled_ops, on.recycled_ops);
-    EXPECT_EQ(off.two_cycle_holds, on.two_cycle_holds);
-    EXPECT_EQ(off.slack_recycled_ticks, on.slack_recycled_ticks);
-    EXPECT_EQ(off.egpw_requests, on.egpw_requests);
-    EXPECT_EQ(off.egpw_grants, on.egpw_grants);
-    EXPECT_EQ(off.egpw_wasted, on.egpw_wasted);
-    EXPECT_EQ(off.fused_ops, on.fused_ops);
-    EXPECT_EQ(off.la_predictions, on.la_predictions);
-    EXPECT_EQ(off.la_mispredictions, on.la_mispredictions);
-    EXPECT_EQ(off.width_predictions, on.width_predictions);
-    EXPECT_EQ(off.width_aggressive, on.width_aggressive);
-    EXPECT_EQ(off.width_conservative, on.width_conservative);
-    EXPECT_EQ(off.branch_lookups, on.branch_lookups);
-    EXPECT_EQ(off.branch_mispredicts, on.branch_mispredicts);
-    EXPECT_EQ(off.loads, on.loads);
-    EXPECT_EQ(off.stores, on.stores);
-    EXPECT_EQ(off.l1_load_misses, on.l1_load_misses);
-    EXPECT_EQ(off.store_forwards, on.store_forwards);
-    EXPECT_EQ(off.threshold_min, on.threshold_min);
-    EXPECT_EQ(off.threshold_max, on.threshold_max);
-    EXPECT_EQ(off.threshold_final, on.threshold_final);
-    EXPECT_EQ(off.commit_checksum, on.commit_checksum);
-    EXPECT_DOUBLE_EQ(off.expected_chain_length, on.expected_chain_length);
-
-    const Histogram &hs = off.chain_lengths;
-    const Histogram &he = on.chain_lengths;
-    EXPECT_EQ(hs.maxSample(), he.maxSample());
-    EXPECT_EQ(hs.count(), he.count());
-    EXPECT_EQ(hs.total(), he.total());
-    EXPECT_EQ(hs.sumSquares(), he.sumSquares());
-    EXPECT_EQ(hs.rawBuckets(), he.rawBuckets());
-}
 
 CoreStats
 runKernel(const Trace &trace, CoreConfig cfg, SchedKernel kernel,
@@ -136,7 +94,7 @@ TEST_P(TraceNeutrality, TracedRunIsBitIdentical)
             workload + "/" + schedKernelName(kernel);
         const CoreStats off = runKernel(trace, cfg, kernel, nullptr);
         const CoreStats on = runKernel(trace, cfg, kernel, &tracers[i]);
-        expectStatsEqual(off, on, what);
+        EXPECT_EQ(firstDifference(off, on), "") << what;
         EXPECT_GT(tracers[i].size(), 0u) << what;
         ++i;
     }
@@ -161,7 +119,7 @@ TEST_P(TraceNeutrality, BaselineAndMosNeutralToo)
             runKernel(trace, cfg, SchedKernel::Event, nullptr);
         const CoreStats on =
             runKernel(trace, cfg, SchedKernel::Event, &tracer);
-        expectStatsEqual(off, on, what);
+        EXPECT_EQ(firstDifference(off, on), "") << what;
         EXPECT_GT(tracer.size(), 0u) << what;
     }
 }
@@ -195,7 +153,7 @@ TEST(TraceNeutralityUnit, GraphRecorderRunIsBitIdentical)
                     tracer.setSink(&builder);
                     const CoreStats on =
                         runKernel(trace, cfg, kernel, &tracer);
-                    expectStatsEqual(off, on, what);
+                    EXPECT_EQ(firstDifference(off, on), "") << what;
                     EXPECT_EQ(builder.finalize().num_ops, trace.size())
                         << what;
                 }

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/run_cache.h"
 #include "trace/pipe_tracer.h"
 
 namespace redsoc::fuzz {
@@ -438,8 +439,13 @@ runOne(const Trace &trace, CoreConfig config, SchedKernel kernel,
     return out;
 }
 
+namespace {
+
+/** The deadlock flag, then the watchdog cycle if both deadlocked,
+ *  else the first differing stats field. */
+template <class Outcome>
 std::string
-diffOutcome(const RunOutcome &a, const RunOutcome &b)
+diffOutcomes(const Outcome &a, const Outcome &b)
 {
     std::ostringstream os;
     if (a.deadlock != b.deadlock) {
@@ -454,62 +460,15 @@ diffOutcome(const RunOutcome &a, const RunOutcome &b)
         }
         return "";
     }
+    return firstDifference(a.stats, b.stats);
+}
 
-    const CoreStats &s = a.stats;
-    const CoreStats &t = b.stats;
-    auto field = [&os](const char *fname, auto va, auto vb) {
-        if (va == vb)
-            return false;
-        os << fname << ": " << va << " vs " << vb;
-        return true;
-    };
-#define REDSOC_FUZZ_FIELD(f)                                           \
-    if (field(#f, s.f, t.f))                                           \
-        return os.str();
-    REDSOC_FUZZ_FIELD(cycles)
-    REDSOC_FUZZ_FIELD(committed)
-    REDSOC_FUZZ_FIELD(fu_stall_cycles)
-    REDSOC_FUZZ_FIELD(recycled_ops)
-    REDSOC_FUZZ_FIELD(two_cycle_holds)
-    REDSOC_FUZZ_FIELD(slack_recycled_ticks)
-    REDSOC_FUZZ_FIELD(egpw_requests)
-    REDSOC_FUZZ_FIELD(egpw_grants)
-    REDSOC_FUZZ_FIELD(egpw_wasted)
-    REDSOC_FUZZ_FIELD(fused_ops)
-    REDSOC_FUZZ_FIELD(la_predictions)
-    REDSOC_FUZZ_FIELD(la_mispredictions)
-    REDSOC_FUZZ_FIELD(width_predictions)
-    REDSOC_FUZZ_FIELD(width_aggressive)
-    REDSOC_FUZZ_FIELD(width_conservative)
-    REDSOC_FUZZ_FIELD(branch_lookups)
-    REDSOC_FUZZ_FIELD(branch_mispredicts)
-    REDSOC_FUZZ_FIELD(loads)
-    REDSOC_FUZZ_FIELD(stores)
-    REDSOC_FUZZ_FIELD(l1_load_misses)
-    REDSOC_FUZZ_FIELD(store_forwards)
-    REDSOC_FUZZ_FIELD(threshold_min)
-    REDSOC_FUZZ_FIELD(threshold_max)
-    REDSOC_FUZZ_FIELD(threshold_final)
-    REDSOC_FUZZ_FIELD(commit_checksum)
-    REDSOC_FUZZ_FIELD(expected_chain_length)
-#undef REDSOC_FUZZ_FIELD
-    if (field("chain_lengths.count", s.chain_lengths.count(),
-              t.chain_lengths.count()))
-        return os.str();
-    if (field("chain_lengths.total", s.chain_lengths.total(),
-              t.chain_lengths.total()))
-        return os.str();
-    if (field("chain_lengths.maxSample", s.chain_lengths.maxSample(),
-              t.chain_lengths.maxSample()))
-        return os.str();
-    if (field("chain_lengths.sumSquares", s.chain_lengths.sumSquares(),
-              t.chain_lengths.sumSquares()))
-        return os.str();
-    if (s.chain_lengths.rawBuckets() != t.chain_lengths.rawBuckets()) {
-        os << "chain_lengths.rawBuckets differ";
-        return os.str();
-    }
-    return "";
+} // namespace
+
+std::string
+diffOutcome(const RunOutcome &a, const RunOutcome &b)
+{
+    return diffOutcomes(a, b);
 }
 
 ProcOutcome
@@ -542,76 +501,7 @@ runProcOne(const std::vector<Trace> &traces, ProcConfig config,
 std::string
 diffProcOutcome(const ProcOutcome &a, const ProcOutcome &b)
 {
-    std::ostringstream os;
-    if (a.deadlock != b.deadlock) {
-        os << "deadlock: " << a.deadlock << " vs " << b.deadlock;
-        return os.str();
-    }
-    if (a.deadlock) {
-        if (a.deadlock_cycle != b.deadlock_cycle) {
-            os << "deadlock_cycle: " << a.deadlock_cycle << " vs "
-               << b.deadlock_cycle;
-            return os.str();
-        }
-        return "";
-    }
-
-    if (a.stats.cycles != b.stats.cycles) {
-        os << "cycles: " << a.stats.cycles << " vs " << b.stats.cycles;
-        return os.str();
-    }
-    if (a.stats.cores.size() != b.stats.cores.size()) {
-        os << "core count: " << a.stats.cores.size() << " vs "
-           << b.stats.cores.size();
-        return os.str();
-    }
-    for (size_t i = 0; i < a.stats.cores.size(); ++i) {
-        // Reuse the single-core field walk on each core's stats.
-        RunOutcome ra;
-        RunOutcome rb;
-        ra.stats = a.stats.cores[i];
-        rb.stats = b.stats.cores[i];
-        const std::string d = diffOutcome(ra, rb);
-        if (!d.empty())
-            return "core " + std::to_string(i) + " " + d;
-    }
-
-    const LlcStats &la = a.stats.llc;
-    const LlcStats &lb = b.stats.llc;
-    auto field = [&os](const char *fname, u64 va, u64 vb) {
-        if (va == vb)
-            return false;
-        os << fname << ": " << va << " vs " << vb;
-        return true;
-    };
-    if (field("llc.evictions", la.evictions, lb.evictions))
-        return os.str();
-    if (field("llc.writebacks", la.writebacks, lb.writebacks))
-        return os.str();
-    if (la.per_core.size() != lb.per_core.size()) {
-        os << "llc.per_core size: " << la.per_core.size() << " vs "
-           << lb.per_core.size();
-        return os.str();
-    }
-    for (size_t i = 0; i < la.per_core.size(); ++i) {
-        const LlcCoreStats &s = la.per_core[i];
-        const LlcCoreStats &t = lb.per_core[i];
-        os << "llc core " << i << ' ';
-#define REDSOC_FUZZ_LLC_FIELD(f)                                       \
-    if (field(#f, s.f, t.f))                                           \
-        return os.str();
-        REDSOC_FUZZ_LLC_FIELD(accesses)
-        REDSOC_FUZZ_LLC_FIELD(hits)
-        REDSOC_FUZZ_LLC_FIELD(misses)
-        REDSOC_FUZZ_LLC_FIELD(mshr_merges)
-        REDSOC_FUZZ_LLC_FIELD(prefetch_fills)
-        REDSOC_FUZZ_LLC_FIELD(bank_wait_cycles)
-        REDSOC_FUZZ_LLC_FIELD(back_invalidations)
-        REDSOC_FUZZ_LLC_FIELD(lines_owned)
-#undef REDSOC_FUZZ_LLC_FIELD
-        os.str(""); // slice agreed: drop the speculative prefix
-    }
-    return "";
+    return diffOutcomes(a, b);
 }
 
 namespace {
@@ -757,46 +647,24 @@ minimizeCase(const FuzzCase &orig)
             return c.extra_progs[i];
         });
 
-    // Config normalization: reset each knob toward the medium-core
-    // default, keeping a reset only if the divergence survives it.
-    const CoreConfig def = mediumCore();
-    auto try_reset = [&cur](auto mutate) {
-        FuzzCase cand = cur;
-        mutate(cand.config);
-        if (!checkCase(cand).empty())
-            cur = std::move(cand);
+    // Config normalization: reset each leaf toward the medium-core
+    // default, keeping a reset only if the divergence survives it. A
+    // reset that leaves the config invalid (a slack threshold beyond
+    // the cycle, say) makes the core refuse it: not a repro.
+    auto diverges = [](const FuzzCase &c) {
+        try {
+            return !checkCase(c).empty();
+        } catch (const std::logic_error &) {
+            return false;
+        }
     };
-    try_reset([&](CoreConfig &c) { c.dynamic_threshold =
-                                       def.dynamic_threshold; });
-    try_reset([&](CoreConfig &c) { c.mode = def.mode; });
-    try_reset([&](CoreConfig &c) { c.rs_design = def.rs_design; });
-    try_reset([&](CoreConfig &c) { c.egpw = def.egpw; });
-    try_reset([&](CoreConfig &c) { c.skewed_select = def.skewed_select; });
-    try_reset([&](CoreConfig &c) {
-        c.ci_precision_bits = def.ci_precision_bits;
-        c.slack_threshold_ticks = def.slack_threshold_ticks;
-    });
-    try_reset([&](CoreConfig &c) { c.slack_threshold_ticks =
-                                       def.slack_threshold_ticks; });
-    try_reset([&](CoreConfig &c) { c.threshold_epoch =
-                                       def.threshold_epoch; });
-    try_reset([&](CoreConfig &c) { c.memory = def.memory; });
-    try_reset([&](CoreConfig &c) { c.redirect_penalty =
-                                       def.redirect_penalty; });
-    try_reset([&](CoreConfig &c) {
-        c.frontend_width = def.frontend_width;
-        c.commit_width = def.commit_width;
-    });
-    try_reset([&](CoreConfig &c) {
-        c.rob_entries = def.rob_entries;
-        c.rs_entries = def.rs_entries;
-        c.lsq_entries = def.lsq_entries;
-    });
-    try_reset([&](CoreConfig &c) {
-        c.alu_units = def.alu_units;
-        c.simd_units = def.simd_units;
-        c.fp_units = def.fp_units;
-        c.mem_ports = def.mem_ports;
+    const CoreConfig def = mediumCore();
+    forEachLeaf(def, [&](const std::string &path, const auto &leaf) {
+        std::string text;
+        appendLeaf(text, leaf);
+        FuzzCase cand = cur;
+        if (setLeaf(cand.config, path, text) && diverges(cand))
+            cur = std::move(cand);
     });
     return cur;
 }
@@ -808,33 +676,10 @@ minimizeCase(const FuzzCase &orig)
 std::string
 serializeCase(const FuzzCase &fc)
 {
-    const CoreConfig &c = fc.config;
     std::ostringstream os;
     os << "# redsoc_fuzz fixture (replayed by test_fuzz_regress)\n";
     os << "name " << fc.name << '\n';
-    os << "config core=" << c.name << " mode=" << schedModeName(c.mode)
-       << " rsd=" << rsDesignName(c.rs_design)
-       << " fw=" << c.frontend_width << " cw=" << c.commit_width
-       << " rob=" << c.rob_entries << " lsq=" << c.lsq_entries
-       << " rs=" << c.rs_entries << " alu=" << c.alu_units
-       << " simd=" << c.simd_units << " fp=" << c.fp_units
-       << " memports=" << c.mem_ports
-       << " redirect=" << c.redirect_penalty
-       << " ci=" << c.ci_precision_bits
-       << " thr=" << c.slack_threshold_ticks
-       << " dyn=" << c.dynamic_threshold
-       << " epoch=" << c.threshold_epoch << " egpw=" << c.egpw
-       << " skew=" << c.skewed_select
-       << " horizon=" << c.no_commit_horizon
-       << " l1=" << c.memory.l1_latency << " l2=" << c.memory.l2_latency
-       << " mem=" << c.memory.mem_latency
-       << " prefetch=" << c.memory.prefetch
-       << " pfl1=" << c.memory.prefetch_fill_l1
-       << " l1kb=" << c.memory.l1.size_bytes / 1024
-       << " l1assoc=" << c.memory.l1.assoc
-       << " l2kb=" << c.memory.l2.size_bytes / 1024
-       << " l2assoc=" << c.memory.l2.assoc
-       << " scale=" << c.memory.offcore_latency_scale << '\n';
+    os << "config " << fieldsText(fc.config) << '\n';
     if (fc.cores > 1) {
         os << "proc cores=" << fc.cores << " llckb=" << fc.llc_kb
            << " llcassoc=" << fc.llc_assoc
@@ -901,20 +746,6 @@ parseUnsigned(const std::string &v)
     return static_cast<unsigned>(n);
 }
 
-double
-parseDouble(const std::string &v)
-{
-    try {
-        size_t used = 0;
-        const double d = std::stod(v, &used);
-        if (used != v.size())
-            malformed("trailing junk in number '" + v + "'");
-        return d;
-    } catch (const std::logic_error &) {
-        malformed("bad number '" + v + "'");
-    }
-}
-
 } // namespace
 
 FuzzCase
@@ -934,98 +765,11 @@ parseCase(const std::string &text)
                 malformed("name line without a value");
         } else if (word == "config") {
             saw_config = true;
-            // The preset establishes everything not overridden
-            // (cache geometry, predictors, timing model).
-            std::vector<std::pair<std::string, std::string>> kvs;
-            std::string core = "medium";
-            while (ls >> word) {
-                auto [k, v] = splitKv(word);
-                if (k == "core")
-                    core = v;
-                else
-                    kvs.emplace_back(k, v);
-            }
-            if (core != "small" && core != "medium" && core != "big")
-                malformed("unknown core preset '" + core + "'");
-            CoreConfig &c = fc.config;
-            c = coreByName(core);
-            for (const auto &[k, v] : kvs) {
-                if (k == "mode") {
-                    if (v == "baseline")
-                        c.mode = SchedMode::Baseline;
-                    else if (v == "redsoc")
-                        c.mode = SchedMode::ReDSOC;
-                    else if (v == "mos")
-                        c.mode = SchedMode::MOS;
-                    else
-                        malformed("unknown mode '" + v + "'");
-                } else if (k == "rsd") {
-                    if (v == "operational")
-                        c.rs_design = RsDesign::Operational;
-                    else if (v == "illustrative")
-                        c.rs_design = RsDesign::Illustrative;
-                    else
-                        malformed("unknown RS design '" + v + "'");
-                } else if (k == "fw") {
-                    c.frontend_width = parseUnsigned(v);
-                } else if (k == "cw") {
-                    c.commit_width = parseUnsigned(v);
-                } else if (k == "rob") {
-                    c.rob_entries = parseUnsigned(v);
-                } else if (k == "lsq") {
-                    c.lsq_entries = parseUnsigned(v);
-                } else if (k == "rs") {
-                    c.rs_entries = parseUnsigned(v);
-                } else if (k == "alu") {
-                    c.alu_units = parseUnsigned(v);
-                } else if (k == "simd") {
-                    c.simd_units = parseUnsigned(v);
-                } else if (k == "fp") {
-                    c.fp_units = parseUnsigned(v);
-                } else if (k == "memports") {
-                    c.mem_ports = parseUnsigned(v);
-                } else if (k == "redirect") {
-                    c.redirect_penalty = parseUnsigned(v);
-                } else if (k == "ci") {
-                    c.ci_precision_bits = parseUnsigned(v);
-                } else if (k == "thr") {
-                    c.slack_threshold_ticks = parseUnsigned(v);
-                } else if (k == "dyn") {
-                    c.dynamic_threshold = parseUnsigned(v) != 0;
-                } else if (k == "epoch") {
-                    c.threshold_epoch = parseUnsigned(v);
-                } else if (k == "egpw") {
-                    c.egpw = parseUnsigned(v) != 0;
-                } else if (k == "skew") {
-                    c.skewed_select = parseUnsigned(v) != 0;
-                } else if (k == "horizon") {
-                    c.no_commit_horizon = parseUnsigned(v);
-                } else if (k == "l1") {
-                    c.memory.l1_latency = parseUnsigned(v);
-                } else if (k == "l2") {
-                    c.memory.l2_latency = parseUnsigned(v);
-                } else if (k == "mem") {
-                    c.memory.mem_latency = parseUnsigned(v);
-                } else if (k == "prefetch") {
-                    c.memory.prefetch = parseUnsigned(v) != 0;
-                } else if (k == "pfl1") {
-                    c.memory.prefetch_fill_l1 = parseUnsigned(v) != 0;
-                } else if (k == "l1kb") {
-                    c.memory.l1.size_bytes =
-                        u64{parseUnsigned(v)} * 1024;
-                } else if (k == "l1assoc") {
-                    c.memory.l1.assoc = parseUnsigned(v);
-                } else if (k == "l2kb") {
-                    c.memory.l2.size_bytes =
-                        u64{parseUnsigned(v)} * 1024;
-                } else if (k == "l2assoc") {
-                    c.memory.l2.assoc = parseUnsigned(v);
-                } else if (k == "scale") {
-                    c.memory.offcore_latency_scale = parseDouble(v);
-                } else {
-                    malformed("unknown config key '" + k + "'");
-                }
-            }
+            std::string leaves;
+            std::getline(ls, leaves);
+            const std::string err = parseFieldsText(leaves, fc.config);
+            if (!err.empty())
+                malformed("config line: " + err);
         } else if (word == "proc") {
             while (ls >> word) {
                 auto [k, v] = splitKv(word);

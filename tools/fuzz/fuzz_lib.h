@@ -5,9 +5,9 @@
  * The harness generates random (trace, CoreConfig) points from a
  * seed, runs each through the Scan and Event kernels and through
  * traced and untraced paths, and compares every deterministic
- * CoreStats field plus the commit-schedule checksum (the same oracle
- * the hand-written differential suites use, tests/test_sched_equiv.cc
- * / test_trace_equiv.cc — but over generated op mixes and config
+ * CoreStats field plus the commit-schedule checksum (firstDifference,
+ * the comparator the differential suites tests/test_sched_equiv.cc /
+ * test_trace_equiv.cc use — but over generated op mixes and config
  * points instead of a fixed grid). A mismatching point is shrunk by a
  * ddmin-style minimizer to a minimal repro and serialized as a
  * self-contained text fixture that the test_fuzz_regress suite
@@ -140,9 +140,9 @@ struct RunOutcome
 RunOutcome runOne(const Trace &trace, CoreConfig config,
                   SchedKernel kernel, bool traced);
 
-/** First differing field between two outcomes ("" if identical):
- *  deadlock flag and cycle, every deterministic CoreStats field, the
- *  commit checksum, and the chain-length histogram. */
+/** First difference between two outcomes ("" if identical): the
+ *  deadlock flag and cycle, else the path of the first differing
+ *  CoreStats field (firstDifference, sim/run_cache.h). */
 std::string diffOutcome(const RunOutcome &a, const RunOutcome &b);
 
 /** Result of one multi-core run: per-core + LLC stats, or the first
@@ -160,9 +160,10 @@ ProcOutcome runProcOne(const std::vector<Trace> &traces,
                        ProcConfig config, SchedKernel kernel,
                        bool traced);
 
-/** First differing field between two multi-core outcomes ("" if
- *  identical): total cycles, every per-core CoreStats field, and
- *  every LLC counter down to the per-core slices. */
+/** First difference between two multi-core outcomes ("" if
+ *  identical): the deadlock flag and cycle, else the path of the
+ *  first differing ProcStats field ("cores.1.cycles",
+ *  "llc.per_core.0.hits"). */
 std::string diffProcOutcome(const ProcOutcome &a, const ProcOutcome &b);
 
 /**

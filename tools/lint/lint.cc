@@ -187,29 +187,8 @@ lintTree(const Options &opt)
     // R11 runs once over the merged acquisition graph.
     ruleLockOrder(edges, out);
 
-    // R4 runs once per wired stats block: the CoreStats triple plus
-    // the multi-core LLC/Processor blocks.
-    std::error_code ec;
-    std::vector<Options::StatBlock> stat_blocks;
-    stat_blocks.push_back({opt.stats_struct, opt.stats_header,
-                           opt.serializer, opt.comparator});
-    stat_blocks.insert(stat_blocks.end(), opt.extra_stat_blocks.begin(),
-                       opt.extra_stat_blocks.end());
-    for (const Options::StatBlock &blk : stat_blocks) {
-        if (!fs::exists(root / blk.header, ec) ||
-            !fs::exists(root / blk.serializer, ec) ||
-            !fs::exists(root / blk.comparator, ec))
-            continue;
-        SourceFile header =
-            lexFile((root / blk.header).string(), blk.header);
-        SourceFile ser =
-            lexFile((root / blk.serializer).string(), blk.serializer);
-        SourceFile cmp =
-            lexFile((root / blk.comparator).string(), blk.comparator);
-        ruleStatComplete(header, blk.struct_name, ser, cmp, out);
-    }
-
     // R6 runs once over the invariant catalogue and its test suite.
+    std::error_code ec;
     if (fs::exists(root / opt.audit_header, ec) &&
         fs::exists(root / opt.audit_tests, ec)) {
         SourceFile header = lexFile((root / opt.audit_header).string(),

@@ -26,12 +26,6 @@
  *   float-accum   (R3) floating-point accumulation (+=) inside a loop
  *                 whose header mentions cycles/ticks, outside
  *                 src/power.
- *   stat-complete (R4) every field of each wired stats block —
- *                 CoreStats plus the multi-core LlcCoreStats /
- *                 LlcStats / ProcStats blocks — appears in both its
- *                 run-cache serializer/deserializer and its
- *                 equivalence comparator, so "added a stat, forgot
- *                 the cache format" cannot recur.
  *   audit-complete (R6) every InvariantAudit enumerator (NUM sentinel
  *                 excluded) appears at least once in the fuzzing
  *                 regression suite, so every runtime invariant check
@@ -145,7 +139,7 @@ SourceFile lexFile(const std::string &fs_path,
                    const std::string &report_path);
 
 // ---------------------------------------------------------------------
-// Struct-field model (shared by init-field and stat-complete)
+// Struct-field model (init-field)
 // ---------------------------------------------------------------------
 
 struct FieldInfo
@@ -215,15 +209,6 @@ void ruleCycleNarrow(const SourceFile &sf, std::vector<Finding> &out);
 void ruleFloatAccum(const SourceFile &sf,
                     const std::vector<std::string> &exempt,
                     std::vector<Finding> &out);
-
-/** R4: every non-suppressed field of @p struct_name in @p header must
- *  appear >= 2 times in @p serializer (serialize + deserialize) and
- *  >= 1 time in @p comparator. */
-void ruleStatComplete(const SourceFile &header,
-                      const std::string &struct_name,
-                      const SourceFile &serializer,
-                      const SourceFile &comparator,
-                      std::vector<Finding> &out);
 
 /** R6: every enumerator of @p enum_name in @p header — except the
  *  NUM count sentinel — must appear >= 1 time in @p tests (each
@@ -310,37 +295,6 @@ struct Options
         "lint_fixtures", "/build", ".git"};
     std::vector<std::string> float_accum_exempt = {"src/power"};
 
-    // R4 wiring (relative to root; rule skipped if header missing).
-    std::string stats_struct = "CoreStats";
-    std::string stats_header = "src/core/ooo_core.h";
-    std::string serializer = "src/sim/run_cache.cc";
-    std::string comparator = "tests/test_sched_equiv.cc";
-
-    /** One additional R4 block: @p struct_name in @p header must be
-     *  fully mentioned in @p serializer (>= 2, serialize +
-     *  deserialize) and @p comparator (>= 1). */
-    struct StatBlock
-    {
-        std::string struct_name;
-        std::string header;
-        std::string serializer;
-        std::string comparator;
-    };
-
-    /** The multi-core stats blocks R4 guards beyond the CoreStats
-     *  triple: the per-core LLC slices, the LLC totals, and the
-     *  Processor roll-up (DESIGN.md §14). Their serializer is the
-     *  run-cache ProcStats codec; their comparator is the multi-core
-     *  equivalence suite's field-by-field expectations. */
-    std::vector<StatBlock> extra_stat_blocks = {
-        {"LlcCoreStats", "src/proc/llc.h", "src/sim/run_cache.cc",
-         "tests/test_proc_equiv.cc"},
-        {"LlcStats", "src/proc/llc.h", "src/sim/run_cache.cc",
-         "tests/test_proc_equiv.cc"},
-        {"ProcStats", "src/proc/processor.h", "src/sim/run_cache.cc",
-         "tests/test_proc_equiv.cc"},
-    };
-
     // R6 wiring (relative to root; rule skipped if header missing).
     std::string audit_enum = "InvariantAudit";
     std::string audit_header = "src/core/invariant_audit.h";
@@ -386,8 +340,8 @@ std::vector<Finding> lintFile(const SourceFile &sf, const Options &opt);
 
 /** Walk opt.paths under opt.root, run every rule — per-file rules
  *  with the tree-merged symbol table (opt.jobs workers), the global
- *  R11 acquisition graph, and the multi-file completeness rules
- *  (R4/R6) — and return findings sorted by path/line. */
+ *  R11 acquisition graph, and the multi-file completeness rule
+ *  (R6) — and return findings sorted by path/line. */
 std::vector<Finding> lintTree(const Options &opt);
 
 /** Baseline keys loaded from @p path (empty set if unreadable). */

@@ -48,8 +48,6 @@ listRules()
         "ptr-key-order  associative containers keyed by pointers\n"
         "cycle-narrow   cycle/tick values narrowed below 64 bits\n"
         "float-accum    float accumulation in per-cycle loops\n"
-        "stat-complete  CoreStats fields must reach the run-cache "
-        "codec and the equivalence comparator\n"
         "audit-complete InvariantAudit enumerators must each have a "
         "corrupting unit test\n"
         "hot-alloc      no heap allocation in per-cycle scheduler "

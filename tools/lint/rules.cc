@@ -85,7 +85,7 @@ emit(const SourceFile &sf, int line, const char *rule,
 }
 
 // -------------------------------------------------------------------
-// Struct parsing (R1 / R4)
+// Struct parsing (R1)
 // -------------------------------------------------------------------
 
 /** Keywords that mark a member statement as not-an-instance-field. */
@@ -680,7 +680,7 @@ ruleFloatAccum(const SourceFile &sf,
 }
 
 // -------------------------------------------------------------------
-// R4: stat-complete
+// Enum parsing + R6: audit-complete
 // -------------------------------------------------------------------
 
 namespace {
@@ -697,9 +697,6 @@ countIdent(const SourceFile &sf, const std::string &name)
 
 } // namespace
 
-// -------------------------------------------------------------------
-// Enum parsing + R6: audit-complete
-// -------------------------------------------------------------------
 
 std::vector<EnumInfo>
 parseEnums(const SourceFile &sf)
@@ -773,37 +770,6 @@ ruleAuditComplete(const SourceFile &header,
                          " must mention it at least once: every "
                          "runtime invariant check needs a test "
                          "proving it fires)",
-                     out);
-        }
-    }
-}
-
-void
-ruleStatComplete(const SourceFile &header,
-                 const std::string &struct_name,
-                 const SourceFile &serializer,
-                 const SourceFile &comparator,
-                 std::vector<Finding> &out)
-{
-    for (const StructInfo &s : parseStructs(header)) {
-        if (s.name != struct_name)
-            continue;
-        for (const FieldInfo &f : s.fields) {
-            if (countIdent(serializer, f.name) < 2)
-                emit(header, f.line, "stat-complete",
-                     struct_name + " field '" + f.name +
-                         "' is missing from the run-cache serializer/"
-                         "deserializer (" + serializer.path +
-                         "); bump RunCache::kFormatVersion and add "
-                         "it, or the cache will silently drop it",
-                     out);
-            if (countIdent(comparator, f.name) < 1)
-                emit(header, f.line, "stat-complete",
-                     struct_name + " field '" + f.name +
-                         "' is missing from the kernel-equivalence "
-                         "comparator (" + comparator.path +
-                         "); the Scan/Event differential suite would "
-                         "not catch a divergence in it",
                      out);
         }
     }
