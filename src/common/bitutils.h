@@ -9,6 +9,7 @@
 #define REDSOC_COMMON_BITUTILS_H
 
 #include <bit>
+#include <string_view>
 
 #include "common/types.h"
 
@@ -79,6 +80,19 @@ unsigned ceilLog2(u64 value);
 
 /** floor(log2(value)) for value >= 1. */
 unsigned floorLog2(u64 value);
+
+/** FNV-1a over @p text: stable names for run-cache entries and trace
+ *  files, whatever the key's length. */
+inline u64
+fnv1a64(std::string_view text)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
 
 } // namespace redsoc
 

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitutils.h"
 #include "common/logging.h"
 #include "isa/disasm.h"
 #include "isa/opcode.h"
@@ -541,6 +542,17 @@ sanitizeTraceFileName(const std::string &key)
                         (c >= '0' && c <= '9') || c == '.' || c == '-' ||
                         c == '_';
         out += ok ? c : '_';
+    }
+    // A run key names every config leaf (about 1 kB), far past the
+    // 255-byte file-name limit: keep a prefix and end with the whole
+    // key's hash, so distinct keys keep distinct names.
+    constexpr size_t kMaxName = 200;
+    if (out.size() > kMaxName) {
+        char hash[24];
+        std::snprintf(hash, sizeof(hash), "-%016llx",
+                      static_cast<unsigned long long>(fnv1a64(key)));
+        out.resize(kMaxName - 17);
+        out += hash;
     }
     return out;
 }

@@ -51,7 +51,9 @@ void writeTraceFile(const std::string &path, TraceFormat format,
                     const PipeTracer &tracer, const Trace &trace);
 
 /** @p key with every filesystem-hostile character replaced by '_'
- *  (run keys become file names under REDSOC_TRACE_DIR). */
+ *  (run keys become file names under REDSOC_TRACE_DIR); a result
+ *  longer than 200 bytes is cut and suffixed with the key's FNV-1a
+ *  hash. */
 std::string sanitizeTraceFileName(const std::string &key);
 
 /**

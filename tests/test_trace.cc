@@ -561,6 +561,17 @@ TEST(TraceExportHelpers, SanitizeRunKeys)
     EXPECT_EQ(sanitizeTraceFileName("crc@big|redsoc#ops=100"),
               "crc_big_redsoc_ops_100");
     EXPECT_EQ(sanitizeTraceFileName("safe-name_1.2"), "safe-name_1.2");
+
+    // Real run keys are longer than a file name may be; keys that
+    // differ only past the cut still get distinct names.
+    const std::string a = SimDriver().runKey("crc", bigCore());
+    CoreConfig last = bigCore();
+    last.skewed_select = false;
+    const std::string b = SimDriver().runKey("crc", last);
+    ASSERT_GT(a.size(), 255u);
+    EXPECT_LE(sanitizeTraceFileName(a).size(), 200u);
+    EXPECT_EQ(sanitizeTraceFileName(a).rfind("crc_name_big_", 0), 0u);
+    EXPECT_NE(sanitizeTraceFileName(a), sanitizeTraceFileName(b));
 }
 
 TEST(TraceExportHelpers, EventNamesAreStableAndUnique)
