@@ -4,47 +4,30 @@
 
 namespace redsoc {
 
-const char *
-schedModeName(SchedMode mode)
-{
-    switch (mode) {
-      case SchedMode::Baseline: return "baseline";
-      case SchedMode::ReDSOC: return "redsoc";
-      case SchedMode::MOS: return "mos";
-      default: panic("bad sched mode");
-    }
-}
-
-const char *
-rsDesignName(RsDesign design)
-{
-    switch (design) {
-      case RsDesign::Illustrative: return "illustrative";
-      case RsDesign::Operational: return "operational";
-      default: panic("bad RS design");
-    }
-}
-
-const char *
-schedKernelName(SchedKernel kernel)
-{
-    switch (kernel) {
-      case SchedKernel::Scan: return "scan";
-      case SchedKernel::Event: return "event";
-      default: panic("bad sched kernel");
-    }
-}
-
 namespace {
 
-/** Find the enumerator among @p all whose name is @p text. */
+/** Each enum's names, stated once, indexed by enumerator value: the
+ *  names enumText prints and parseEnum reads. */
+constexpr const char *kSchedModeNames[] = {"baseline", "redsoc", "mos"};
+constexpr const char *kRsDesignNames[] = {"illustrative", "operational"};
+constexpr const char *kSchedKernelNames[] = {"scan", "event"};
+
+template <class E, size_t N>
+const char *
+nameOf(E e, const char *const (&names)[N])
+{
+    const auto i = static_cast<size_t>(e);
+    panic_if(i >= N, "bad enumerator ", i);
+    return names[i];
+}
+
 template <class E, size_t N>
 bool
-parseByName(std::string_view text, E &out, const E (&all)[N])
+parseByName(std::string_view text, E &out, const char *const (&names)[N])
 {
-    for (E e : all) {
-        if (text == enumText(e)) {
-            out = e;
+    for (size_t i = 0; i < N; ++i) {
+        if (text == names[i]) {
+            out = static_cast<E>(i);
             return true;
         }
     }
@@ -53,27 +36,40 @@ parseByName(std::string_view text, E &out, const E (&all)[N])
 
 } // namespace
 
+const char *
+schedModeName(SchedMode mode)
+{
+    return nameOf(mode, kSchedModeNames);
+}
+
+const char *
+rsDesignName(RsDesign design)
+{
+    return nameOf(design, kRsDesignNames);
+}
+
+const char *
+schedKernelName(SchedKernel kernel)
+{
+    return nameOf(kernel, kSchedKernelNames);
+}
+
 bool
 parseEnum(std::string_view text, SchedMode &mode)
 {
-    constexpr SchedMode kAll[] = {SchedMode::Baseline, SchedMode::ReDSOC,
-                                  SchedMode::MOS};
-    return parseByName(text, mode, kAll);
+    return parseByName(text, mode, kSchedModeNames);
 }
 
 bool
 parseEnum(std::string_view text, RsDesign &design)
 {
-    constexpr RsDesign kAll[] = {RsDesign::Illustrative,
-                                 RsDesign::Operational};
-    return parseByName(text, design, kAll);
+    return parseByName(text, design, kRsDesignNames);
 }
 
 bool
 parseEnum(std::string_view text, SchedKernel &kernel)
 {
-    constexpr SchedKernel kAll[] = {SchedKernel::Scan, SchedKernel::Event};
-    return parseByName(text, kernel, kAll);
+    return parseByName(text, kernel, kSchedKernelNames);
 }
 
 CoreConfig

@@ -7,8 +7,7 @@
  * sees the change:
  *
  *  - every CoreConfig / ProcConfig leaf changes configKey /
- *    procConfigKey, and every CoreConfig leaf round-trips through the
- *    fixture text;
+ *    procConfigKey and round-trips through the fixture text;
  *  - every CoreStats / ProcStats leaf, set to a distinct non-default
  *    value, round-trips through the codec, and firstDifference names
  *    exactly that leaf when only it differs.
@@ -152,14 +151,33 @@ TEST(ConfigLeaves, EveryLeafRoundTripsThroughTheFixture)
 {
     fuzz::FuzzCase fc;
     fc.prog.resize(1);
+    const std::vector<std::string> paths = leafPaths(fc.config.core);
+    for (size_t k = 0; k < paths.size(); ++k) {
+        fuzz::FuzzCase changed = fc;
+        changed.config.core = withLeafBumped(fc.config.core, k);
+        const std::string text = fuzz::serializeCase(changed);
+        const fuzz::FuzzCase back = fuzz::parseCase(text);
+        EXPECT_EQ(SimDriver::configKey(back.config.core),
+                  SimDriver::configKey(changed.config.core))
+            << paths[k];
+        EXPECT_EQ(fuzz::serializeCase(back), text) << paths[k];
+    }
+}
+
+TEST(ConfigLeaves, EveryProcLeafRoundTripsThroughTheFixture)
+{
+    fuzz::FuzzCase fc;
+    fc.config.num_cores = 2;
+    fc.prog.resize(1);
     const std::vector<std::string> paths = leafPaths(fc.config);
     for (size_t k = 0; k < paths.size(); ++k) {
         fuzz::FuzzCase changed = fc;
         changed.config = withLeafBumped(fc.config, k);
+        changed.extra_progs.assign(changed.config.num_cores - 1, fc.prog);
         const std::string text = fuzz::serializeCase(changed);
         const fuzz::FuzzCase back = fuzz::parseCase(text);
-        EXPECT_EQ(SimDriver::configKey(back.config),
-                  SimDriver::configKey(changed.config))
+        EXPECT_EQ(SimDriver::procConfigKey(back.config),
+                  SimDriver::procConfigKey(changed.config))
             << paths[k];
         EXPECT_EQ(fuzz::serializeCase(back), text) << paths[k];
     }

@@ -6,7 +6,7 @@
  *  1. a 1-core Processor in shared-LLC mode is bit-identical to a
  *     plain OooCore run on every CoreStats field and the commit
  *     checksum, across the full sched_grid.h acceptance matrix under
- *     both scheduler kernels;
+ *     both scheduler kernels (the contract checker's kProcSolo);
  *  2. an N-core run is a pure function of (config, traces): racing
  *     several identical Processors on different host threads yields
  *     byte-identical serialized ProcStats;
@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz_lib.h"
 #include "helpers.h"
 #include "proc/processor.h"
 #include "sched_grid.h"
@@ -39,20 +40,6 @@ namespace {
 
 using test::differentialConfigs;
 using test::randomTrace;
-using test::runCore;
-
-/** 1-core ProcConfig whose shared LLC has exactly the geometry of
- *  the core template's private L2 — the bit-identity configuration. */
-ProcConfig
-soloConfig(const CoreConfig &core)
-{
-    ProcConfig cfg;
-    cfg.num_cores = 1;
-    cfg.core = core;
-    cfg.llc = core.memory.l2;
-    cfg.llc.line_bytes = core.memory.l1.line_bytes;
-    return cfg;
-}
 
 // ---------------------------------------------------------------------
 // 1. Single-core bit-identity across the acceptance grid
@@ -64,29 +51,17 @@ class SharedLlcBitIdentity : public ::testing::TestWithParam<u64>
 
 TEST_P(SharedLlcBitIdentity, OneCoreSharedLlcEqualsSeedAcrossGrid)
 {
+    // Both kernels; the contract also holds every contention charge
+    // at zero (the cross-core-only rule).
     const u64 seed = GetParam();
     const Trace trace = randomTrace(seed, 600);
     for (const std::string core : {"big", "small"}) {
-        for (const auto &[tag, base_cfg] : differentialConfigs(core)) {
-            for (SchedKernel kernel :
-                 {SchedKernel::Scan, SchedKernel::Event}) {
-                CoreConfig cfg = base_cfg;
-                cfg.sched_kernel = kernel;
-                const CoreStats solo = runCore(trace, cfg);
-                Processor proc(soloConfig(cfg));
-                const ProcStats pstats = proc.run(trace);
-                ASSERT_EQ(pstats.cores.size(), 1u);
-                EXPECT_EQ(firstDifference(solo, pstats.cores[0]), "")
-                    << "seed=" << seed << "/" << core << "/" << tag << "/"
-                    << schedKernelName(kernel);
-                // Single core: every contention charge is zero by
-                // construction (the cross-core-only rule).
-                ASSERT_EQ(pstats.llc.per_core.size(), 1u);
-                EXPECT_EQ(pstats.llc.per_core[0].mshr_merges, 0u);
-                EXPECT_EQ(pstats.llc.per_core[0].bank_wait_cycles, 0u);
-                EXPECT_EQ(pstats.llc.per_core[0].back_invalidations,
-                          0u);
-            }
+        for (const auto &[tag, cfg] : differentialConfigs(core)) {
+            EXPECT_EQ(fuzz::checkContracts(trace, cfg,
+                                           {.checks = fuzz::kProcSolo})
+                          .failure,
+                      "")
+                << "seed=" << seed << "/" << core << "/" << tag;
         }
     }
 }

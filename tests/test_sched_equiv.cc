@@ -3,7 +3,9 @@
  * Scheduler-kernel differential suite: the event-driven kernel
  * (SchedKernel::Event) must be bit-identical to the legacy full-scan
  * kernel (SchedKernel::Scan) on every statistic and on the committed
- * schedule checksum, across every mode x ablation combination.
+ * schedule checksum, across every mode x ablation combination. Each
+ * point goes through the contract checker (checkContracts,
+ * tools/fuzz) asking for kScanEqualsEvent.
  *
  * Three layers of evidence:
  *  1. real-workload differentials over the full config grid,
@@ -20,12 +22,12 @@
  */
 
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fuzz_lib.h"
 #include "helpers.h"
 #include "sched_grid.h"
 #include "sim/run_cache.h"
@@ -33,36 +35,23 @@
 namespace redsoc {
 namespace {
 
+using fuzz::checkContracts;
 using test::differentialConfigs;
 using test::makeTrace;
 using test::randomTrace;
 using test::runCore;
 
-// ---------------------------------------------------------------------
-// Differential harness
-// ---------------------------------------------------------------------
-
+/** Both kernels on one point must agree; returns the point's stats
+ *  for further assertions. */
 CoreStats
-runKernel(const Trace &trace, CoreConfig cfg, SchedKernel kernel)
+expectScanEqualsEvent(const Trace &trace, const CoreConfig &cfg,
+                      const std::string &what)
 {
-    cfg.sched_kernel = kernel;
-    return runCore(trace, std::move(cfg));
+    const fuzz::ContractReport r =
+        checkContracts(trace, cfg, {.checks = fuzz::kScanEqualsEvent});
+    EXPECT_EQ(r.failure, "") << what;
+    return r.stats;
 }
-
-/** Run both kernels on the same trace and assert full agreement.
- *  Returns the scan-kernel stats for additional assertions. */
-CoreStats
-expectKernelsAgree(const Trace &trace, const CoreConfig &cfg,
-                   const std::string &what)
-{
-    CoreStats scan = runKernel(trace, cfg, SchedKernel::Scan);
-    CoreStats event = runKernel(trace, cfg, SchedKernel::Event);
-    EXPECT_EQ(firstDifference(scan, event), "") << what;
-    return scan;
-}
-
-// The acceptance grid itself (differentialConfigs) and the random
-// trace generator live in sched_grid.h, shared with test_critpath.cc.
 
 // ---------------------------------------------------------------------
 // Layer 1: real workloads x full config grid
@@ -83,7 +72,7 @@ TEST_P(WorkloadDifferential, KernelsBitIdentical)
     const std::string workload = GetParam();
     const Trace &trace = sharedDriver().trace(workload);
     for (const auto &[tag, cfg] : differentialConfigs("big"))
-        expectKernelsAgree(trace, cfg, workload + "/" + tag);
+        expectScanEqualsEvent(trace, cfg, workload + "/" + tag);
 }
 
 TEST_P(WorkloadDifferential, SmallCoreKernelsBitIdentical)
@@ -96,7 +85,7 @@ TEST_P(WorkloadDifferential, SmallCoreKernelsBitIdentical)
          {"redsoc", "redsoc_dynamic", "mos", "baseline"}) {
         for (const auto &[name, cfg] : differentialConfigs("small")) {
             if (name == tag)
-                expectKernelsAgree(trace, cfg,
+                expectScanEqualsEvent(trace, cfg,
                                    workload + "/small/" + tag);
         }
     }
@@ -122,7 +111,7 @@ TEST_P(RandomTraceDifferential, EventMatchesScanOracle)
     const Trace trace = randomTrace(seed, 600);
     for (const std::string core : {"big", "small"}) {
         for (const auto &[tag, cfg] : differentialConfigs(core)) {
-            expectKernelsAgree(trace, cfg,
+            expectScanEqualsEvent(trace, cfg,
                                "seed=" + std::to_string(seed) + "/" +
                                    core + "/" + tag);
         }
@@ -194,7 +183,7 @@ TEST(SchedEquivRegression, LastArrivalReplayReArm)
     CoreConfig cfg = coreByName("big");
     cfg.mode = SchedMode::ReDSOC;
     cfg.rs_design = RsDesign::Operational;
-    CoreStats scan = expectKernelsAgree(trace, cfg, "la-replay");
+    const CoreStats scan = expectScanEqualsEvent(trace, cfg, "la-replay");
     // The construction must actually hit the replay path, otherwise
     // this regression guards nothing.
     EXPECT_GT(scan.la_mispredictions, 0u);
@@ -225,7 +214,7 @@ TEST(SchedEquivRegression, ParkedLoadWokenByStoreIssue)
         CoreConfig cfg = coreByName(core);
         cfg.mode = SchedMode::ReDSOC;
         CoreStats scan =
-            expectKernelsAgree(trace, cfg, "parked-load/" + core);
+            expectScanEqualsEvent(trace, cfg, "parked-load/" + core);
         EXPECT_GT(scan.store_forwards, 0u);
     }
 }
@@ -240,7 +229,7 @@ TEST(SchedEquivRegression, MosFusionChains)
 
     CoreConfig cfg = coreByName("big");
     cfg.mode = SchedMode::MOS;
-    CoreStats scan = expectKernelsAgree(trace, cfg, "mos-chains");
+    CoreStats scan = expectScanEqualsEvent(trace, cfg, "mos-chains");
     EXPECT_GT(scan.fused_ops, 0u);
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
- * Trace-neutrality differential suite: attaching a PipeTracer must
- * not change simulated behaviour in any observable way. For every
- * real workload x scheduler kernel, a traced run's CoreStats — every
- * counter plus the per-op commit-schedule checksum — must be
- * byte-identical to the untraced run's.
- *
- * The same harness also proves the trace itself is kernel-agnostic:
- * the Scan and Event kernels must record identical event streams
- * (the golden-snapshot test in test_trace.cc pins the rendered form;
- * this one covers real workloads at full length).
+ * Trace-neutrality differential suite: attaching an observer must not
+ * change simulated behaviour in any observable way. A ring-attached
+ * PipeTracer or a graph recorder run's CoreStats — every counter plus
+ * the per-op commit-schedule checksum — must be byte-identical to the
+ * untraced run's, and the Scan and Event kernels must record
+ * identical event streams (the golden-snapshot test in test_trace.cc
+ * pins the rendered form; this one covers real workloads at full
+ * length). Each point goes through the contract checker
+ * (checkContracts, tools/fuzz).
  */
 
 #include <string>
@@ -17,51 +16,16 @@
 
 #include <gtest/gtest.h>
 
-#include "critpath/dep_graph_builder.h"
+#include "fuzz_lib.h"
 #include "helpers.h"
 #include "sched_grid.h"
-#include "sim/run_cache.h"
 #include "trace/pipe_tracer.h"
 
 namespace redsoc {
 namespace {
 
+using fuzz::checkContracts;
 using test::makeTrace;
-
-CoreStats
-runKernel(const Trace &trace, CoreConfig cfg, SchedKernel kernel,
-          PipeTracer *tracer)
-{
-    cfg.sched_kernel = kernel;
-    OooCore core(std::move(cfg));
-    core.setTracer(tracer);
-    return core.run(trace);
-}
-
-/** Element-wise event-stream comparison (streams can be millions of
- *  events; report the first divergence, not a full dump). */
-void
-expectEventsEqual(const PipeTracer &scan, const PipeTracer &event,
-                  const std::string &what)
-{
-    SCOPED_TRACE(what);
-    ASSERT_EQ(scan.size(), event.size());
-    ASSERT_EQ(scan.droppedEvents(), event.droppedEvents());
-    const std::vector<PipeEvent> a = scan.events();
-    const std::vector<PipeEvent> b = event.events();
-    for (size_t i = 0; i < a.size(); ++i) {
-        const bool same = a[i].tick == b[i].tick &&
-                          a[i].seq == b[i].seq &&
-                          a[i].link == b[i].link &&
-                          a[i].kind == b[i].kind && a[i].arg == b[i].arg;
-        ASSERT_TRUE(same)
-            << "first divergence at event " << i << ": scan={"
-            << pipeEventName(a[i].kind) << " seq=" << a[i].seq
-            << " tick=" << a[i].tick << "} event={"
-            << pipeEventName(b[i].kind) << " seq=" << b[i].seq
-            << " tick=" << b[i].tick << "}";
-    }
-}
 
 // ---------------------------------------------------------------------
 // Real workloads x both kernels: tracing is behavior-neutral, and the
@@ -81,24 +45,14 @@ class TraceNeutrality : public ::testing::TestWithParam<std::string>
 TEST_P(TraceNeutrality, TracedRunIsBitIdentical)
 {
     const std::string workload = GetParam();
-    const Trace &trace = sharedDriver().trace(workload);
-
     CoreConfig cfg = coreByName("big");
     cfg.mode = SchedMode::ReDSOC;
-
-    PipeTracer tracers[2];
-    int i = 0;
-    for (const SchedKernel kernel :
-         {SchedKernel::Scan, SchedKernel::Event}) {
-        const std::string what =
-            workload + "/" + schedKernelName(kernel);
-        const CoreStats off = runKernel(trace, cfg, kernel, nullptr);
-        const CoreStats on = runKernel(trace, cfg, kernel, &tracers[i]);
-        EXPECT_EQ(firstDifference(off, on), "") << what;
-        EXPECT_GT(tracers[i].size(), 0u) << what;
-        ++i;
-    }
-    expectEventsEqual(tracers[0], tracers[1], workload + "/kernels");
+    EXPECT_EQ(checkContracts(sharedDriver().trace(workload), cfg,
+                             {.checks = fuzz::kRingNeutral |
+                                        fuzz::kRingStreams})
+                  .failure,
+              "")
+        << workload;
 }
 
 TEST_P(TraceNeutrality, BaselineAndMosNeutralToo)
@@ -107,20 +61,15 @@ TEST_P(TraceNeutrality, BaselineAndMosNeutralToo)
     // transparent/EGPW events, MOS fusion events): each must be
     // equally neutral.
     const std::string workload = GetParam();
-    const Trace &trace = sharedDriver().trace(workload);
-
     for (const SchedMode mode : {SchedMode::Baseline, SchedMode::MOS}) {
         CoreConfig cfg = coreByName("big");
         cfg.mode = mode;
-        PipeTracer tracer;
-        const std::string what =
-            workload + "/" + schedModeName(mode);
-        const CoreStats off =
-            runKernel(trace, cfg, SchedKernel::Event, nullptr);
-        const CoreStats on =
-            runKernel(trace, cfg, SchedKernel::Event, &tracer);
-        EXPECT_EQ(firstDifference(off, on), "") << what;
-        EXPECT_GT(tracer.size(), 0u) << what;
+        EXPECT_EQ(checkContracts(sharedDriver().trace(workload), cfg,
+                                 {.checks = fuzz::kRingNeutral,
+                                  .kernels = {SchedKernel::Event}})
+                      .failure,
+                  "")
+            << workload << "/" << schedModeName(mode);
     }
 }
 
@@ -131,7 +80,8 @@ INSTANTIATE_TEST_SUITE_P(Workloads, TraceNeutrality,
 
 // ---------------------------------------------------------------------
 // A graph recorder is just as neutral: the core reports to it through
-// its own hooks, which must not perturb the schedule either.
+// its own hooks, which must not perturb the schedule either, and the
+// graph it records covers every op.
 // ---------------------------------------------------------------------
 
 TEST(TraceNeutralityUnit, GraphRecorderRunIsBitIdentical)
@@ -141,22 +91,12 @@ TEST(TraceNeutralityUnit, GraphRecorderRunIsBitIdentical)
         for (const std::string core : {"big", "small"}) {
             for (const auto &[tag, cfg] :
                  test::differentialConfigs(core)) {
-                for (const SchedKernel kernel :
-                     {SchedKernel::Scan, SchedKernel::Event}) {
-                    const std::string what =
-                        "seed " + std::to_string(seed) + "/" + core +
-                        "/" + tag + "/" + schedKernelName(kernel);
-                    const CoreStats off =
-                        runKernel(trace, cfg, kernel, nullptr);
-                    PipeTracer tracer(1);
-                    DepGraphBuilder builder(trace, cfg);
-                    tracer.setSink(&builder);
-                    const CoreStats on =
-                        runKernel(trace, cfg, kernel, &tracer);
-                    EXPECT_EQ(firstDifference(off, on), "") << what;
-                    EXPECT_EQ(builder.finalize().num_ops, trace.size())
-                        << what;
-                }
+                EXPECT_EQ(checkContracts(trace, cfg,
+                                         {.checks = fuzz::kRecorderNeutral |
+                                                    fuzz::kGraph})
+                              .failure,
+                          "")
+                    << "seed " << seed << "/" << core << "/" << tag;
             }
         }
     }

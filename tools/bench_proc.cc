@@ -24,47 +24,12 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "sim/driver.h"
 
 using namespace redsoc;
-
-namespace {
-
-std::vector<std::string>
-splitMix(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : spec) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    fatal_if(out.empty(), "empty --mix");
-    return out;
-}
-
-SchedMode
-parseMode(const std::string &text)
-{
-    if (text == "baseline")
-        return SchedMode::Baseline;
-    if (text == "redsoc")
-        return SchedMode::ReDSOC;
-    if (text == "mos")
-        return SchedMode::MOS;
-    fatal("unknown mode '", text, "'");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -85,7 +50,7 @@ main(int argc, char **argv)
         } else if (arg == "--core" && i + 1 < argc) {
             core_name = argv[++i];
         } else if (arg == "--mode" && i + 1 < argc) {
-            mode = parseMode(argv[++i]);
+            mode = cli::enumArg<SchedMode>("--mode", argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [fast] [--max-ops N] "
@@ -95,7 +60,7 @@ main(int argc, char **argv)
         }
     }
 
-    const std::vector<std::string> mix = splitMix(mix_spec);
+    const std::vector<std::string> mix = cli::splitMix(mix_spec);
     const CoreConfig core_cfg = configFor(core_name, mode);
 
     const std::vector<unsigned> core_counts =

@@ -290,15 +290,10 @@ main(int argc, char **argv)
     const std::vector<std::string> workloads =
         fast ? std::vector<std::string>{"crc", "act"}
              : std::vector<std::string>{"crc", "gsm", "act", "conv"};
-    const std::vector<std::pair<std::string, SchedMode>> modes = {
-        {"baseline", SchedMode::Baseline},
-        {"redsoc", SchedMode::ReDSOC},
-        {"mos", SchedMode::MOS},
-    };
-    const std::vector<std::pair<std::string, SchedKernel>> kernels = {
-        {"scan", SchedKernel::Scan},
-        {"event", SchedKernel::Event},
-    };
+    constexpr SchedMode kModes[] = {SchedMode::Baseline, SchedMode::ReDSOC,
+                                    SchedMode::MOS};
+    constexpr SchedKernel kKernels[] = {SchedKernel::Scan,
+                                        SchedKernel::Event};
 
     std::vector<GridPoint> points;
     Table table({"workload", "mode", "scan kc/s", "event kc/s",
@@ -310,19 +305,19 @@ main(int argc, char **argv)
         // One trace per workload, shared by every grid point; runs
         // themselves are cold (fresh core, no run cache, one thread).
         const Trace trace = traceWorkload(workload, max_ops);
-        for (const auto &[mode_name, mode] : modes) {
+        for (const SchedMode mode : kModes) {
             double kcps[2] = {0.0, 0.0};
             double mips[2] = {0.0, 0.0};
-            for (unsigned k = 0; k < kernels.size(); ++k) {
+            for (unsigned k = 0; k < std::size(kKernels); ++k) {
                 GridPoint p;
                 p.workload = workload;
-                p.mode = mode_name;
-                p.kernel = kernels[k].first;
+                p.mode = enumText(mode);
+                p.kernel = enumText(kKernels[k]);
                 // Best-of-N: keep the minimum wall-clock (least host
                 // contamination) and insist the architectural result
                 // is bit-identical on every repetition.
                 for (unsigned r = 0; r < reps; ++r) {
-                    OooCore core(gridConfig(mode, kernels[k].second));
+                    OooCore core(gridConfig(mode, kKernels[k]));
                     const CoreStats stats = core.run(trace);
                     if (r == 0) {
                         p.cycles = stats.cycles;
@@ -349,7 +344,7 @@ main(int argc, char **argv)
                 log_speedup_sum += std::log(speedup);
                 ++speedup_count;
             }
-            table.addRow({workload, mode_name, Table::num(kcps[0], 1),
+            table.addRow({workload, enumText(mode), Table::num(kcps[0], 1),
                           Table::num(kcps[1], 1), Table::num(mips[0], 3),
                           Table::num(mips[1], 3),
                           Table::num(speedup, 2)});

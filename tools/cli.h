@@ -1,0 +1,50 @@
+/**
+ * @file
+ * Argument helpers shared by the command-line tools.
+ */
+
+#ifndef REDSOC_TOOLS_CLI_H
+#define REDSOC_TOOLS_CLI_H
+
+#include <cstdio>
+#include <cstdlib>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/logging.h"
+#include "core/core_config.h"
+
+namespace redsoc::cli {
+
+/** The enumerator named @p text (enumText's inverse). An unknown name
+ *  is a usage error (exit status 2), never a silent default. */
+template <class E>
+E
+enumArg(const char *flag, const std::string &text)
+{
+    E value{};
+    if (!parseEnum(text, value)) {
+        std::fprintf(stderr, "unknown %s '%s'\n", flag, text.c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
+/** The workloads of a comma-separated --mix (empty entries skipped;
+ *  fatal when none is left). */
+inline std::vector<std::string>
+splitMix(const std::string &spec)
+{
+    std::vector<std::string> out;
+    std::istringstream is(spec);
+    for (std::string name; std::getline(is, name, ',');)
+        if (!name.empty())
+            out.push_back(name);
+    fatal_if(out.empty(), "empty --mix");
+    return out;
+}
+
+} // namespace redsoc::cli
+
+#endif // REDSOC_TOOLS_CLI_H

@@ -1,6 +1,6 @@
 /**
  * @file
- * redsoc_fuzz CLI — differential fuzzing of the scheduler kernels.
+ * redsoc_fuzz CLI — random points through the contract checker.
  *
  *   redsoc_fuzz --seed 1 --budget 60          # 60s smoke sweep
  *   redsoc_fuzz --seed 1 --count 5000         # fixed point count
@@ -9,9 +9,14 @@
  *   redsoc_fuzz --replay tests/fuzz_corpus/foo.fuzz
  *   redsoc_fuzz --dump-seed 42                # print the fixture text
  *
- * --proc draws multi-core Processor points (1-3 cores, randomized
- * LLC geometry, DRAM banking, shared/split address spaces) and runs
- * the differential oracle over per-core and LLC statistics.
+ * A single-core point must hold every contract of checkContracts
+ * (fuzz_lib.h): Scan ≡ Event, ring- and recorder-neutral, identical
+ * ring streams, recorder event count, 1-core Processor ≡ single core,
+ * the graph invariants, base retime ≡ simulation and batched ≡
+ * per-model retime. --proc draws multi-core Processor points (1-3
+ * cores, randomized LLC geometry, DRAM banking, shared/split address
+ * spaces); a mix must hold Scan ≡ Event and traced ≡ untraced over
+ * per-core and LLC statistics, and a 1-core draw every contract.
  *
  * Exit status 0 when every point agrees, 1 on any divergence (or a
  * failing replay), 2 on usage errors.

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/logging.h"
 #include "common/shutdown.h"
 #include "sim/driver.h"
@@ -76,38 +77,6 @@ usage(const char *argv0)
                  argv0);
 }
 
-std::vector<std::string>
-splitMix(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : spec) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    fatal_if(out.empty(), "empty --mix");
-    return out;
-}
-
-SchedMode
-parseMode(const std::string &text)
-{
-    if (text == "baseline")
-        return SchedMode::Baseline;
-    if (text == "redsoc")
-        return SchedMode::ReDSOC;
-    if (text == "mos")
-        return SchedMode::MOS;
-    fatal("unknown mode '", text, "'");
-}
-
 } // namespace
 
 int
@@ -126,7 +95,6 @@ try {
     bool list_only = false;
     SeqNum max_ops = 2'000'000;
 
-    CoreConfig overrides = coreByName(core);
     bool threshold_set = false, precision_set = false;
     Tick threshold = 0;
     unsigned precision = 0;
@@ -162,7 +130,7 @@ try {
         } else if (arg == "--core") {
             core = next();
         } else if (arg == "--mode") {
-            mode = parseMode(next());
+            mode = cli::enumArg<SchedMode>("--mode", next());
         } else if (arg == "--threshold") {
             threshold = std::strtoull(next().c_str(), nullptr, 0);
             threshold_set = true;
@@ -174,9 +142,7 @@ try {
         } else if (arg == "--dynamic-threshold") {
             dynamic_threshold = true;
         } else if (arg == "--rs") {
-            const std::string d = next();
-            rs_design = d == "illustrative" ? RsDesign::Illustrative
-                                            : RsDesign::Operational;
+            rs_design = cli::enumArg<RsDesign>("--rs", next());
             rs_set = true;
         } else if (arg == "--no-egpw") {
             no_egpw = true;
@@ -187,13 +153,7 @@ try {
         } else if (arg == "--max-ops") {
             max_ops = std::strtoull(next().c_str(), nullptr, 0);
         } else if (arg == "--kernel") {
-            const std::string k = next();
-            if (k == "scan")
-                kernel = SchedKernel::Scan;
-            else if (k == "event")
-                kernel = SchedKernel::Event;
-            else
-                fatal("unknown kernel '", k, "'");
+            kernel = cli::enumArg<SchedKernel>("--kernel", next());
             kernel_set = true;
         } else if (arg == "--cores") {
             num_cores =
@@ -269,7 +229,7 @@ try {
 
     if (proc_mode) {
         const std::vector<std::string> mix =
-            splitMix(mix_spec.empty() ? workload : mix_spec);
+            cli::splitMix(mix_spec.empty() ? workload : mix_spec);
 
         ProcConfig pcfg;
         pcfg.num_cores = num_cores;
