@@ -27,7 +27,6 @@
 #include "common/logging.h"
 #include "common/table.h"
 #include "sim/driver.h"
-#include "trace/exporters.h"
 
 namespace redsoc {
 namespace bench {
@@ -35,29 +34,6 @@ namespace bench {
 inline bool
 fastMode(int argc, char **argv)
 {
-    // Every harness funnels through here at startup: piggyback the
-    // end-of-process reduction report, so alongside the "[fast] ...
-    // dropping N workloads" lines a harness also tallies any traced
-    // runs whose export ring wrapped (REDSOC_TRACE_DIR sweeps must
-    // never truncate silently).
-    static const bool registered = [] {
-        std::atexit([] {
-            const u64 runs = TraceEnv::truncatedRuns();
-            if (runs != 0) {
-                std::fprintf(
-                    stderr,
-                    "[trace] %llu traced run%s truncated (%llu events "
-                    "dropped); raise REDSOC_TRACE_CAP for complete "
-                    "exports\n",
-                    static_cast<unsigned long long>(runs),
-                    runs == 1 ? "" : "s",
-                    static_cast<unsigned long long>(
-                        TraceEnv::truncatedEvents()));
-            }
-        });
-        return true;
-    }();
-    (void)registered;
     return argc > 1 && std::strcmp(argv[1], "fast") == 0;
 }
 

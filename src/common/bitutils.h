@@ -94,6 +94,17 @@ fnv1a64(std::string_view text)
     return h;
 }
 
+/** FNV-1a folded one 64-bit value at a time (digests of records). */
+struct Fnv1a
+{
+    u64 h = 0xcbf29ce484222325ull;
+    void operator()(u64 v)
+    {
+        h ^= v;
+        h *= 0x100000001b3ull;
+    }
+};
+
 } // namespace redsoc
 
 #endif // REDSOC_COMMON_BITUTILS_H

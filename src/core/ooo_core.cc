@@ -211,19 +211,17 @@ OooCore::emitIssue(const Candidate &cand)
     op.done = done_[seq];
     op.prod = oc.prod.data();
     op.nprod = oc.nprod;
-    op.speculative = cand.speculative;
-    op.transparent = (oc.cflags & kColdTransparent) != 0;
-    op.width_replayed = (oc.cflags & kColdWidthReplayed) != 0;
     // The entry's conventional wakeup cycle is the select gate; an
     // EGPW grant (and a MOS fusion) is woken in the grant cycle
     // itself.
-    const auto wake = [&] {
-        const Cycle c = cand.speculative
-                            ? cycle_
-                            : std::min(selGate(seq), cycle_);
-        return WakeRecord{clock_.cycleStart(c), lastProducer(seq)};
-    };
-    observe([&](auto &h) { h.issue(op, wake); });
+    op.wake = clock_.cycleStart(cand.speculative
+                                    ? cycle_
+                                    : std::min(selGate(seq), cycle_));
+    op.last = lastProducer(seq);
+    op.speculative = cand.speculative;
+    op.transparent = (oc.cflags & kColdTransparent) != 0;
+    op.width_replayed = (oc.cflags & kColdWidthReplayed) != 0;
+    recorder_->issue(op);
 }
 
 void
@@ -450,9 +448,7 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
             la_pred_.recordOutcome(correct);
             if (!correct) {
                 ++stats_.la_mispredictions;
-                observe([&](auto &h) {
-                    h.laReplay(seq, clock_.cycleStart(cycle_));
-                });
+                observe([&](auto &h) { h.laReplay(seq); });
                 // Woke early on the wrong tag: replay penalty.
                 // true_ready >= dispatch_cycle + 1, so the gate fold
                 // stays valid.
@@ -733,7 +729,7 @@ OooCore::issueOp(const Candidate &cand)
         !(oc.cflags & kColdWidthReplayed))
         ++stats_.two_cycle_holds;
 
-    if (tracer_)
+    if (recorder_)
         emitIssue(cand);
     if (audit_on_)
         audit_.onIssue(*this, seq);
@@ -857,11 +853,9 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
         if (is_req) {
             ++stats_.egpw_requests;
             observe([&](auto &h) {
-                h.egpwArm(seq, clock_.cycleStart(cycle_), [&] {
-                    const SeqNum parent = lastProducer(seq);
-                    return parent == kNoSeq ? kNoSeq
-                                            : lastProducer(parent);
-                });
+                const SeqNum parent = lastProducer(seq);
+                h.egpwArm(seq, parent == kNoSeq ? kNoSeq
+                                                : lastProducer(parent));
             });
         }
     }
@@ -882,7 +876,7 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
             fu_.book(pool, cycle_ + 1, 1);
             ++stats_.egpw_wasted;
             observe([&](auto &h) {
-                h.egpwWaste(seq, clock_.cycleStart(cycle_), 0);
+                h.egpwWaste(seq, EgpwWaste::NoSlack);
             });
             return true;
         }
@@ -892,7 +886,7 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
             fu_.book(pool, cycle_ + 1, 1);
             ++stats_.egpw_wasted;
             observe([&](auto &h) {
-                h.egpwWaste(seq, clock_.cycleStart(cycle_), 1);
+                h.egpwWaste(seq, EgpwWaste::SpanDenied);
             });
         } else {
             fu_denied = true;
@@ -968,9 +962,7 @@ OooCore::tryFuse(const Candidate &pg, SeqNum cseq)
     issueOp(fc);
     cold_[cseq].cflags |= kColdFused;
     ++stats_.fused_ops;
-    observe([&](auto &h) {
-        h.fuse(cseq, clock_.cycleStart(cycle_), pg.seq);
-    });
+    observe([&](auto &h) { h.fuse(cseq, pg.seq); });
     return true;
 }
 
@@ -1051,11 +1043,9 @@ OooCore::issuePhase()
                 return;
             ++stats_.egpw_requests;
             observe([&](auto &h) {
-                h.egpwArm(seq, clock_.cycleStart(cycle_), [&] {
-                    const SeqNum parent = lastProducer(seq);
-                    return parent == kNoSeq ? kNoSeq
-                                            : lastProducer(parent);
-                });
+                const SeqNum parent = lastProducer(seq);
+                h.egpwArm(seq, parent == kNoSeq ? kNoSeq
+                                                : lastProducer(parent));
             });
             const FuPoolKind pool = poolOf(seq);
             if (fu_.freeUnits(pool, cycle_ + 1) == 0) {
@@ -1075,16 +1065,16 @@ OooCore::issuePhase()
                 fu_.book(pool, cycle_ + 1, 1);
                 ++stats_.egpw_wasted;
                 observe([&](auto &h) {
-                    h.egpwWaste(seq, clock_.cycleStart(cycle_), 0);
-                });
+                h.egpwWaste(seq, EgpwWaste::NoSlack);
+            });
                 return;
             }
             if (!fu_.freeSpan(pool, cycle_ + 1, cand.span)) {
                 fu_.book(pool, cycle_ + 1, 1);
                 ++stats_.egpw_wasted;
                 observe([&](auto &h) {
-                    h.egpwWaste(seq, clock_.cycleStart(cycle_), 1);
-                });
+                h.egpwWaste(seq, EgpwWaste::SpanDenied);
+            });
                 return;
             }
             fu_.book(pool, cycle_ + 1, cand.span);
@@ -1372,10 +1362,8 @@ OooCore::beginRun(const Trace &trace)
     eager_.clear();
     denied_horizon_ = 0;
     in_phase_a_ = false;
-    recorder_ = tracer_ && tracer_->enabled() ? tracer_->recorder()
-                                              : nullptr;
-    if (tracer_)
-        tracer_->beginRun(clock_.ticksPerCycle());
+    if (recorder_)
+        recorder_->beginRun(clock_.ticksPerCycle());
 
     adapting_ = config_.dynamic_threshold &&
                 config_.mode == SchedMode::ReDSOC;

@@ -208,15 +208,20 @@ class OooCore
     const MemHierarchy &memory() const { return memory_; }
 
     /**
-     * Attach (or detach, with nullptr) a pipeline event tracer for
-     * subsequent run()s. The core does not own the tracer. When the
-     * tracer carries a GraphRecorder, each run reports to the
-     * recorder instead. Tracing is observation-only: every hook is
-     * called at a site both scheduler kernels execute with identical
-     * arguments, and a traced run's CoreStats are byte-identical to
-     * an untraced one (tests/test_trace_equiv.cc).
+     * Attach (or detach, with nullptr) a recorder for subsequent
+     * run()s; the core does not own it. Each run reports its ops'
+     * life to the recorder's hooks (trace/graph_recorder.h). Recording
+     * is observation-only: every hook is called at a site both
+     * scheduler kernels execute with identical arguments, and a
+     * recorded run's CoreStats are byte-identical to an unrecorded
+     * one (tests/test_trace_equiv.cc).
      */
-    void setTracer(PipeTracer *tracer) { tracer_ = tracer; }
+    void setRecorder(GraphRecorder *recorder) { recorder_ = recorder; }
+    /** Attach the recorder @p tracer carries now (nullptr: detach). */
+    void setTracer(const PipeTracer *tracer)
+    {
+        recorder_ = tracer ? tracer->recorder() : nullptr;
+    }
 
     const CoreConfig &config() const { return config_; }
 
@@ -454,25 +459,18 @@ class OooCore
     void buildInstMeta(const Program &program);
 
     /**
-     * Report to the run's observer: @p hook is called with the graph
-     * recorder when the attached tracer carries one, else with the
-     * tracer. @p hook is generic, so every hook the core calls must
-     * exist on both observers (trace/graph_recorder.h). One
+     * Report to the attached recorder: @p hook is called with it. One
      * predictable branch when detached.
      */
     template <typename Hook>
     void observe(Hook &&hook)
     {
-        if (tracer_) {
-            if (recorder_)
-                hook(*recorder_);
-            else
-                hook(*tracer_);
-        }
+        if (recorder_)
+            hook(*recorder_);
     }
     /** The dispatch hook's op flags (the graph's kOp* bits). */
     static u16 recordFlags(const InstMeta &m);
-    /** Report a granted candidate's issue. */
+    /** Report a granted candidate to the attached recorder. */
     void emitIssue(const Candidate &cand);
 
     CoreConfig config_;
@@ -577,10 +575,7 @@ class OooCore
      *  fast-forwarded cycles under this horizon alike. */
     Cycle denied_horizon_ = 0;
 
-    PipeTracer *tracer_ = nullptr; ///< not owned; nullptr = off
-    /** The tracer's graph recorder, fixed when a run begins (an
-     *  enabled tracer only); nullptr = report to the tracer. */
-    GraphRecorder *recorder_ = nullptr;
+    GraphRecorder *recorder_ = nullptr; ///< not owned; nullptr = off
 
     /** REDSOC_AUDIT=1 at construction: run the invariant audit. When
      *  off, the whole subsystem costs one branch per hook site. */

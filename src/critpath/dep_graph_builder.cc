@@ -228,6 +228,7 @@ DepGraphBuilder::finalize()
 
     links_ = {};
     rs_issue_order_ = {};
+    moments_ = {};
 #ifndef NDEBUG
     const std::string err = g.validate();
     fatal_if(!err.empty(), "dependence graph invalid: ", err);

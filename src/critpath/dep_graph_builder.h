@@ -1,13 +1,11 @@
 /**
  * @file
- * Dependence-graph construction from one traced run. DepGraphBuilder
- * is a GraphRecorder (trace/graph_recorder.h): attached to a
- * PipeTracer with setSink(), it is handed to the core when the run
- * begins, and the core's hooks write milestone ticks, op flags, the
- * core's own renamed producer sets, the RS grant order, the per-pool
- * grant orders, fuse links and commits straight into its arrays. No
- * event stream is built or decoded, and the tracer's ring capacity
- * does not bound the graph.
+ * Dependence-graph construction from one recorded run.
+ * DepGraphBuilder is a GraphRecorder (trace/graph_recorder.h):
+ * attached to a core (OooCore::setRecorder), it takes the core's
+ * hooks, which write milestone ticks, op flags, the core's own
+ * renamed producer sets, the RS grant order, the per-pool grant
+ * orders, fuse links and commits straight into its arrays.
  *
  * finalize() then emits the per-node CSR in one pass in op order.
  * Commits are in order and no dispatched op is ever squashed, so by
@@ -30,7 +28,7 @@ class DepGraphBuilder : public GraphRecorder
 {
   public:
     /** @p trace and @p config must outlive the builder; they describe
-     *  the run the attached tracer will record. */
+     *  the run it will record. */
     DepGraphBuilder(const Trace &trace, const CoreConfig &config);
 
     /** Freeze and return the graph. Every op of the trace must have

@@ -80,6 +80,24 @@ opcodeName(Opcode op)
 }
 
 const char *
+fuClassName(FuClass fc)
+{
+    switch (fc) {
+      case FuClass::IntAlu: return "IntAlu";
+      case FuClass::IntMul: return "IntMul";
+      case FuClass::IntDiv: return "IntDiv";
+      case FuClass::Fp: return "Fp";
+      case FuClass::FpDiv: return "FpDiv";
+      case FuClass::SimdAlu: return "SimdAlu";
+      case FuClass::SimdMul: return "SimdMul";
+      case FuClass::MemRead: return "MemRead";
+      case FuClass::MemWrite: return "MemWrite";
+      case FuClass::None: return "None";
+    }
+    return "?";
+}
+
+const char *
 vecTypeName(VecType vt)
 {
     switch (vt) {

@@ -73,6 +73,13 @@ enum class FuClass : u8 {
     None,      ///< HALT
 };
 
+/** FU classes, None included. */
+inline constexpr size_t kNumFuClasses =
+    static_cast<size_t>(FuClass::None) + 1;
+
+/** Stable name ("IntAlu") for trace tracks and metric tables. */
+const char *fuClassName(FuClass fc);
+
 /** Slack category of a single-cycle operation (Sec.II-B LUT axes). */
 enum class AluKind : u8 {
     Logic,     ///< bitwise; no carry chain

@@ -96,10 +96,11 @@ Processor::run(const Trace &trace)
 }
 
 void
-Processor::setTracer(unsigned core_id, PipeTracer *tracer)
+Processor::setRecorder(unsigned core_id, GraphRecorder *recorder)
 {
-    fatal_if(core_id >= cores_.size(), "setTracer: core id out of range");
-    cores_[core_id]->setTracer(tracer);
+    fatal_if(core_id >= cores_.size(),
+             "setRecorder: core id out of range");
+    cores_[core_id]->setRecorder(recorder);
 }
 
 std::string

@@ -51,9 +51,9 @@ class Processor
     /** Single-trace convenience: every core runs @p trace. */
     ProcStats run(const Trace &trace);
 
-    /** Attach a pipeline tracer to core @p core_id (observation-only,
-     *  exactly as OooCore::setTracer). */
-    void setTracer(unsigned core_id, PipeTracer *tracer);
+    /** Attach a recorder to core @p core_id (observation-only,
+     *  exactly as OooCore::setRecorder). */
+    void setRecorder(unsigned core_id, GraphRecorder *recorder);
 
     unsigned numCores() const
     {

@@ -102,23 +102,12 @@ SimDriver::runFuture(const std::string &workload,
             // per simulated (cache-miss) point, no code changes
             // needed. Tracing is behavior-neutral, so the stats stay
             // cacheable.
-            PipeTracer tracer(tenv.capacity);
-            core.setTracer(&tracer);
+            GraphRecorder rec(trace(workload).size());
+            core.setRecorder(&rec);
             stats = core.run(trace(workload));
-            if (tracer.droppedEvents() != 0) {
-                // Never truncate silently: tally the run and say so on
-                // stderr (table/JSON output stays on stdout).
-                const u64 runs =
-                    TraceEnv::noteTruncatedRun(tracer.droppedEvents());
-                warn("trace export truncated for ", key, ": ",
-                     tracer.droppedEvents(),
-                     " events dropped from the head of the run (",
-                     runs, " truncated run", runs == 1 ? "" : "s",
-                     " so far; raise REDSOC_TRACE_CAP)");
-            }
             writeTraceFile(tenv.dir + "/" + sanitizeTraceFileName(key) +
                                traceFormatExtension(tenv.format),
-                           tenv.format, tracer, trace(workload));
+                           tenv.format, rec, trace(workload));
         } else {
             stats = core.run(trace(workload));
         }
@@ -184,10 +173,10 @@ SimDriver::runProc(const std::vector<std::string> &mix,
 
 CoreStats
 SimDriver::runTraced(const std::string &workload,
-                     const CoreConfig &config, PipeTracer &tracer)
+                     const CoreConfig &config, GraphRecorder &recorder)
 {
     OooCore core(config);
-    core.setTracer(&tracer);
+    core.setRecorder(&recorder);
     return core.run(trace(workload));
 }
 

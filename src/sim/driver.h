@@ -33,7 +33,7 @@
 #include "core/ooo_core.h"
 #include "proc/processor.h"
 #include "sim/run_cache.h"
-#include "trace/pipe_tracer.h"
+#include "trace/graph_recorder.h"
 #include "workloads/registry.h"
 
 namespace redsoc {
@@ -60,14 +60,14 @@ class SimDriver
                          const CoreConfig &config);
 
     /**
-     * Simulate one point with @p tracer attached, bypassing both the
+     * Simulate one point into @p recorder, bypassing both the
      * in-memory and disk result caches (a cache hit would yield stats
-     * without events). The trace cache is still used. The recorded
-     * buffer is the caller's to export; the returned stats are
-     * byte-identical to an untraced run() of the same point.
+     * without a record). The trace cache is still used. The recorded
+     * run is the caller's to export; the returned stats are
+     * byte-identical to an unrecorded run() of the same point.
      */
     CoreStats runTraced(const std::string &workload,
-                        const CoreConfig &config, PipeTracer &tracer);
+                        const CoreConfig &config, GraphRecorder &recorder);
 
     /**
      * Simulate every point of a matrix across the process-wide

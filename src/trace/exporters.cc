@@ -1,11 +1,9 @@
 #include "trace/exporters.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -26,28 +24,9 @@ constexpr unsigned kTidFrontend = 0;
 constexpr unsigned kTidWakeup = 1;
 constexpr unsigned kTidSelect = 2;
 constexpr unsigned kTidExecBase = 3; // + static_cast<unsigned>(FuClass)
-constexpr unsigned kNumFuClasses = static_cast<unsigned>(FuClass::None) + 1;
 constexpr unsigned kTidCommit = kTidExecBase + kNumFuClasses;
 constexpr unsigned kTidRedsoc = kTidCommit + 1;
 constexpr unsigned kTidRecovery = kTidRedsoc + 1;
-
-const char *
-fuClassLabel(FuClass fc)
-{
-    switch (fc) {
-    case FuClass::IntAlu: return "IntAlu";
-    case FuClass::IntMul: return "IntMul";
-    case FuClass::IntDiv: return "IntDiv";
-    case FuClass::Fp: return "Fp";
-    case FuClass::FpDiv: return "FpDiv";
-    case FuClass::SimdAlu: return "SimdAlu";
-    case FuClass::SimdMul: return "SimdMul";
-    case FuClass::MemRead: return "MemRead";
-    case FuClass::MemWrite: return "MemWrite";
-    case FuClass::None: return "None";
-    }
-    return "?";
-}
 
 std::string
 escapeJson(const std::string &text)
@@ -122,57 +101,43 @@ class ChromeWriter
     bool sep_done_ = false;
 };
 
-std::string
-seqArg(SeqNum seq)
+/** One event's "args" members, comma-separated, seq first. */
+class Args
 {
-    std::ostringstream os;
-    os << "\"seq\":" << seq;
-    return os.str();
-}
+  public:
+    explicit Args(u32 seq) { os_ << "\"seq\":" << seq; }
 
-std::string
-seqLinkArg(SeqNum seq, const char *key, SeqNum link)
-{
-    std::ostringstream os;
-    os << "\"seq\":" << seq << ",\"" << key << "\":";
-    if (link == kNoSeq)
-        os << -1;
-    else
-        os << link;
-    return os.str();
-}
+    template <typename T>
+    Args &add(const char *key, const T &value)
+    {
+        os_ << ",\"" << key << "\":" << value;
+        return *this;
+    }
+    /** An op id, -1 for none. */
+    Args &op(const char *key, u32 id)
+    {
+        return id == kNoOp ? add(key, -1) : add(key, id);
+    }
+    Args &text(const char *key, const std::string &value)
+    {
+        os_ << ",\"" << key << "\":\"" << escapeJson(value) << "\"";
+        return *this;
+    }
+    std::string str() const { return os_.str(); }
 
-/** Per-op timeline reassembled from the event stream (Konata needs a
- *  per-instruction view; the ring is a flat event log). */
-struct OpTimeline
-{
-    bool has_fetch = false;
-    Cycle fetch = 0;
-    bool has_select = false;
-    Cycle select = 0;
-    bool spec_select = false;
-    bool has_exec = false;
-    Tick exec_start = 0;
-    u8 ci_begin = 0;
-    bool has_wb = false;
-    Tick complete = 0;
-    u8 ci_end = 0;
-    bool has_commit = false;
-    Cycle commit = 0;
-    bool squashed = false;
-    Cycle squash = 0;
-    bool has_wake = false;
-    Cycle wake = 0;
-    SeqNum wake_link = kNoSeq;
-    bool transparent = false;
-    SeqNum recycle_link = kNoSeq;
-    SeqNum fuse_link = kNoSeq;
-    bool egpw_fire = false;
-    u32 egpw_arms = 0;
-    u32 egpw_wastes = 0;
-    u32 replays_la = 0;
-    u32 replays_width = 0;
+  private:
+    std::ostringstream os_;
 };
+
+/** fatal() unless @p rec holds one whole completed run of @p trace. */
+void
+requireFinished(const GraphRecorder &rec, const Trace &trace)
+{
+    fatal_if(rec.dispatched() != trace.size() ||
+                 rec.committed() != trace.size(),
+             "trace export of an unfinished run: ", rec.committed(),
+             " of ", trace.size(), " ops committed");
+}
 
 } // namespace
 
@@ -202,14 +167,14 @@ traceFormatForPath(const std::string &path)
 }
 
 void
-exportChromeTrace(const PipeTracer &tracer, const Trace &trace,
+exportChromeTrace(const GraphRecorder &rec, const Trace &trace,
                   std::ostream &os)
 {
-    const Tick tpc = tracer.ticksPerCycle();
+    requireFinished(rec, trace);
+    const Tick tpc = rec.ticksPerCycle();
     os << "{\"displayTimeUnit\":\"ns\",\"otherData\":{"
-       << "\"ticks_per_cycle\":" << tpc
-       << ",\"events\":" << tracer.size()
-       << ",\"dropped_events\":" << tracer.droppedEvents() << "},\n"
+       << "\"ticks_per_cycle\":" << tpc << ",\"ops\":" << trace.size()
+       << "},\n"
        << "\"traceEvents\":[\n";
 
     ChromeWriter w(os);
@@ -219,282 +184,152 @@ exportChromeTrace(const PipeTracer &tracer, const Trace &trace,
     for (unsigned fc = 0; fc < kNumFuClasses; ++fc)
         w.metadata(kTidExecBase + fc,
                    std::string("Exec.") +
-                       fuClassLabel(static_cast<FuClass>(fc)),
+                       fuClassName(static_cast<FuClass>(fc)),
                    kTidExecBase + fc);
     w.metadata(kTidCommit, "Commit", kTidCommit);
     w.metadata(kTidRedsoc, "ReDSOC", kTidRedsoc);
     w.metadata(kTidRecovery, "Recovery", kTidRecovery);
 
-    // ExecBegin ticks by seq, awaiting the matching Writeback.
-    std::map<SeqNum, std::pair<Tick, u8>> exec_begin;
+    // Per op: its pipeline moments, then its ReDSOC and recovery
+    // moments. Arms, wastes and replays are per-op counts, shown at
+    // the grant that ended them.
+    for (u32 i = 0; i < rec.dispatched(); ++i) {
+        const u16 fl = rec.flags(i);
+        const OpMoments &m = rec.moments(i);
+        const Tick sel = rec.tick(Milestone::S, i);
+        const Tick start = rec.tick(Milestone::X, i);
+        const Tick done = rec.tick(Milestone::W, i);
+        w.instant(kTidFrontend, rec.tick(Milestone::D, i), "dispatch",
+                  Args(i).str());
+        if (!rec.selected(i)) {
+            w.instant(kTidFrontend, done, "writeback", Args(i).str());
+        } else {
+            const Inst &inst = trace.inst(i);
+            w.instant(kTidWakeup, m.wake, "wakeup",
+                      Args(i).op("producer", m.last).str());
+            w.instant(kTidSelect, sel, "select",
+                      Args(i)
+                          .add("egpw_speculative",
+                               (fl & kOpEgpwSelect) ? "true" : "false")
+                          .str());
+            w.span(kTidExecBase + static_cast<unsigned>(fuClass(inst.op)),
+                   start, std::max<Tick>(done - start, 1),
+                   opcodeName(inst.op),
+                   Args(i)
+                       .add("ci_begin", start & (tpc - 1))
+                       .add("ci_end", done & (tpc - 1))
+                       .text("disasm", disassemble(inst))
+                       .str());
+        }
+        w.instant(kTidCommit, rec.tick(Milestone::C, i), "commit",
+                  Args(i).str());
 
-    tracer.forEach([&](const PipeEvent &e) {
-        // No default: -Werror=switch enforces completeness.
-        switch (e.kind) {
-        case PipeEventKind::Fetch:
-        case PipeEventKind::Decode:
-        case PipeEventKind::Rename:
-        case PipeEventKind::Dispatch:
-            w.instant(kTidFrontend, e.tick, pipeEventName(e.kind),
-                      seqArg(e.seq));
-            break;
-        case PipeEventKind::Wakeup:
-            w.instant(kTidWakeup, e.tick, pipeEventName(e.kind),
-                      seqLinkArg(e.seq, "producer", e.link));
-            break;
-        case PipeEventKind::Select: {
-            std::ostringstream args;
-            args << "\"seq\":" << e.seq << ",\"egpw_speculative\":"
-                 << ((e.arg & 1u) != 0 ? "true" : "false");
-            w.instant(kTidSelect, e.tick, pipeEventName(e.kind),
-                      args.str());
-            break;
+        if (m.egpw_arms != 0)
+            w.instant(kTidRedsoc, sel, "egpw_arm",
+                      Args(i)
+                          .add("count", m.egpw_arms)
+                          .op("grandparent", m.grandparent)
+                          .str());
+        if (fl & kOpEgpwSelect)
+            w.instant(kTidRedsoc, sel, "egpw_fire", Args(i).str());
+        if (m.egpw_wastes[0] + m.egpw_wastes[1] != 0)
+            w.instant(kTidRedsoc, sel, "egpw_waste",
+                      Args(i)
+                          .add("no_slack", m.egpw_wastes[0])
+                          .add("span_denied", m.egpw_wastes[1])
+                          .str());
+        if (fl & kOpTransparent) {
+            w.instant(kTidRedsoc, start, "transparent_pass",
+                      Args(i).add("ci", start & (tpc - 1)).str());
+            w.instant(kTidRedsoc, start, "recycle_link",
+                      Args(i).op("producer", m.last).str());
         }
-        case PipeEventKind::ExecBegin:
-            exec_begin[e.seq] = {e.tick, e.arg};
-            break;
-        case PipeEventKind::Writeback: {
-            const auto it = exec_begin.find(e.seq);
-            if (it == exec_begin.end()) {
-                // Frontend-resolved op (branch/HALT) or the ExecBegin
-                // fell off the ring: degrade to an instant.
-                w.instant(kTidFrontend, e.tick, pipeEventName(e.kind),
-                          seqArg(e.seq));
-                break;
-            }
-            const auto [start, ci_begin] = it->second;
-            exec_begin.erase(it);
-            const FuClass fc = fuClass(trace.inst(e.seq).op);
-            std::ostringstream args;
-            args << "\"seq\":" << e.seq
-                 << ",\"ci_begin\":" << unsigned{ci_begin}
-                 << ",\"ci_end\":" << unsigned{e.arg} << ",\"disasm\":\""
-                 << escapeJson(disassemble(trace.inst(e.seq))) << "\"";
-            w.span(kTidExecBase + static_cast<unsigned>(fc), start,
-                   std::max<Tick>(e.tick - start, 1),
-                   opcodeName(trace.inst(e.seq).op), args.str());
-            break;
-        }
-        case PipeEventKind::Commit:
-            w.instant(kTidCommit, e.tick, pipeEventName(e.kind),
-                      seqArg(e.seq));
-            break;
-        case PipeEventKind::Squash:
-            w.instant(kTidRecovery, e.tick, pipeEventName(e.kind),
-                      seqArg(e.seq));
-            break;
-        case PipeEventKind::EgpwArm:
-            w.instant(kTidRedsoc, e.tick, pipeEventName(e.kind),
-                      seqLinkArg(e.seq, "grandparent", e.link));
-            break;
-        case PipeEventKind::EgpwFire:
-            w.instant(kTidRedsoc, e.tick, pipeEventName(e.kind),
-                      seqArg(e.seq));
-            break;
-        case PipeEventKind::EgpwWaste: {
-            std::ostringstream args;
-            args << "\"seq\":" << e.seq << ",\"reason\":\""
-                 << (e.arg == 0 ? "no_slack" : "span_denied") << "\"";
-            w.instant(kTidRedsoc, e.tick, pipeEventName(e.kind),
-                      args.str());
-            break;
-        }
-        case PipeEventKind::TransparentPass: {
-            std::ostringstream args;
-            args << "\"seq\":" << e.seq << ",\"ci\":" << unsigned{e.arg};
-            w.instant(kTidRedsoc, e.tick, pipeEventName(e.kind),
-                      args.str());
-            break;
-        }
-        case PipeEventKind::RecycleLink:
-            w.instant(kTidRedsoc, e.tick, pipeEventName(e.kind),
-                      seqLinkArg(e.seq, "producer", e.link));
-            break;
-        case PipeEventKind::Fuse:
-            w.instant(kTidRedsoc, e.tick, pipeEventName(e.kind),
-                      seqLinkArg(e.seq, "producer", e.link));
-            break;
-        case PipeEventKind::Replay: {
-            std::ostringstream args;
-            args << "\"seq\":" << e.seq << ",\"cause\":\""
-                 << (e.arg == 1 ? "last_arrival" : "width") << "\"";
-            w.instant(kTidRecovery, e.tick, pipeEventName(e.kind),
-                      args.str());
-            break;
-        }
-        case PipeEventKind::NUM:
-            break;
-        }
-    });
+        if (fl & kOpFused)
+            w.instant(kTidRedsoc, sel, "fuse",
+                      Args(i).op("producer", rec.fusedInto(i)).str());
+        if (m.la_replays != 0)
+            w.instant(kTidRecovery, sel, "replay",
+                      Args(i)
+                          .text("cause", "last_arrival")
+                          .add("count", m.la_replays)
+                          .str());
+        if (fl & kOpWidthReplay)
+            w.instant(kTidRecovery, sel, "replay",
+                      Args(i).text("cause", "width").str());
+    }
 
     os << "\n]}\n";
 }
 
 void
-exportKonata(const PipeTracer &tracer, const Trace &trace, std::ostream &os)
+exportKonata(const GraphRecorder &rec, const Trace &trace,
+             std::ostream &os)
 {
-    const Tick tpc = tracer.ticksPerCycle();
-    const auto cycleOf = [tpc](Tick tick) { return tick / tpc; };
+    requireFinished(rec, trace);
+    const Tick tpc = rec.ticksPerCycle();
+    const auto cycleOf = [&rec, tpc](Milestone ms, u32 i) -> Cycle {
+        return rec.tick(ms, i) / tpc;
+    };
 
-    // Pass 1: reassemble per-op timelines (std::map => seq order).
-    std::map<SeqNum, OpTimeline> ops;
-    tracer.forEach([&](const PipeEvent &e) {
-        OpTimeline &op = ops[e.seq];
-        // No default: -Werror=switch enforces completeness.
-        switch (e.kind) {
-        case PipeEventKind::Fetch:
-            op.has_fetch = true;
-            op.fetch = cycleOf(e.tick);
-            break;
-        case PipeEventKind::Decode:
-        case PipeEventKind::Rename:
-        case PipeEventKind::Dispatch:
-            // Same cycle as Fetch in this model; the ladder below
-            // renders the shared frontend macro-stage as F.
-            break;
-        case PipeEventKind::Wakeup:
-            op.has_wake = true;
-            op.wake = cycleOf(e.tick);
-            op.wake_link = e.link;
-            break;
-        case PipeEventKind::Select:
-            op.has_select = true;
-            op.select = cycleOf(e.tick);
-            op.spec_select = (e.arg & 1u) != 0;
-            break;
-        case PipeEventKind::ExecBegin:
-            op.has_exec = true;
-            op.exec_start = e.tick;
-            op.ci_begin = e.arg;
-            break;
-        case PipeEventKind::Writeback:
-            op.has_wb = true;
-            op.complete = e.tick;
-            op.ci_end = e.arg;
-            break;
-        case PipeEventKind::Commit:
-            op.has_commit = true;
-            op.commit = cycleOf(e.tick);
-            break;
-        case PipeEventKind::Squash:
-            op.squashed = true;
-            op.squash = cycleOf(e.tick);
-            break;
-        case PipeEventKind::EgpwArm:
-            ++op.egpw_arms;
-            break;
-        case PipeEventKind::EgpwFire:
-            op.egpw_fire = true;
-            break;
-        case PipeEventKind::EgpwWaste:
-            ++op.egpw_wastes;
-            break;
-        case PipeEventKind::TransparentPass:
-            op.transparent = true;
-            break;
-        case PipeEventKind::RecycleLink:
-            op.recycle_link = e.link;
-            break;
-        case PipeEventKind::Fuse:
-            op.fuse_link = e.link;
-            break;
-        case PipeEventKind::Replay:
-            if (e.arg == 1)
-                ++op.replays_la;
-            else
-                ++op.replays_width;
-            break;
-        case PipeEventKind::NUM:
-            break;
-        }
-    });
-
-    // Pass 2: flatten into (cycle, command) pairs. Commands are
-    // appended in seq order, and the sort below is stable, so output
-    // order is deterministic: by cycle, then by seq.
+    // Flatten into (cycle, command) pairs. Commands are appended in
+    // op order, and the sort below is stable, so output order is
+    // deterministic: by cycle, then by op.
     std::vector<std::pair<Cycle, std::string>> cmds;
-    u64 retire_id = 0;
-    for (const auto &[seq, op] : ops) {
-        if (!op.has_fetch)
-            continue; // fell off the ring; cannot be introduced late
-        const auto cmd = [&cmds](Cycle cycle, std::string text) {
-            cmds.emplace_back(cycle, std::move(text));
-        };
-        std::ostringstream id;
-        id << seq;
-        const std::string sid = id.str();
+    const auto cmd = [&cmds](Cycle cycle, std::string text) {
+        cmds.emplace_back(cycle, std::move(text));
+    };
+    for (u32 i = 0; i < rec.dispatched(); ++i) {
+        const u16 fl = rec.flags(i);
+        const OpMoments &m = rec.moments(i);
+        const bool selected = rec.selected(i);
+        const Cycle fetch = cycleOf(Milestone::D, i);
+        const Cycle select = cycleOf(Milestone::S, i);
+        const std::string sid = std::to_string(i);
+        // The producer whose slack a transparent op recycled.
+        const u32 recycled = (fl & kOpTransparent) ? m.last : kNoOp;
 
-        std::ostringstream intro;
-        intro << "I\t" << sid << "\t" << sid << "\t0";
-        cmd(op.fetch, intro.str());
-
-        std::ostringstream label;
-        label << "L\t" << sid << "\t0\t" << seq << ": "
-              << disassemble(trace.inst(seq));
-        cmd(op.fetch, label.str());
+        cmd(fetch, "I\t" + sid + "\t" + sid + "\t0");
+        cmd(fetch, "L\t" + sid + "\t0\t" + sid + ": " +
+                       disassemble(trace.inst(i)));
 
         std::ostringstream detail;
         detail << "L\t" << sid << "\t1\t";
-        if (op.has_exec)
-            detail << " ci_begin=" << unsigned{op.ci_begin};
-        if (op.has_wb)
-            detail << " ci_end=" << unsigned{op.ci_end};
-        if (op.transparent)
+        if (selected)
+            detail << " ci_begin=" << (rec.tick(Milestone::X, i) & (tpc - 1));
+        detail << " ci_end=" << (rec.tick(Milestone::W, i) & (tpc - 1));
+        if (fl & kOpTransparent)
             detail << " transparent_pass";
-        if (op.recycle_link != kNoSeq)
-            detail << " recycle_link=" << op.recycle_link;
-        if (op.egpw_fire)
-            detail << " egpw_fire";
-        if (op.spec_select)
-            detail << " egpw_speculative_select";
-        if (op.egpw_arms != 0)
-            detail << " egpw_arm=" << op.egpw_arms;
-        if (op.egpw_wastes != 0)
-            detail << " egpw_waste=" << op.egpw_wastes;
-        if (op.fuse_link != kNoSeq)
-            detail << " fused_with=" << op.fuse_link;
-        if (op.has_wake && op.wake_link != kNoSeq)
-            detail << " woken_by=" << op.wake_link;
-        if (op.replays_la != 0)
-            detail << " replay_la=" << op.replays_la;
-        if (op.replays_width != 0)
-            detail << " replay_width=" << op.replays_width;
-        cmd(op.fetch, detail.str());
+        if (recycled != kNoOp)
+            detail << " recycle_link=" << recycled;
+        if (fl & kOpEgpwSelect)
+            detail << " egpw_fire egpw_speculative_select";
+        if (m.egpw_arms != 0)
+            detail << " egpw_arm=" << m.egpw_arms;
+        if (m.egpw_wastes[0] + m.egpw_wastes[1] != 0)
+            detail << " egpw_waste=" << m.egpw_wastes[0] + m.egpw_wastes[1];
+        if (rec.fusedInto(i) != kNoOp)
+            detail << " fused_with=" << rec.fusedInto(i);
+        if (selected && m.last != kNoOp)
+            detail << " woken_by=" << m.last;
+        if (m.la_replays != 0)
+            detail << " replay_la=" << m.la_replays;
+        if (fl & kOpWidthReplay)
+            detail << " replay_width=1";
+        cmd(fetch, detail.str());
 
-        cmd(op.fetch, "S\t" + sid + "\t0\tF");
-        if (op.has_select) {
-            if (op.select > op.fetch + 1)
-                cmd(op.fetch + 1, "S\t" + sid + "\t0\tDs");
-            cmd(op.select, "S\t" + sid + "\t0\tIs");
+        cmd(fetch, "S\t" + sid + "\t0\tF");
+        if (selected) {
+            if (select > fetch + 1)
+                cmd(fetch + 1, "S\t" + sid + "\t0\tDs");
+            cmd(select, "S\t" + sid + "\t0\tIs");
+            cmd(cycleOf(Milestone::X, i), "S\t" + sid + "\t0\tEx");
         }
-        if (op.has_exec)
-            cmd(cycleOf(op.exec_start), "S\t" + sid + "\t0\tEx");
-        if (op.has_wb)
-            cmd(op.complete / tpc, "S\t" + sid + "\t0\tWb");
-        if (op.recycle_link != kNoSeq && op.has_select) {
-            std::ostringstream dep;
-            dep << "W\t" << sid << "\t" << op.recycle_link << "\t0";
-            cmd(op.select, dep.str());
-        }
-        if (op.has_commit) {
-            cmd(op.commit, "S\t" + sid + "\t0\tCm");
-            std::ostringstream ret;
-            ret << "R\t" << sid << "\t" << retire_id++ << "\t0";
-            cmd(op.commit, ret.str());
-        } else {
-            // In flight when the run (or the ring window) ended:
-            // flush the lane so Konata closes it.
-            Cycle last = op.fetch;
-            if (op.has_select)
-                last = std::max(last, op.select);
-            if (op.has_wb)
-                last = std::max(last, op.complete / tpc);
-            if (op.squashed)
-                last = std::max(last, op.squash);
-            std::ostringstream ret;
-            ret << "R\t" << sid << "\t" << retire_id++ << "\t1";
-            cmd(last, ret.str());
-        }
+        cmd(cycleOf(Milestone::W, i), "S\t" + sid + "\t0\tWb");
+        if (recycled != kNoOp && selected)
+            cmd(select, "W\t" + sid + "\t" + std::to_string(recycled) +
+                            "\t0");
+        cmd(cycleOf(Milestone::C, i), "S\t" + sid + "\t0\tCm");
+        cmd(cycleOf(Milestone::C, i), "R\t" + sid + "\t" + sid + "\t0");
     }
 
     std::stable_sort(cmds.begin(), cmds.end(),
@@ -520,14 +355,14 @@ exportKonata(const PipeTracer &tracer, const Trace &trace, std::ostream &os)
 
 void
 writeTraceFile(const std::string &path, TraceFormat format,
-               const PipeTracer &tracer, const Trace &trace)
+               const GraphRecorder &rec, const Trace &trace)
 {
     std::ofstream ofs(path, std::ios::binary);
     fatal_if(!ofs, "cannot open trace output file '", path, "'");
     if (format == TraceFormat::Chrome)
-        exportChromeTrace(tracer, trace, ofs);
+        exportChromeTrace(rec, trace, ofs);
     else
-        exportKonata(tracer, trace, ofs);
+        exportKonata(rec, trace, ofs);
     ofs.flush();
     fatal_if(!ofs, "error writing trace file '", path, "'");
 }
@@ -557,31 +392,6 @@ sanitizeTraceFileName(const std::string &key)
     return out;
 }
 
-namespace {
-std::atomic<u64> g_truncated_runs{0};
-std::atomic<u64> g_truncated_events{0};
-} // namespace
-
-u64
-TraceEnv::noteTruncatedRun(u64 dropped_events)
-{
-    g_truncated_events.fetch_add(dropped_events,
-                                 std::memory_order_relaxed);
-    return g_truncated_runs.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-u64
-TraceEnv::truncatedRuns()
-{
-    return g_truncated_runs.load(std::memory_order_relaxed);
-}
-
-u64
-TraceEnv::truncatedEvents()
-{
-    return g_truncated_events.load(std::memory_order_relaxed);
-}
-
 const TraceEnv &
 TraceEnv::get()
 {
@@ -598,14 +408,6 @@ TraceEnv::get()
                      "REDSOC_TRACE_FORMAT must be 'chrome' or 'konata', "
                      "got '", fmt, "'");
             e.format = *parsed;
-        }
-        if (const char *cap = std::getenv("REDSOC_TRACE_CAP")) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(cap, &end, 10);
-            fatal_if(end == cap || *end != '\0' || v == 0,
-                     "REDSOC_TRACE_CAP must be a positive integer, "
-                     "got '", cap, "'");
-            e.capacity = static_cast<size_t>(v);
         }
         return e;
     }();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace exporters: render a recorded PipeTracer buffer as
+ * Trace exporters: render a finished GraphRecorder run as
  *
  *  - Chrome `trace_event` JSON (open in chrome://tracing or Perfetto;
  *    one track per pipeline stage and per FU class, execution spans
@@ -9,10 +9,11 @@
  *    stage ladder with recycle-link dependency arrows and ReDSOC
  *    annotations in the mouse-over label).
  *
- * Both exporters are pure functions of the (tracer, trace) pair and
+ * Both exporters are pure functions of the (recorder, trace) pair and
  * deterministic: the same run exports byte-identical files, which is
  * what lets the golden-snapshot test compare Scan- and Event-kernel
- * traces exactly.
+ * traces exactly. The recorder holds every op of the run, so an
+ * export is never truncated; the run must have completed.
  */
 
 #ifndef REDSOC_TRACE_EXPORTERS_H
@@ -23,7 +24,7 @@
 #include <string>
 
 #include "func/trace.h"
-#include "trace/pipe_tracer.h"
+#include "trace/graph_recorder.h"
 
 namespace redsoc {
 
@@ -39,16 +40,16 @@ const char *traceFormatExtension(TraceFormat format);
 TraceFormat traceFormatForPath(const std::string &path);
 
 /** Chrome trace_event JSON ("traceEvents" array form). */
-void exportChromeTrace(const PipeTracer &tracer, const Trace &trace,
+void exportChromeTrace(const GraphRecorder &rec, const Trace &trace,
                        std::ostream &os);
 
 /** Konata (Kanata 0004) pipeline-visualizer text. */
-void exportKonata(const PipeTracer &tracer, const Trace &trace,
+void exportKonata(const GraphRecorder &rec, const Trace &trace,
                   std::ostream &os);
 
 /** Export to @p path in @p format; fatal() on I/O failure. */
 void writeTraceFile(const std::string &path, TraceFormat format,
-                    const PipeTracer &tracer, const Trace &trace);
+                    const GraphRecorder &rec, const Trace &trace);
 
 /** @p key with every filesystem-hostile character replaced by '_'
  *  (run keys become file names under REDSOC_TRACE_DIR); a result
@@ -62,27 +63,15 @@ std::string sanitizeTraceFileName(const std::string &key);
  *                       point into (SimDriver honours this for every
  *                       cache-miss run, so any harness is traceable
  *                       without code changes);
- *   REDSOC_TRACE_FORMAT "chrome" | "konata" (default konata);
- *   REDSOC_TRACE_CAP    ring capacity in events (default 1M).
+ *   REDSOC_TRACE_FORMAT "chrome" | "konata" (default konata).
  */
 struct TraceEnv
 {
     bool active = false;
     std::string dir;
     TraceFormat format = TraceFormat::Konata;
-    size_t capacity = PipeTracer::kDefaultCapacity;
 
     static const TraceEnv &get();
-
-    /** Process-wide truncation tally: record that one traced run's
-     *  ring wrapped and its export is missing @p dropped_events from
-     *  the head. Thread-safe (SimDriver traces from pool workers).
-     *  Returns the updated number of truncated runs. */
-    static u64 noteTruncatedRun(u64 dropped_events);
-    /** Traced runs whose export was truncated so far. */
-    static u64 truncatedRuns();
-    /** Events dropped across all truncated runs so far. */
-    static u64 truncatedEvents();
 };
 
 } // namespace redsoc

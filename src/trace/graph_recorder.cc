@@ -1,5 +1,7 @@
 #include "trace/graph_recorder.h"
 
+#include "common/bitutils.h"
+
 namespace redsoc {
 
 GraphRecorder::GraphRecorder(u64 num_ops)
@@ -22,6 +24,7 @@ GraphRecorder::beginRun(Tick ticks_per_cycle)
     for (auto *lane : {&obs_s_, &obs_x_, &obs_w_})
         lane->assign(n, 0);
     links_.assign(n, Links{});
+    moments_.assign(n, OpMoments{});
     flags_.clear();
     flags_.reserve(n);
     pool_.clear();
@@ -37,28 +40,59 @@ GraphRecorder::beginRun(Tick ticks_per_cycle)
     rs_issue_order_.clear();
     rs_issue_order_.reserve(n);
     commits_ = 0;
-    spec_events_ = 0;
     run_open_ = true;
 }
 
 u64
 GraphRecorder::eventsSeen() const
 {
-    // Per dispatched op: fetch, decode, rename and dispatch; then one
-    // writeback if resolved in the frontend, else wakeup, select,
-    // exec-begin and writeback at its grant; then its commit. The
-    // flags add the optional per-op events.
-    u64 n = 4 * u64{flags_.size()} + 4 * u64{rs_issue_order_.size()} +
-            commits_ + spec_events_;
-    for (const u16 fl : flags_) {
-        n += (fl & kOpFrontendResolved) ? 1 : 0;
-        n += (fl & kOpEgpwSelect) ? 1 : 0;   // egpw_fire
-        n += (fl & kOpTransparent) ? 2 : 0;  // pass + recycle link
-        n += (fl & kOpWidthReplay) ? 1 : 0;  // replay
-        n += (fl & kOpLaReplay) ? 1 : 0;     // replay
-        n += (fl & kOpFused) ? 1 : 0;        // fuse
+    u64 n = 4 * u64{dispatched()} + 4 * u64{rs_issue_order_.size()} +
+            commits_;
+    for (u32 i = 0; i < dispatched(); ++i) {
+        const u16 fl = flags_[i];
+        const OpMoments &m = moments_[i];
+        n += (fl & kOpFrontendResolved) ? 1 : 0; // writeback
+        n += (fl & kOpEgpwSelect) ? 1 : 0;       // egpw_fire
+        n += (fl & kOpTransparent) ? 2 : 0;      // pass + recycle link
+        n += (fl & kOpWidthReplay) ? 1 : 0;
+        n += (fl & kOpFused) ? 1 : 0;
+        n += m.egpw_arms + m.egpw_wastes[0] + m.egpw_wastes[1] +
+             m.la_replays;
     }
     return n;
+}
+
+u64
+GraphRecorder::digest() const
+{
+    Fnv1a fold;
+    fold(ticks_per_cycle_);
+    fold(dispatched());
+    fold(commits_);
+    for (u32 i = 0; i < dispatched(); ++i) {
+        const Links &l = links_[i];
+        const OpMoments &m = moments_[i];
+        for (const u64 v :
+             {u64{obs_d_[i]}, u64{obs_s_[i]}, u64{obs_x_[i]},
+              u64{obs_w_[i]}, i < commits_ ? u64{obs_c_[i]} : 0,
+              u64{flags_[i]}, u64{pool_[i]}, u64{pool_pos_[i]},
+              u64{l.prod[0]}, u64{l.prod[1]}, u64{l.prod[2]},
+              u64{l.fuse}, u64{m.wake}, u64{m.last},
+              u64{m.grandparent}, u64{m.egpw_arms},
+              u64{m.egpw_wastes[0]}, u64{m.egpw_wastes[1]},
+              u64{m.la_replays}})
+            fold(v);
+    }
+    const auto foldLane = [&fold](const RegionVector<u32> &lane) {
+        fold(lane.size());
+        for (const u32 v : lane)
+            fold(v);
+    };
+    for (const auto &order : pool_order_)
+        foldLane(order);
+    foldLane(rs_issue_order_);
+    foldLane(topo_);
+    return fold.h;
 }
 
 } // namespace redsoc

@@ -1,22 +1,17 @@
 /**
  * @file
- * The pipeline hook set and the dependence-graph recorder.
+ * The pipeline hook set and its one observer, the run recorder.
  *
  * The core reports each op's life through one typed hook set:
  * dispatch, frontendWriteback, issue, laReplay, egpwArm, egpwWaste,
- * fuse and commit. Two observers implement every hook. PipeTracer
- * expands each call into PipeEvents for its ring and exporters;
- * GraphRecorder writes milestone ticks, op flags, producer links and
- * issue orders straight into per-op arrays, which DepGraphBuilder
- * (src/critpath) turns into the dependence graph once the run ends.
- * The core calls a hook through a generic lambda instantiated for both
- * observers (OooCore::observe), so a hook either of them lacks is a
- * build error, as a PipeEventKind a switch misses is under
- * -Werror=switch.
- *
- * A recorder is attached like any sink (PipeTracer::setSink); the
- * core finds it through the tracer when a run begins and then calls
- * it directly: no PipeEvent is built and no virtual call is made.
+ * fuse and commit (OooCore::observe). GraphRecorder writes what each
+ * hook reports straight into per-op arrays: milestone ticks, op flags,
+ * producer links and issue orders, from which DepGraphBuilder
+ * (src/critpath) builds the dependence graph, and the moments that
+ * shape no edge (OpMoments: the wakeup, the last producer, EGPW arms
+ * and wastes, last-arrival replays). The trace exporters and metrics
+ * (trace/exporters.h, trace/metrics.h) read the same arrays once the
+ * run ends, so every fact of a run is recorded once, for every op.
  */
 
 #ifndef REDSOC_TRACE_GRAPH_RECORDER_H
@@ -76,6 +71,9 @@ inline constexpr u16 kOpEligible = 1u << 11; ///< slack-eligible class
 /** "no pool position" marker (frontend-resolved / fused ops). */
 inline constexpr u32 kNoPoolPos = ~u32{0};
 
+/** "no op" marker for a recorded op link. */
+inline constexpr u32 kNoOp = ~u32{0};
+
 /** What the core knows about an op when it is granted. */
 struct IssueRecord
 {
@@ -86,17 +84,31 @@ struct IssueRecord
     /** The renamed producers, duplicates kept (OpCold::prod). */
     const SeqNum *prod = nullptr;
     u8 nprod = 0;
+    /** Start tick of the wakeup cycle: the select gate, or the
+     *  grant cycle for an EGPW grant or a MOS fusion. */
+    Tick wake = 0;
+    /** The last-completing producer (OooCore::lastProducer: ties go
+     *  to the later slot, duplicates kept); kNoSeq if none. */
+    SeqNum last = kNoSeq;
     bool speculative = false;    ///< EGPW grant
     bool transparent = false;    ///< latched mid-cycle
     bool width_replayed = false; ///< conservative re-execution
 };
 
-/** The wakeup the event stream shows for an issue; only the ring
- *  needs it, so the core computes it on request. */
-struct WakeRecord
+/** An EGPW grant wasted: its recycle window had no slack this cycle,
+ *  or the FU span was unavailable. */
+enum class EgpwWaste : u8 { NoSlack, SpanDenied, NUM };
+
+/** An op's moments that shape no graph edge but explain the run: the
+ *  trace exporters and metrics read them. */
+struct OpMoments
 {
-    Tick tick = 0;         ///< start tick of the wakeup cycle
-    SeqNum last = kNoSeq;  ///< last-completing producer
+    Tick wake = 0; ///< IssueRecord::wake (RS ops)
+    u32 last = kNoOp;        ///< IssueRecord::last
+    u32 grandparent = kNoOp; ///< the last EGPW arm's grandparent
+    u32 egpw_arms = 0;
+    std::array<u32, static_cast<size_t>(EgpwWaste::NUM)> egpw_wastes{};
+    u32 la_replays = 0; ///< last-arrival mispredict replays
 };
 
 /**
@@ -147,9 +159,8 @@ class GraphRecorder
         topo_.push_back(nodeId(i, Milestone::W));
     }
 
-    /** An RS op was granted. @p wake yields the ring's WakeRecord. */
-    template <typename WakeFn>
-    void issue(const IssueRecord &op, WakeFn &&)
+    /** An RS op was granted. */
+    void issue(const IssueRecord &op)
     {
         const u32 i = static_cast<u32>(op.seq);
         u16 fl = flags_[i];
@@ -170,6 +181,9 @@ class GraphRecorder
         auto &order = pool_order_[pool_[i]];
         pool_pos_[i] = static_cast<u32>(order.size());
         order.push_back(i);
+        OpMoments &m = moments_[i];
+        m.wake = op.wake;
+        m.last = static_cast<u32>(op.last);
 
         // One link per distinct producer (the core keeps duplicates).
         Links &l = links_[i];
@@ -186,22 +200,30 @@ class GraphRecorder
     }
 
     /** A last-arrival mispredict replayed op @p seq. */
-    void laReplay(SeqNum seq, Tick) { flags_[seq] |= kOpLaReplay; }
-
-    /** An EGPW request; @p grandparent yields the ring's link. */
-    template <typename LinkFn>
-    void egpwArm(SeqNum, Tick, LinkFn &&)
+    void laReplay(SeqNum seq)
     {
-        ++spec_events_;
+        flags_[seq] |= kOpLaReplay;
+        ++moments_[seq].la_replays;
     }
 
-    /** An EGPW grant wasted (@p reason as PipeEventKind::EgpwWaste). */
-    void egpwWaste(SeqNum, Tick, u8) { ++spec_events_; }
+    /** Op @p seq requested an EGPW grant, woken by @p grandparent. */
+    void egpwArm(SeqNum seq, SeqNum grandparent)
+    {
+        OpMoments &m = moments_[seq];
+        ++m.egpw_arms;
+        m.grandparent = static_cast<u32>(grandparent);
+    }
+
+    /** An EGPW grant to op @p seq was wasted for @p reason. */
+    void egpwWaste(SeqNum seq, EgpwWaste reason)
+    {
+        ++moments_[seq].egpw_wastes[static_cast<size_t>(reason)];
+    }
 
     /** MOS fused op @p seq into @p producer's cycle. Its issue() came
      *  just before, so it is the tail of its pool's order: a fused op
      *  books no unit of its own, so it leaves that order. */
-    void fuse(SeqNum seq, Tick, SeqNum producer)
+    void fuse(SeqNum seq, SeqNum producer)
     {
         const u32 i = static_cast<u32>(seq);
         flags_[i] |= kOpFused;
@@ -224,8 +246,7 @@ class GraphRecorder
         u16 fl = flags_[i];
         // issue() placed the op in a pool order; only fuse() takes
         // it out again, and marks it fused.
-        const bool selected = pool_pos_[i] != kNoPoolPos || (fl & kOpFused);
-        fatal_if(selected == ((fl & kOpFrontendResolved) != 0), "op ", i,
+        fatal_if(selected(i) == ((fl & kOpFrontendResolved) != 0), "op ", i,
                  " select/frontend-resolved disagreement");
         if (mispredicted)
             fl |= kOpBranchMispred;
@@ -235,14 +256,50 @@ class GraphRecorder
         ++commits_;
     }
 
-    /** PipeEvents the ring would have recorded since beginRun(),
-     *  counted from the op flags and issue orders (valid until the
-     *  builder's finalize() takes the arrays). */
+    /** Pipeline events since beginRun(), counted from the op flags,
+     *  issue orders and moments (valid until the builder's
+     *  finalize() takes the arrays): per dispatched op four frontend
+     *  stages, a writeback and a commit; per grant a wakeup, select
+     *  and execute; one more per EGPW fire, arm, waste and replay, per
+     *  fusion, and two per transparent pass (the pass and its recycle
+     *  link). The formula stays though no event is stored: it is the
+     *  work unit perfbench's trace.events_per_op divides by. */
     u64 eventsSeen() const;
 
-  protected:
-    static constexpr u32 kNoOp = ~u32{0};
+    /** FNV-1a over every lane since beginRun() (valid until the
+     *  builder's finalize() takes the arrays): two runs with equal
+     *  digests recorded the same facts. */
+    u64 digest() const;
 
+    // --- Reading a finished run (trace/exporters.h, metrics.h) -----
+
+    Tick ticksPerCycle() const { return ticks_per_cycle_; }
+    /** Ops dispatched since beginRun(), op ids 0 to dispatched()-1. */
+    u32 dispatched() const { return static_cast<u32>(flags_.size()); }
+    u32 committed() const { return commits_; }
+    Tick tick(Milestone ms, u32 op) const
+    {
+        switch (ms) {
+        case Milestone::D: return obs_d_[op];
+        case Milestone::S: return obs_s_[op];
+        case Milestone::X: return obs_x_[op];
+        case Milestone::W: return obs_w_[op];
+        case Milestone::C: return obs_c_[op];
+        case Milestone::NUM: break;
+        }
+        return 0;
+    }
+    u16 flags(u32 op) const { return flags_[op]; }
+    /** Whether op @p op was granted through the RS. */
+    bool selected(u32 op) const
+    {
+        return pool_pos_[op] != kNoPoolPos || (flags_[op] & kOpFused);
+    }
+    /** The MOS producer op @p op fused into (kNoOp: none). */
+    u32 fusedInto(u32 op) const { return links_[op].fuse; }
+    const OpMoments &moments(u32 op) const { return moments_[op]; }
+
+  protected:
     /** An RS op's distinct producers (kNoOp-padded) and the MOS
      *  producer it fused into (kNoOp if none). */
     struct Links
@@ -264,9 +321,8 @@ class GraphRecorder
     RegionVector<Links> links_;
     /** RS ops in grant order (RsCap sources). */
     RegionVector<u32> rs_issue_order_;
+    RegionVector<OpMoments> moments_;
     u32 commits_ = 0;
-    /** EGPW arm and waste hooks (no per-op flag records them). */
-    u64 spec_events_ = 0;
     bool run_open_ = false;
 };
 

@@ -1,34 +1,11 @@
 #include "trace/metrics.h"
 
-#include <algorithm>
 #include <sstream>
-#include <unordered_map>
+#include <vector>
 
 #include "common/table.h"
 
 namespace redsoc {
-
-namespace {
-
-const char *
-fuClassLabel(FuClass fc)
-{
-    switch (fc) {
-    case FuClass::IntAlu: return "IntAlu";
-    case FuClass::IntMul: return "IntMul";
-    case FuClass::IntDiv: return "IntDiv";
-    case FuClass::Fp: return "Fp";
-    case FuClass::FpDiv: return "FpDiv";
-    case FuClass::SimdAlu: return "SimdAlu";
-    case FuClass::SimdMul: return "SimdMul";
-    case FuClass::MemRead: return "MemRead";
-    case FuClass::MemWrite: return "MemWrite";
-    case FuClass::None: return "None";
-    }
-    return "?";
-}
-
-} // namespace
 
 TraceMetrics::TraceMetrics()
 {
@@ -37,88 +14,41 @@ TraceMetrics::TraceMetrics()
 }
 
 TraceMetrics
-computeTraceMetrics(const PipeTracer &tracer, const Trace &trace)
+computeTraceMetrics(const GraphRecorder &rec, const Trace &trace)
 {
     TraceMetrics m;
-    m.events = tracer.size();
-    m.dropped = tracer.droppedEvents();
-    m.ticks_per_cycle = tracer.ticksPerCycle();
+    m.events = rec.eventsSeen();
+    m.ticks_per_cycle = rec.ticksPerCycle();
+    m.commits = rec.committed();
     const Tick tpc = m.ticks_per_cycle;
 
-    // Per-seq scratch state. Lookup/insert only — no iteration, so an
-    // unordered map stays deterministic.
-    std::unordered_map<SeqNum, Cycle> wake_cycle;
-    std::unordered_map<SeqNum, u64> depth;
-
-    tracer.forEach([&](const PipeEvent &e) {
-        switch (e.kind) {
-        case PipeEventKind::Wakeup:
-            wake_cycle[e.seq] = e.tick / tpc;
-            break;
-        case PipeEventKind::Select: {
-            const auto it = wake_cycle.find(e.seq);
-            if (it != wake_cycle.end()) {
-                const Cycle grant = e.tick / tpc;
-                m.wakeup_to_issue.sample(
-                    grant >= it->second ? grant - it->second : 0);
-            }
-            break;
-        }
-        case PipeEventKind::Writeback: {
-            // arg is the completion CI; slack to the cycle boundary.
-            const u64 slack = (tpc - e.arg) % tpc;
-            const auto fc =
-                static_cast<size_t>(fuClass(trace.inst(e.seq).op));
-            m.slack_by_class[fc].sample(slack);
-            break;
-        }
-        case PipeEventKind::RecycleLink: {
-            const auto it = depth.find(e.link);
-            const u64 d = (it == depth.end() ? 1 : it->second) + 1;
-            depth[e.seq] = d;
-            m.chain_depth.sample(d);
+    // Recycle-chain depth per op: 1 for a root, one more than its
+    // producer's for a transparent op (producers precede consumers).
+    std::vector<u64> depth(rec.dispatched(), 1);
+    for (u32 i = 0; i < rec.dispatched(); ++i) {
+        const u16 fl = rec.flags(i);
+        const OpMoments &om = rec.moments(i);
+        // Slack from the completion CI to the cycle boundary.
+        const Tick done = rec.tick(Milestone::W, i);
+        m.slack_by_class[static_cast<size_t>(fuClass(trace.inst(i).op))]
+            .sample((tpc - (done & (tpc - 1))) % tpc);
+        if (rec.selected(i))
+            m.wakeup_to_issue.sample(rec.tick(Milestone::S, i) / tpc -
+                                     om.wake / tpc);
+        if (fl & kOpTransparent) {
+            depth[i] = (om.last == kNoOp ? 1 : depth[om.last]) + 1;
+            m.chain_depth.sample(depth[i]);
             ++m.recycle_links;
-            break;
-        }
-        case PipeEventKind::EgpwArm:
-            ++m.egpw_arms;
-            break;
-        case PipeEventKind::EgpwFire:
-            ++m.egpw_fires;
-            break;
-        case PipeEventKind::EgpwWaste:
-            if (e.arg == 0)
-                ++m.egpw_wastes_no_slack;
-            else
-                ++m.egpw_wastes_span;
-            break;
-        case PipeEventKind::TransparentPass:
             ++m.transparent_passes;
-            break;
-        case PipeEventKind::Fuse:
-            ++m.fuses;
-            break;
-        case PipeEventKind::Replay:
-            if (e.arg == 1)
-                ++m.replays_last_arrival;
-            else
-                ++m.replays_width;
-            break;
-        case PipeEventKind::Commit:
-            ++m.commits;
-            break;
-        case PipeEventKind::Squash:
-            ++m.squashes;
-            break;
-        case PipeEventKind::Fetch:
-        case PipeEventKind::Decode:
-        case PipeEventKind::Rename:
-        case PipeEventKind::Dispatch:
-        case PipeEventKind::ExecBegin:
-        case PipeEventKind::NUM:
-            break;
         }
-    });
+        m.egpw_arms += om.egpw_arms;
+        m.egpw_fires += (fl & kOpEgpwSelect) ? 1 : 0;
+        m.egpw_wastes_no_slack += om.egpw_wastes[0];
+        m.egpw_wastes_span += om.egpw_wastes[1];
+        m.fuses += (fl & kOpFused) ? 1 : 0;
+        m.replays_last_arrival += om.la_replays;
+        m.replays_width += (fl & kOpWidthReplay) ? 1 : 0;
+    }
     return m;
 }
 
@@ -126,18 +56,15 @@ std::string
 renderTraceMetrics(const TraceMetrics &m)
 {
     std::ostringstream os;
-    os << "trace: " << m.events << " events";
-    if (m.dropped != 0)
-        os << " (+" << m.dropped << " dropped, ring wrapped)";
-    os << ", " << m.commits << " commits, " << m.squashes << " squashes, "
-       << m.ticks_per_cycle << " ticks/cycle\n\n";
+    os << "trace: " << m.events << " events, " << m.commits
+       << " commits, " << m.ticks_per_cycle << " ticks/cycle\n\n";
 
     Table slack({"fu_class", "ops", "mean_slack", "slack>0"});
-    for (size_t fc = 0; fc < TraceMetrics::kNumFuClasses; ++fc) {
+    for (size_t fc = 0; fc < kNumFuClasses; ++fc) {
         const Histogram &h = m.slack_by_class[fc];
         if (h.count() == 0)
             continue;
-        slack.addRow({fuClassLabel(static_cast<FuClass>(fc)),
+        slack.addRow({fuClassName(static_cast<FuClass>(fc)),
                       std::to_string(h.count()), Table::num(h.mean()),
                       Table::pct(static_cast<double>(h.count() -
                                                      h.bucket(0)) /

@@ -3,8 +3,8 @@
  * Trace-derived metrics the aggregate CoreStats cannot express:
  * distributions (slack per op class — the paper Fig. 4 analog —
  * wakeup->issue latency, recycle-chain depth) and EGPW speculation
- * outcome counts. Computed by post-processing a recorded PipeTracer
- * buffer, so the hot simulation loop pays nothing for them.
+ * outcome counts. Computed from a finished GraphRecorder run, so the
+ * hot simulation loop pays nothing for them.
  */
 
 #ifndef REDSOC_TRACE_METRICS_H
@@ -16,24 +16,17 @@
 #include "common/stats.h"
 #include "func/trace.h"
 #include "isa/opcode.h"
-#include "trace/pipe_tracer.h"
+#include "trace/graph_recorder.h"
 
 namespace redsoc {
 
 struct TraceMetrics
 {
-    static constexpr size_t kNumFuClasses =
-        static_cast<size_t>(FuClass::None) + 1;
     /** Upper bound for tick-valued samples (slack < ticks/cycle). */
     static constexpr u64 kMaxTickSample = 256;
 
-    u64 events = 0;
-    u64 dropped = 0;
+    u64 events = 0; ///< GraphRecorder::eventsSeen()
     Tick ticks_per_cycle = 8;
-
-    /** Truncation signal surfaced on the metrics path: events the
-     *  recording ring overwrote (0 = the export is complete). */
-    u64 droppedEvents() const { return dropped; }
 
     /** Completion slack in ticks, per producing op's FU class
      *  (recorded at writeback: slack = (tpc - CI) mod tpc). */
@@ -58,13 +51,12 @@ struct TraceMetrics
     u64 replays_last_arrival = 0;
     u64 replays_width = 0;
     u64 commits = 0;
-    u64 squashes = 0;
 
     TraceMetrics();
 };
 
-/** Aggregate a recorded buffer; @p trace supplies per-op FU classes. */
-TraceMetrics computeTraceMetrics(const PipeTracer &tracer,
+/** Aggregate a finished run; @p trace supplies per-op FU classes. */
+TraceMetrics computeTraceMetrics(const GraphRecorder &rec,
                                  const Trace &trace);
 
 /** Human-readable report (tables of the distributions above). */

@@ -43,3 +43,15 @@ fingerprint(FixStats &st)
     auto key = reinterpret_cast<unsigned long>(&st);
     st.retired = key; // fires: pointer-to-integer cast
 }
+
+struct IssueRecord
+{
+    unsigned long select = 0;
+};
+
+void
+grant(IssueRecord &op)
+{
+    auto key = reinterpret_cast<unsigned long>(&op);
+    op.select = key; // fires: the recorder's hook payload is a sink
+}

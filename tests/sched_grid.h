@@ -155,6 +155,43 @@ randomTrace(u64 seed, unsigned n_ops)
     return makeTrace(b);
 }
 
+/**
+ * Random program whose memory footprint overflows every preset's L1
+ * (64 KiB, 4-way): loads and stores over twelve lines 16 KiB apart,
+ * which share one L1 set, so after the cold misses most accesses miss
+ * L1 and hit the L2 or the shared LLC. randomTrace's 512-byte window
+ * never leaves L1 once warm.
+ */
+inline Trace
+l1OverflowTrace(u64 seed, unsigned n_ops)
+{
+    Rng rng(seed);
+    ProgramBuilder b("l1_overflow");
+    for (unsigned r = 1; r <= 8; ++r)
+        b.movImm(x(r), static_cast<s64>(rng.range(1, 255)));
+    b.movImm(x(11), 0x1000);
+    auto data_reg = [&] {
+        return x(static_cast<unsigned>(1 + rng.below(8)));
+    };
+    for (unsigned i = 0; i < n_ops; ++i) {
+        const double roll = rng.uniform();
+        if (roll < 0.4) {
+            b.alu(Opcode::ADD, data_reg(), data_reg(), data_reg());
+        } else if (roll < 0.5) {
+            b.mul(data_reg(), data_reg(), data_reg());
+        } else {
+            const s64 off = static_cast<s64>(rng.below(12) * 16384 +
+                                             rng.below(8) * 8);
+            if (rng.chance(0.3))
+                b.store(Opcode::STR, data_reg(), x(11), off);
+            else
+                b.load(Opcode::LDR, data_reg(), x(11), off);
+        }
+    }
+    b.halt();
+    return makeTrace(b);
+}
+
 } // namespace test
 } // namespace redsoc
 

@@ -2,12 +2,12 @@
  * @file
  * Critical-path what-if engine suite (DESIGN.md section 13). The
  * contract checker (checkContracts, tools/fuzz) checks the graph
- * contracts (kGraph, kBaseRetime, kBatchedRetime) and the recorder's
- * event count on a 10-seed randomized property suite and on the
- * acceptance grid of real workloads, each grid graph pinned to its
- * digest. This suite adds the graph's independence from the ring
- * capacity, a golden graph snapshot byte-identical under both
- * kernels, what-if model ordering, and far-reaching lane rows.
+ * contracts (kGraph, kBaseRetime, kBatchedRetime) and the kernels'
+ * equal records on a 10-seed randomized property suite, and the graph
+ * contracts on the acceptance grid of real workloads, each grid graph
+ * pinned to its digest. This suite adds the two attach forms' equal
+ * graphs, a golden graph snapshot byte-identical under both kernels,
+ * what-if model ordering, and far-reaching lane rows.
  */
 
 #include <cstdlib>
@@ -38,36 +38,34 @@ using test::makeTrace;
 using test::randomTrace;
 
 // ---------------------------------------------------------------------
-// Recorder independence from the ring
+// The two attach forms
 // ---------------------------------------------------------------------
 
-TEST(CritpathSink, GraphUnaffectedByRingWrap)
+TEST(CritpathSink, TracerAttachEqualsSetRecorder)
 {
     const Trace trace = randomTrace(1, 600);
     CoreConfig cfg = coreByName("big");
     cfg.mode = SchedMode::ReDSOC;
 
-    // A 1-event ring and one that could hold the whole run...
+    // A builder carried by a PipeTracer (whose argument sizes
+    // nothing) and one attached directly record the same run.
     std::string rendered[2];
-    u64 events_seen[2];
-    int i = 0;
-    for (const size_t ring_cap : {size_t{1}, size_t{1} << 20}) {
-        PipeTracer tracer(ring_cap);
+    u64 digests[2];
+    for (int i = 0; i < 2; ++i) {
         DepGraphBuilder builder(trace, cfg);
+        PipeTracer tracer(1);
         tracer.setSink(&builder);
         OooCore core(cfg);
-        core.setTracer(&tracer);
+        if (i == 0)
+            core.setTracer(&tracer);
+        else
+            core.setRecorder(&builder);
         (void)core.run(trace);
-        // ...both bypassed: the core reports to the recorder alone.
-        EXPECT_EQ(tracer.size(), 0u);
-        EXPECT_EQ(tracer.droppedEvents(), 0u);
-        events_seen[i] = builder.eventsSeen();
-        rendered[i++] = renderDepGraph(builder.finalize());
+        EXPECT_GT(builder.eventsSeen(), trace.size());
+        digests[i] = builder.digest();
+        rendered[i] = renderDepGraph(builder.finalize());
     }
-
-    // The recorder saw the identical, complete run in both.
-    EXPECT_GT(events_seen[0], trace.size());
-    EXPECT_EQ(events_seen[0], events_seen[1]);
+    EXPECT_EQ(digests[0], digests[1]);
     EXPECT_EQ(rendered[0], rendered[1]);
 }
 
@@ -82,12 +80,12 @@ class CritpathProperty : public ::testing::TestWithParam<u64>
 TEST_P(CritpathProperty, GraphContractsHold)
 {
     // Every config of the grid, so fusion, replays and EGPW arms and
-    // wastes all show up in the graphs and in the event counts.
+    // wastes all show up in the graphs and in the records.
     const Trace trace = randomTrace(GetParam(), 600);
     for (const std::string core : {"big", "small"}) {
         for (const auto &[tag, cfg] : differentialConfigs(core)) {
             EXPECT_EQ(checkContracts(trace, cfg,
-                                     {.checks = fuzz::kRecorderCount |
+                                     {.checks = fuzz::kRecordsMatch |
                                                 fuzz::kGraph |
                                                 fuzz::kBaseRetime |
                                                 fuzz::kBatchedRetime})
@@ -139,7 +137,7 @@ TEST(CritpathGolden, SnapshotMatchesBothKernels)
     int i = 0;
     for (const SchedKernel kernel :
          {SchedKernel::Scan, SchedKernel::Event}) {
-        const RunOutcome r = runOne(trace, cfg, kernel, Observer::Recorder);
+        const RunOutcome r = runOne(trace, cfg, kernel, Observer::Graph);
         // The golden workload must exercise the recycle machinery.
         EXPECT_GT(r.stats.recycled_ops, 0u);
         rendered[i++] = renderDepGraph(r.graph);
@@ -281,7 +279,7 @@ TEST(CritpathWhatIf, ModelOrderingSane)
     CoreConfig cfg = coreByName("big");
     cfg.mode = SchedMode::ReDSOC;
     const RunOutcome r =
-        runOne(trace, cfg, SchedKernel::Event, Observer::Recorder);
+        runOne(trace, cfg, SchedKernel::Event, Observer::Graph);
     ASSERT_FALSE(r.deadlock);
     Retimer retimer(r.graph);
 

@@ -454,13 +454,15 @@ TEST(LintRules, LockOrderNoticesAnInvertedPair)
 TEST(LintRules, NondetTaintTracksSourcesThroughLocals)
 {
     // 22: now() through two locals; 27: wall-clock stat readback;
-    // 36: unordered iteration order; 44: pointer-to-integer cast.
+    // 36: unordered iteration order; 44: pointer-to-integer cast;
+    // 56: the same cast into an IssueRecord field.
     // 28 is suppressed via allow(); 24 is killed by an overwrite.
     EXPECT_EQ(sites("nondet_taint.cc"),
               (Sites{{22, "nondet-taint"},
                      {27, "nondet-taint"},
                      {36, "nondet-taint"},
-                     {44, "nondet-taint"}}));
+                     {44, "nondet-taint"},
+                     {56, "nondet-taint"}}));
 }
 
 /** R12 is live on the real core: retarget the one wall-clock write

@@ -52,17 +52,26 @@ class SharedLlcBitIdentity : public ::testing::TestWithParam<u64>
 TEST_P(SharedLlcBitIdentity, OneCoreSharedLlcEqualsSeedAcrossGrid)
 {
     // Both kernels; the contract also holds every contention charge
-    // at zero (the cross-core-only rule).
+    // at zero (the cross-core-only rule). randomTrace's window stays
+    // in L1 once warm; l1OverflowTrace's footprint sends L1 misses to
+    // the shared LLC, whose hit path must equal the private L2's.
     const u64 seed = GetParam();
-    const Trace trace = randomTrace(seed, 600);
+    const Trace traces[] = {randomTrace(seed, 600),
+                            test::l1OverflowTrace(seed, 600)};
     for (const std::string core : {"big", "small"}) {
-        for (const auto &[tag, cfg] : differentialConfigs(core)) {
-            EXPECT_EQ(fuzz::checkContracts(trace, cfg,
-                                           {.checks = fuzz::kProcSolo})
-                          .failure,
-                      "")
-                << "seed=" << seed << "/" << core << "/" << tag;
+        for (const Trace &trace : traces) {
+            for (const auto &[tag, cfg] : differentialConfigs(core)) {
+                EXPECT_EQ(fuzz::checkContracts(trace, cfg,
+                                               {.checks = fuzz::kProcSolo})
+                              .failure,
+                          "")
+                    << "seed=" << seed << "/" << trace.program().name() << "/"
+                    << core << "/" << tag;
+            }
         }
+        Processor proc(fuzz::soloConfig(coreByName(core)));
+        EXPECT_GT(proc.run(traces[1]).llc.per_core.at(0).hits, 100u)
+            << core;
     }
 }
 
@@ -357,7 +366,7 @@ TEST(ProcConfigValidation, ProcessorRunRejectsBadMixes)
                  std::logic_error); // one trace, two cores
     EXPECT_THROW(proc.run(std::vector<const Trace *>{&t, nullptr}),
                  std::logic_error); // null trace
-    EXPECT_THROW(proc.setTracer(2, nullptr), std::logic_error);
+    EXPECT_THROW(proc.setRecorder(2, nullptr), std::logic_error);
 }
 
 } // namespace

@@ -31,29 +31,6 @@
 namespace redsoc {
 namespace {
 
-/** Tracks the core's in-flight window from its Dispatch and Commit
- *  events: commit emits before dispatch within a cycle, so the count
- *  after each dispatch is the ROB occupancy. */
-class RobWindowSink : public TraceSink
-{
-  public:
-    void onBeginRun(Tick) override {}
-    void onEvent(const PipeEvent &e) override
-    {
-        if (e.kind == PipeEventKind::Dispatch) {
-            EXPECT_EQ(e.seq, dispatched) << "dispatch out of order";
-            ++dispatched;
-            max_in_flight = std::max(max_in_flight, dispatched - committed);
-        } else if (e.kind == PipeEventKind::Commit) {
-            EXPECT_EQ(e.seq, committed) << "commit out of order";
-            ++committed;
-        }
-    }
-    SeqNum dispatched = 0;
-    SeqNum committed = 0;
-    SeqNum max_in_flight = 0;
-};
-
 TEST(Rob, WindowBoundsInFlightOpsAndCommitsInOrder)
 {
     // A divide chain at the head stalls commit while independent ops
@@ -70,15 +47,24 @@ TEST(Rob, WindowBoundsInFlightOpsAndCommitsInOrder)
 
     CoreConfig cfg = coreByName("big");
     cfg.rob_entries = 8;
-    PipeTracer tracer;
-    RobWindowSink sink;
-    tracer.setSink(&sink);
+    GraphRecorder rec(trace.size());
     OooCore core(cfg);
-    core.setTracer(&tracer);
+    core.setRecorder(&rec);
     const CoreStats stats = core.run(trace);
-    EXPECT_EQ(sink.dispatched, trace.size());
-    EXPECT_EQ(sink.committed, stats.committed);
-    EXPECT_EQ(sink.max_in_flight, 8u);
+    EXPECT_EQ(rec.dispatched(), trace.size());
+    EXPECT_EQ(rec.committed(), stats.committed);
+
+    // Commit precedes dispatch within a cycle, so the window after
+    // op i dispatches holds ops i+1 minus those committed by then
+    // (the recorder enforces the commit order itself).
+    u32 committed = 0, max_in_flight = 0;
+    for (u32 i = 0; i < rec.dispatched(); ++i) {
+        const Tick d = rec.tick(Milestone::D, i);
+        while (rec.tick(Milestone::C, committed) <= d)
+            ++committed;
+        max_in_flight = std::max(max_in_flight, i + 1 - committed);
+    }
+    EXPECT_EQ(max_in_flight, 8u);
 }
 
 TEST(Lsq, OlderStoreGatesLoads)

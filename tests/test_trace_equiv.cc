@@ -1,14 +1,13 @@
 /**
  * @file
- * Trace-neutrality differential suite: attaching an observer must not
- * change simulated behaviour in any observable way. A ring-attached
- * PipeTracer or a graph recorder run's CoreStats — every counter plus
- * the per-op commit-schedule checksum — must be byte-identical to the
- * untraced run's, and the Scan and Event kernels must record
- * identical event streams (the golden-snapshot test in test_trace.cc
- * pins the rendered form; this one covers real workloads at full
- * length). Each point goes through the contract checker
- * (checkContracts, tools/fuzz).
+ * Trace-neutrality differential suite: attaching a recorder must not
+ * change simulated behaviour in any observable way. A recorded run's
+ * CoreStats — every counter plus the per-op commit-schedule checksum
+ * — must be byte-identical to the unrecorded run's, and the Scan and
+ * Event kernels must record identical runs, lane for lane (the
+ * golden-snapshot test in test_trace.cc pins the rendered form; this
+ * one covers real workloads at full length). Each point goes through
+ * the contract checker (checkContracts, tools/fuzz).
  */
 
 #include <string>
@@ -19,17 +18,15 @@
 #include "fuzz_lib.h"
 #include "helpers.h"
 #include "sched_grid.h"
-#include "trace/pipe_tracer.h"
 
 namespace redsoc {
 namespace {
 
 using fuzz::checkContracts;
-using test::makeTrace;
 
 // ---------------------------------------------------------------------
-// Real workloads x both kernels: tracing is behavior-neutral, and the
-// recorded stream is kernel-agnostic.
+// Real workloads x both kernels: recording is behavior-neutral, and
+// the record is kernel-agnostic.
 // ---------------------------------------------------------------------
 
 class TraceNeutrality : public ::testing::TestWithParam<std::string>
@@ -48,8 +45,8 @@ TEST_P(TraceNeutrality, TracedRunIsBitIdentical)
     CoreConfig cfg = coreByName("big");
     cfg.mode = SchedMode::ReDSOC;
     EXPECT_EQ(checkContracts(sharedDriver().trace(workload), cfg,
-                             {.checks = fuzz::kRingNeutral |
-                                        fuzz::kRingStreams})
+                             {.checks = fuzz::kRecorderNeutral |
+                                        fuzz::kRecordsMatch})
                   .failure,
               "")
         << workload;
@@ -57,15 +54,14 @@ TEST_P(TraceNeutrality, TracedRunIsBitIdentical)
 
 TEST_P(TraceNeutrality, BaselineAndMosNeutralToo)
 {
-    // The non-ReDSOC modes take different emission paths (no
-    // transparent/EGPW events, MOS fusion events): each must be
-    // equally neutral.
+    // The non-ReDSOC modes take different hook paths (no transparent
+    // or EGPW moments, MOS fusions): each must be equally neutral.
     const std::string workload = GetParam();
     for (const SchedMode mode : {SchedMode::Baseline, SchedMode::MOS}) {
         CoreConfig cfg = coreByName("big");
         cfg.mode = mode;
         EXPECT_EQ(checkContracts(sharedDriver().trace(workload), cfg,
-                                 {.checks = fuzz::kRingNeutral,
+                                 {.checks = fuzz::kRecorderNeutral,
                                   .kernels = {SchedKernel::Event}})
                       .failure,
                   "")
@@ -79,9 +75,8 @@ INSTANTIATE_TEST_SUITE_P(Workloads, TraceNeutrality,
                          [](const auto &pinfo) { return pinfo.param; });
 
 // ---------------------------------------------------------------------
-// A graph recorder is just as neutral: the core reports to it through
-// its own hooks, which must not perturb the schedule either, and the
-// graph it records covers every op.
+// Over the whole config grid, a graph-building recorder is just as
+// neutral, and the graph it records covers every op.
 // ---------------------------------------------------------------------
 
 TEST(TraceNeutralityUnit, GraphRecorderRunIsBitIdentical)
@@ -99,68 +94,6 @@ TEST(TraceNeutralityUnit, GraphRecorderRunIsBitIdentical)
                     << "seed " << seed << "/" << core << "/" << tag;
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// A disabled tracer records nothing; a detached core stays silent.
-// ---------------------------------------------------------------------
-
-TEST(TraceNeutralityUnit, DisabledTracerRecordsNothing)
-{
-    ProgramBuilder b("trace_equiv");
-    test::emitAddChain(b, 32);
-    b.halt();
-    const Trace trace = makeTrace(b);
-
-    CoreConfig cfg = coreByName("big");
-    cfg.mode = SchedMode::ReDSOC;
-
-    PipeTracer tracer;
-    tracer.setEnabled(false);
-    OooCore core(cfg);
-    core.setTracer(&tracer);
-    (void)core.run(trace);
-    EXPECT_EQ(tracer.size(), 0u);
-    EXPECT_EQ(tracer.droppedEvents(), 0u);
-
-    // Re-enabling records on the next run without a fresh attach.
-    tracer.setEnabled(true);
-    (void)core.run(trace);
-    EXPECT_GT(tracer.size(), 0u);
-}
-
-TEST(TraceNeutralityUnit, RingWrapKeepsTailAndCountsDropped)
-{
-    ProgramBuilder b("trace_equiv");
-    test::emitLogicChain(b, 64);
-    b.halt();
-    const Trace trace = makeTrace(b);
-
-    CoreConfig cfg = coreByName("big");
-    cfg.mode = SchedMode::ReDSOC;
-
-    PipeTracer full;
-    OooCore core(cfg);
-    core.setTracer(&full);
-    (void)core.run(trace);
-    ASSERT_GT(full.size(), 32u);
-
-    PipeTracer small(32);
-    core.setTracer(&small);
-    (void)core.run(trace);
-    EXPECT_EQ(small.size(), 32u);
-    EXPECT_EQ(small.droppedEvents(), full.size() - 32);
-
-    // The retained window is exactly the tail of the full stream.
-    const std::vector<PipeEvent> all = full.events();
-    const std::vector<PipeEvent> tail = small.events();
-    for (size_t i = 0; i < tail.size(); ++i) {
-        const PipeEvent &want = all[all.size() - tail.size() + i];
-        EXPECT_EQ(tail[i].seq, want.seq);
-        EXPECT_EQ(tail[i].tick, want.tick);
-        EXPECT_EQ(static_cast<int>(tail[i].kind),
-                  static_cast<int>(want.kind));
     }
 }
 

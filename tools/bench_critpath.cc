@@ -64,7 +64,6 @@
 #include "core/ooo_core.h"
 #include "critpath/dep_graph_builder.h"
 #include "critpath/retimer.h"
-#include "trace/pipe_tracer.h"
 #include "workloads/registry.h"
 
 using namespace redsoc;
@@ -274,13 +273,11 @@ main(int argc, char **argv)
         const Trace trace = traceWorkload(workload, max_ops);
 
         // Traced reference run: the core reports straight to the
-        // graph builder, so the ring capacity does not bound it.
+        // graph builder.
         auto t0 = std::chrono::steady_clock::now();
         DepGraphBuilder builder(trace, traced_cfg);
-        PipeTracer tracer(1u << 12);
-        tracer.setSink(&builder);
         OooCore core(traced_cfg);
-        core.setTracer(&tracer);
+        core.setRecorder(&builder);
         const CoreStats stats = core.run(trace);
         const DepGraph graph = builder.finalize();
         wr.trace_run_seconds = secondsSince(t0);

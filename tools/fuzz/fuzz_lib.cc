@@ -5,10 +5,10 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "critpath/dep_graph_builder.h"
 #include "sim/run_cache.h"
-#include "trace/pipe_tracer.h"
 
 namespace redsoc::fuzz {
 
@@ -38,14 +38,24 @@ memOffset(s64 imm)
     return static_cast<s64>(static_cast<u64>(imm) % 96);
 }
 
+/** LoadFar/StoreFar lines: a multiple of every drawn L1's set stride
+ *  (size / assoc, at most 64 KiB / 4), twelve of them, more than the
+ *  deepest L1 set holds; then a word within the line. */
+s64
+farOffset(s64 imm)
+{
+    const u64 v = static_cast<u64>(imm);
+    return static_cast<s64>((v % 12) * 16 * 1024 + (v / 12 % 8) * 8);
+}
+
 } // namespace
 
 const char *
 fuzzKindName(FuzzInst::Kind kind)
 {
     static constexpr const char *kNames[] = {
-        "movimm", "alu", "alui", "mul", "sdiv",
-        "load",   "store", "fop", "branch"};
+        "movimm", "alu", "alui",   "mul",     "sdiv",    "load",
+        "store",  "fop", "branch", "loadfar", "storefar"};
     static_assert(std::size(kNames) ==
                   static_cast<size_t>(FuzzInst::Kind::NUM));
     const auto i = static_cast<size_t>(kind);
@@ -166,6 +176,7 @@ enum class Profile : u8 {
     MixedWidth, ///< narrow/wide operand swings (width predictor)
     FpMix,      ///< cross-pool pressure, non-eligible producers
     FanOut,     ///< one hot producer register read by nearly every op
+    Footprint,  ///< memory beyond L1: reuse hits the L2 / shared LLC
     NUM,
 };
 
@@ -246,6 +257,12 @@ randomInst(Rng &rng, Profile profile)
             fi.b = 0;
         if (rng.chance(0.95) && fi.dst % kDataRegs == 0)
             fi.dst = static_cast<u8>(fi.dst + 1); // keep x1 live
+        break;
+      case Profile::Footprint:
+        fi.kind = roll < 0.35   ? K::LoadFar
+                  : roll < 0.55 ? K::StoreFar
+                  : roll < 0.85 ? K::Alu
+                                : K::Mul;
         break;
       case Profile::NUM:
         break;
@@ -348,6 +365,14 @@ buildProgTrace(const std::string &name, const std::vector<FuzzInst> &prog)
             b.store(kStoreOps[fi.sel % 4], dataReg(fi.a), x(11),
                     memOffset(fi.imm));
             break;
+          case K::LoadFar:
+            b.load(kLoadOps[fi.sel % 4], dataReg(fi.dst), x(11),
+                   farOffset(fi.imm));
+            break;
+          case K::StoreFar:
+            b.store(kStoreOps[fi.sel % 4], dataReg(fi.a), x(11),
+                    farOffset(fi.imm));
+            break;
           case K::Fop:
             b.fop(fi.sel % 2 ? Opcode::FMUL : Opcode::FADD, x(9), x(9),
                   x(9));
@@ -414,39 +439,6 @@ str(const Parts &...parts)
     return os.str();
 }
 
-/** FNV-1a, folded one 64-bit value at a time. */
-struct Fnv
-{
-    u64 h = 0xcbf29ce484222325ull;
-    void operator()(u64 v)
-    {
-        h ^= v;
-        h *= 0x100000001b3ull;
-    }
-};
-
-/** Counts and digests every event a tracer records: the complete
- *  stream, whatever the ring retains. */
-class StreamDigest : public TraceSink
-{
-  public:
-    void onBeginRun(Tick) override
-    {
-        count = 0;
-        fold = Fnv();
-    }
-    void onEvent(const PipeEvent &e) override
-    {
-        ++count;
-        for (const u64 v : {u64{e.tick}, u64{e.seq}, u64{e.link},
-                            static_cast<u64>(e.kind), u64{e.arg}})
-            fold(v);
-    }
-
-    u64 count = 0;
-    Fnv fold;
-};
-
 } // namespace
 
 RunOutcome
@@ -454,20 +446,12 @@ runOne(const Trace &trace, CoreConfig config, SchedKernel kernel,
        Observer observer)
 {
     config.sched_kernel = kernel;
-    // A recorder bypasses the ring; the ring's sink sees every event
-    // however small the ring.
-    PipeTracer tracer(observer == Observer::Ring ? size_t{1} << 12 : 1);
-    StreamDigest stream;
-    std::optional<DepGraphBuilder> builder;
-    if (observer == Observer::Ring) {
-        tracer.setSink(&stream);
-    } else if (observer == Observer::Recorder) {
-        builder.emplace(trace, config);
-        tracer.setSink(&*builder);
-    }
     OooCore core(config);
-    if (observer != Observer::None)
-        core.setTracer(&tracer);
+    std::optional<DepGraphBuilder> builder;
+    if (observer != Observer::None) {
+        builder.emplace(trace, config);
+        core.setRecorder(&*builder);
+    }
     RunOutcome out;
     try {
         out.stats = core.run(trace);
@@ -476,12 +460,11 @@ runOne(const Trace &trace, CoreConfig config, SchedKernel kernel,
         out.deadlock_cycle = e.cycle();
         return out;
     }
-    if (observer == Observer::Ring) {
-        out.events = stream.count;
-        out.stream_digest = stream.fold.h;
-    } else if (observer == Observer::Recorder) {
+    if (builder) {
         out.events = builder->eventsSeen();
-        out.graph = builder->finalize();
+        out.record_digest = builder->digest();
+        if (observer == Observer::Graph)
+            out.graph = builder->finalize();
     }
     return out;
 }
@@ -506,15 +489,16 @@ diffOutcomes(const Outcome &a, const Outcome &b)
 
 ProcOutcome
 runProcOne(const std::vector<const Trace *> &traces, ProcConfig config,
-           SchedKernel kernel, bool traced)
+           SchedKernel kernel, Observer observer = Observer::None)
 {
     config.core.sched_kernel = kernel;
     Processor proc(config);
-    std::vector<std::unique_ptr<PipeTracer>> tracers;
-    if (traced) {
+    std::vector<std::unique_ptr<GraphRecorder>> recorders;
+    if (observer != Observer::None) {
         for (unsigned i = 0; i < proc.numCores(); ++i) {
-            tracers.push_back(std::make_unique<PipeTracer>(1u << 14));
-            proc.setTracer(i, tracers.back().get());
+            recorders.push_back(
+                std::make_unique<GraphRecorder>(traces.at(i)->size()));
+            proc.setRecorder(i, recorders.back().get());
         }
     }
     ProcOutcome out;
@@ -523,7 +507,14 @@ runProcOne(const std::vector<const Trace *> &traces, ProcConfig config,
     } catch (const DeadlockError &e) {
         out.deadlock = true;
         out.deadlock_cycle = e.cycle();
+        return out;
     }
+    Fnv1a fold;
+    for (const auto &rec : recorders) {
+        out.events += rec->eventsSeen();
+        fold(rec->digest());
+    }
+    out.record_digest = fold.h;
     return out;
 }
 
@@ -572,7 +563,7 @@ soloConfig(const CoreConfig &core)
 u64
 graphDigest(const DepGraph &g)
 {
-    Fnv fold;
+    Fnv1a fold;
     const MachineParams &mp = g.params;
     for (const u64 v :
          {u64{mp.frontend_width}, u64{mp.commit_width},
@@ -735,13 +726,100 @@ batchedRetimeProblem(Retimer &retimer)
     return "";
 }
 
-/** Every run checkContracts makes under one kernel. */
+/** Every run checkContracts makes under one kernel (Outcome:
+ *  RunOutcome for a single core, ProcOutcome for a mix). */
+template <class Outcome>
 struct KernelRuns
 {
     SchedKernel kernel;
-    RunOutcome plain, ring, recorder;
-    ProcOutcome proc;
+    Outcome plain, recorder;
+    ProcOutcome solo; ///< the 1-core Processor (single core only)
 };
+
+/** Records the first failure, "<contract>/<kernel>: <what>". */
+struct Failures
+{
+    ContractReport &report;
+
+    /** True if @p what is a failure (nonempty); it is recorded. */
+    bool operator()(const char *name, const std::string &kernel,
+                    const std::string &what) const
+    {
+        if (!what.empty())
+            report.failure = std::string(name) + "/" + kernel + ": " + what;
+        return !what.empty();
+    }
+};
+
+template <class Outcome>
+std::string
+kname(const KernelRuns<Outcome> &r)
+{
+    return schedKernelName(r.kernel);
+}
+
+/** How a recorded run ended: its event count or its deadlock. */
+template <class Outcome>
+std::string
+ending(const Outcome &o)
+{
+    return o.deadlock ? str("deadlock at cycle ", o.deadlock_cycle)
+                      : str(o.events, " events");
+}
+
+/**
+ * The contracts a single core and a mix share: no run deadlocked
+ * (unless Contracts::deadlock_ok), then kScanEqualsEvent,
+ * kRecordsMatch and kRecorderNeutral of @p want. True on the first
+ * failure, which @p failed records.
+ */
+template <class Outcome>
+bool
+sharedContractFailed(const std::vector<KernelRuns<Outcome>> &runs,
+                     u32 want, bool deadlock_ok, const Failures &failed)
+{
+    if (!deadlock_ok) {
+        for (const auto &r : runs) {
+            for (const auto &[name, deadlock, cycle] :
+                 {std::tuple{"untraced", r.plain.deadlock,
+                             r.plain.deadlock_cycle},
+                  {"recorder", r.recorder.deadlock,
+                   r.recorder.deadlock_cycle},
+                  {"processor", r.solo.deadlock, r.solo.deadlock_cycle}}) {
+                if (deadlock &&
+                    failed("completed", kname(r),
+                           str(name, " run deadlocked at cycle ", cycle)))
+                    return true;
+            }
+        }
+    }
+    const auto &first = runs.front();
+    for (size_t k = 1; k < runs.size(); ++k) {
+        const std::string pair = kname(first) + "-" + kname(runs[k]);
+        const Outcome &a = first.recorder, &b = runs[k].recorder;
+        const bool records_differ = ending(a) != ending(b) ||
+                                    a.record_digest != b.record_digest;
+        if (((want & kScanEqualsEvent) &&
+             failed("kernels", pair,
+                    diffOutcomes(first.plain, runs[k].plain))) ||
+            ((want & kRecordsMatch) && records_differ &&
+             failed("records", pair,
+                    str(ending(a), " (", hexDigest(a.record_digest),
+                        ") vs ", ending(b), " (",
+                        hexDigest(b.record_digest), ")"))))
+            return true;
+    }
+    for (const auto &r : runs) {
+        std::string neutral = diffOutcomes(r.plain, r.recorder);
+        if (neutral.empty() && !r.recorder.deadlock &&
+            r.recorder.events == 0)
+            neutral = "the recorder recorded no event";
+        if ((want & kRecorderNeutral) &&
+            failed("recorder-neutral", kname(r), neutral))
+            return true;
+    }
+    return false;
+}
 
 } // namespace
 
@@ -752,113 +830,49 @@ checkContracts(const Trace &trace, const CoreConfig &config,
     const u32 want = contracts.checks;
     const std::vector<SchedKernel> &kernels = contracts.kernels;
     fatal_if(kernels.empty() ||
-                 ((want & (kScanEqualsEvent | kRingStreams)) &&
+                 ((want & (kScanEqualsEvent | kRecordsMatch)) &&
                   kernels.size() < 2),
              "checkContracts: a kernel comparison needs two kernels");
-    const bool plain =
-        want & (kScanEqualsEvent | kRingNeutral | kRecorderNeutral |
-                kProcSolo);
-    const bool ring = want & (kRingNeutral | kRingStreams | kRecorderCount);
-    const bool recorder =
-        (want & (kRecorderNeutral | kRecorderCount | kGraph | kBaseRetime |
-                 kBatchedRetime)) ||
-        !contracts.digest.empty();
+    const bool plain = want & (kScanEqualsEvent | kRecorderNeutral |
+                               kProcSolo);
+    const bool graph = (want & (kGraph | kBaseRetime | kBatchedRetime)) ||
+                       !contracts.digest.empty();
+    const bool recorder = graph || (want & (kRecorderNeutral | kRecordsMatch));
 
-    std::vector<KernelRuns> runs;
+    std::vector<KernelRuns<RunOutcome>> runs;
     for (const SchedKernel kernel : kernels) {
-        KernelRuns &r = runs.emplace_back();
+        KernelRuns<RunOutcome> &r = runs.emplace_back();
         r.kernel = kernel;
         if (plain)
             r.plain = runOne(trace, config, kernel);
-        if (ring)
-            r.ring = runOne(trace, config, kernel, Observer::Ring);
         if (recorder)
-            r.recorder = runOne(trace, config, kernel, Observer::Recorder);
+            r.recorder = runOne(trace, config, kernel,
+                                graph ? Observer::Graph : Observer::Recorder);
         if (want & kProcSolo)
-            r.proc = runProcOne({&trace}, soloConfig(config), kernel, false);
+            r.solo = runProcOne({&trace}, soloConfig(config), kernel);
     }
 
     ContractReport report;
-    const KernelRuns &first = runs.front();
-    report.stats = plain ? first.plain.stats
-                   : ring ? first.ring.stats
-                          : first.recorder.stats;
-    // Record a failure (a nonempty @p what); true if it is one.
-    const auto failed = [&report](const char *name,
-                                  const std::string &kernel,
-                                  const std::string &what) {
-        if (!what.empty())
-            report.failure = std::string(name) + "/" + kernel + ": " + what;
-        return !what.empty();
-    };
-    const auto kname = [](const KernelRuns &r) {
-        return std::string(schedKernelName(r.kernel));
-    };
-    const auto pair = [&](const KernelRuns &r) {
+    const Failures failed{report};
+    const KernelRuns<RunOutcome> &first = runs.front();
+    report.stats = plain ? first.plain.stats : first.recorder.stats;
+    if (sharedContractFailed(runs, want, contracts.deadlock_ok, failed))
+        return report;
+    const auto pair = [&](const KernelRuns<RunOutcome> &r) {
         return kname(first) + "-" + kname(r);
     };
-    // How an observed run ended: its event count or its deadlock.
-    const auto ending = [](const RunOutcome &o) {
-        return o.deadlock ? str("deadlock at cycle ", o.deadlock_cycle)
-                          : str(o.events, " events");
-    };
 
-    if (!contracts.deadlock_ok) {
-        for (const KernelRuns &r : runs) {
-            for (const auto &[name, o] :
-                 {std::pair{"untraced", &r.plain}, {"ring", &r.ring},
-                  {"recorder", &r.recorder}}) {
-                if (o->deadlock &&
-                    failed("completed", kname(r),
-                           str(name, " run deadlocked at cycle ",
-                               o->deadlock_cycle)))
-                    return report;
-            }
-            if (r.proc.deadlock &&
-                failed("completed", kname(r),
-                       str("processor run deadlocked at cycle ",
-                           r.proc.deadlock_cycle)))
-                return report;
-        }
-    }
-
-    for (size_t k = 1; k < runs.size(); ++k) {
-        const RunOutcome &a = first.ring, &b = runs[k].ring;
-        const bool streams_differ = ending(a) != ending(b) ||
-                                    a.stream_digest != b.stream_digest;
-        if (((want & kScanEqualsEvent) &&
-             failed("kernels", pair(runs[k]),
-                    diffOutcome(first.plain, runs[k].plain))) ||
-            ((want & kRingStreams) && streams_differ &&
-             failed("ring-streams", pair(runs[k]),
-                    str("streams differ: ", ending(a), " vs ",
-                        ending(b)))))
-            return report;
-    }
-    for (const KernelRuns &r : runs) {
-        std::string ring_neutral = diffOutcome(r.plain, r.ring);
-        if (ring_neutral.empty() && !r.ring.deadlock && r.ring.events == 0)
-            ring_neutral = "the ring recorded no event";
-        if (((want & kRingNeutral) &&
-             failed("ring-neutral", kname(r), ring_neutral)) ||
-            ((want & kRecorderNeutral) &&
-             failed("recorder-neutral", kname(r),
-                    diffOutcome(r.plain, r.recorder))) ||
-            ((want & kRecorderCount) &&
-             ending(r.recorder) != ending(r.ring) &&
-             failed("recorder-count", kname(r),
-                    ending(r.recorder) + " vs " + ending(r.ring))))
-            return report;
+    for (const KernelRuns<RunOutcome> &r : runs) {
         if (!(want & kProcSolo))
-            continue;
+            break;
         RunOutcome solo;
-        solo.deadlock = r.proc.deadlock;
-        solo.deadlock_cycle = r.proc.deadlock_cycle;
+        solo.deadlock = r.solo.deadlock;
+        solo.deadlock_cycle = r.solo.deadlock_cycle;
         if (!solo.deadlock)
-            solo.stats = r.proc.stats.cores.at(0);
+            solo.stats = r.solo.stats.cores.at(0);
         std::string what = diffOutcome(r.plain, solo);
         if (what.empty() && !solo.deadlock) {
-            const LlcCoreStats &llc = r.proc.stats.llc.per_core.at(0);
+            const LlcCoreStats &llc = r.solo.stats.llc.per_core.at(0);
             if (llc.mshr_merges != 0 || llc.bank_wait_cycles != 0 ||
                 llc.back_invalidations != 0)
                 what = "a single core was charged contention";
@@ -866,11 +880,10 @@ checkContracts(const Trace &trace, const CoreConfig &config,
         if (failed("proc-solo", kname(r), what))
             return report;
     }
-
     // The graph contracts, on each completed recorder run.
-    if (!recorder)
+    if (!graph)
         return report;
-    for (const KernelRuns &r : runs) {
+    for (const KernelRuns<RunOutcome> &r : runs) {
         if ((want & kGraph) &&
             r.recorder.deadlock != first.recorder.deadlock &&
             failed("graph", pair(r),
@@ -919,32 +932,46 @@ checkContracts(const Trace &trace, const CoreConfig &config,
     return report;
 }
 
+ContractReport
+checkContracts(const std::vector<const Trace *> &traces,
+               const ProcConfig &config, const Contracts &contracts)
+{
+    const u32 want =
+        contracts.checks & (kScanEqualsEvent | kRecorderNeutral |
+                            kRecordsMatch);
+    const std::vector<SchedKernel> &kernels = contracts.kernels;
+    fatal_if(kernels.empty() ||
+                 ((want & (kScanEqualsEvent | kRecordsMatch)) &&
+                  kernels.size() < 2),
+             "checkContracts: a kernel comparison needs two kernels");
+    std::vector<KernelRuns<ProcOutcome>> runs;
+    for (const SchedKernel kernel : kernels) {
+        KernelRuns<ProcOutcome> &r = runs.emplace_back();
+        r.kernel = kernel;
+        if (want & (kScanEqualsEvent | kRecorderNeutral))
+            r.plain = runProcOne(traces, config, kernel);
+        if (want & (kRecorderNeutral | kRecordsMatch))
+            r.recorder =
+                runProcOne(traces, config, kernel, Observer::Recorder);
+    }
+    ContractReport report;
+    sharedContractFailed(runs, want, contracts.deadlock_ok,
+                         Failures{report});
+    return report;
+}
+
 std::string
 checkCase(const FuzzCase &fc)
 {
+    const Contracts every{.deadlock_ok = true};
     if (fc.config.num_cores == 1)
-        return checkContracts(buildTrace(fc), fc.config.core,
-                              {.deadlock_ok = true})
+        return checkContracts(buildTrace(fc), fc.config.core, every)
             .failure;
-
     const std::vector<Trace> traces = buildTraces(fc);
     std::vector<const Trace *> mix;
     for (const Trace &t : traces)
         mix.push_back(&t);
-    const ProcOutcome plain[] = {
-        runProcOne(mix, fc.config, SchedKernel::Scan, false),
-        runProcOne(mix, fc.config, SchedKernel::Event, false)};
-    std::string d = diffProcOutcome(plain[0], plain[1]);
-    if (!d.empty())
-        return "proc kernels/scan-event: " + d;
-    for (const SchedKernel k : {SchedKernel::Event, SchedKernel::Scan}) {
-        d = diffProcOutcome(plain[static_cast<int>(k)],
-                            runProcOne(mix, fc.config, k, true));
-        if (!d.empty())
-            return std::string("proc ring-neutral/") + schedKernelName(k) +
-                   ": " + d;
-    }
-    return "";
+    return checkContracts(mix, fc.config, every).failure;
 }
 
 // ---------------------------------------------------------------------

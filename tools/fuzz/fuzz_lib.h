@@ -54,6 +54,11 @@ struct FuzzInst
         Store,  ///< store into the aliasing window (sel: width)
         Fop,    ///< FP op on x9 (sel: FADD/FMUL)
         Branch, ///< forward conditional over a small internal block
+        /** Load from one of twelve lines 16 KiB apart (sel: width):
+         *  they share a set in every L1 the fuzzer draws, so the
+         *  footprint overflows L1 and reuse hits the L2 or LLC. */
+        LoadFar,
+        StoreFar, ///< store into the LoadFar lines (sel: width)
         NUM,
     };
 
@@ -117,20 +122,20 @@ std::vector<Trace> buildTraces(const FuzzCase &fc);
 // Contract checker
 // ---------------------------------------------------------------------
 
-/** What a run has attached: nothing, a ring PipeTracer, or a
- *  DepGraphBuilder (through a tracer, as every recorder attaches). */
-enum class Observer : u8 { None, Ring, Recorder };
+/** What a run has attached: nothing, a recorder per core, or (single
+ *  core) a recorder whose dependence graph is also built. */
+enum class Observer : u8 { None, Recorder, Graph };
 
 /** Result of one run: stats, or the deadlock-watchdog cycle, plus
- *  what the observer saw when the run completed. */
+ *  what the recorder saw when the run completed. */
 struct RunOutcome
 {
     bool deadlock = false;
     Cycle deadlock_cycle = 0;
     CoreStats stats{};
-    u64 events = 0;        ///< the ring's (retained + dropped) or eventsSeen()
-    u64 stream_digest = 0; ///< FNV-1a of the ring's complete stream
-    DepGraph graph{};      ///< the recorder's frozen graph
+    u64 events = 0;        ///< GraphRecorder::eventsSeen()
+    u64 record_digest = 0; ///< GraphRecorder::digest()
+    DepGraph graph{};      ///< the frozen graph (Observer::Graph)
 };
 
 /** Run @p trace under @p kernel with @p observer attached, catching
@@ -145,12 +150,14 @@ RunOutcome runOne(const Trace &trace, CoreConfig config,
 std::string diffOutcome(const RunOutcome &a, const RunOutcome &b);
 
 /** Result of one multi-core run: per-core + LLC stats, or the first
- *  deadlock-watchdog cycle. */
+ *  deadlock-watchdog cycle, plus what the cores' recorders saw. */
 struct ProcOutcome
 {
     bool deadlock = false;
     Cycle deadlock_cycle = 0;
     ProcStats stats{};
+    u64 events = 0;        ///< eventsSeen(), summed over the cores
+    u64 record_digest = 0; ///< the cores' digest()s, folded in order
 };
 
 /** First difference between two multi-core outcomes ("" if
@@ -185,18 +192,18 @@ std::vector<WhatIfModel> crossCheckModels();
  *  (DESIGN.md §11.1 states each). */
 enum Contract : u32 {
     kScanEqualsEvent = 1u << 0, ///< untraced Scan ≡ untraced Event
-    kRingNeutral = 1u << 1,     ///< ring-attached ≡ untraced, ring not empty
-    kRecorderNeutral = 1u << 2, ///< recorder-attached ≡ untraced
-    kRingStreams = 1u << 3,     ///< both kernels record one ring stream
-    kRecorderCount = 1u << 4,   ///< eventsSeen() ≡ the ring's event count
-    kProcSolo = 1u << 5,        ///< 1-core Processor ≡ the single core
+    kRecorderNeutral = 1u << 1, ///< recorder-attached ≡ untraced, not empty
+    /** Both kernels record the same run: event count and the digest
+     *  of every recorder lane. */
+    kRecordsMatch = 1u << 2,
+    kProcSolo = 1u << 3, ///< 1-core Processor ≡ the single core
     /** The graph covers every op, passes validate(), reaches every
      *  node from op 0's dispatch, keeps within kMaxEdgesPerOp edges
      *  per op, and is the same under both kernels. */
-    kGraph = 1u << 6,
-    kBaseRetime = 1u << 7,    ///< base retime ≡ every observed tick
-    kBatchedRetime = 1u << 8, ///< retimeAll ≡ retime, ≤ 4096 lane rows
-    kAllContracts = (1u << 9) - 1,
+    kGraph = 1u << 4,
+    kBaseRetime = 1u << 5,    ///< base retime ≡ every observed tick
+    kBatchedRetime = 1u << 6, ///< retimeAll ≡ retime, ≤ 4096 lane rows
+    kAllContracts = (1u << 7) - 1,
 };
 
 /** What one checkContracts call checks. */
@@ -204,7 +211,7 @@ struct Contracts
 {
     u32 checks = kAllContracts;
     /** Kernels the per-kernel contracts run under. kScanEqualsEvent,
-     *  kRingStreams and kGraph's kernel comparison need both. */
+     *  kRecordsMatch and kGraph's kernel comparison need both. */
     std::vector<SchedKernel> kernels{SchedKernel::Scan,
                                      SchedKernel::Event};
     /** hexDigest(graphDigest) every recorded graph must have; empty:
@@ -236,20 +243,30 @@ struct ContractReport
 /**
  * The one checker of the equivalence contracts. Makes each (kernel,
  * observer) run the requested contracts need exactly once (untraced,
- * ring-attached, recorder-attached, and a 1-core Processor), then
- * checks that no run deadlocked (unless Contracts::deadlock_ok) and
- * the contracts in declaration order, and reports the first failure.
+ * recorder-attached, and a 1-core Processor), then checks that no run
+ * deadlocked (unless Contracts::deadlock_ok) and the contracts in
+ * declaration order, and reports the first failure.
  */
 ContractReport checkContracts(const Trace &trace, const CoreConfig &config,
                               const Contracts &contracts = {});
 
 /**
- * The oracle for one fuzz point: every contract of checkContracts
- * for a single-core case, a deadlock on the same cycle in every run
- * being legal; for a multi-core mix, Scan vs Event
- * untraced, then traced-vs-untraced under each kernel, comparing
- * per-core and LLC statistics. Returns "" when every contract holds,
- * else a description of the first failure.
+ * The same checker over a multi-core mix: core i runs traces[i] under
+ * @p config. It checks kScanEqualsEvent, kRecorderNeutral and
+ * kRecordsMatch, over every core's and the LLC's statistics and every
+ * core's record, with the same code as a single core; the other
+ * contracts are single-core ones and are not asked of a mix. The
+ * report's stats and digest stay empty.
+ */
+ContractReport checkContracts(const std::vector<const Trace *> &traces,
+                              const ProcConfig &config,
+                              const Contracts &contracts = {});
+
+/**
+ * The oracle for one fuzz point: every contract of checkContracts,
+ * on the single core or the multi-core mix, a deadlock on the same
+ * cycle in every run being legal. Returns "" when every contract
+ * holds, else a description of the first failure.
  */
 std::string checkCase(const FuzzCase &fc);
 

@@ -73,7 +73,8 @@
  *                 must never reach a determinism sink: a field of
  *                 any *Stats struct (sim_seconds itself exempt — it
  *                 is the one designated wall-clock stat), of
- *                 PipeEvent, or of Finding. Intra-procedural and
+ *                 IssueRecord (the hook payload the run recorder
+ *                 stores), or of Finding. Intra-procedural and
  *                 assignment-based by design; see DESIGN.md for the
  *                 soundness boundary.
  *
@@ -321,7 +322,7 @@ struct Options
     // wall-clock time; writing it from a clock is its purpose, and
     // reading it back is itself a taint source.
     std::vector<std::string> taint_sink_suffixes = {"Stats"};
-    std::vector<std::string> taint_sink_structs = {"PipeEvent",
+    std::vector<std::string> taint_sink_structs = {"IssueRecord",
                                                    "Finding"};
     std::vector<std::string> taint_exempt_fields = {"sim_seconds"};
 

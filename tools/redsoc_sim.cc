@@ -10,7 +10,7 @@
  *              [--cores N] [--mix A,B,...] [--llc-kb N]
  *              [--dram-banks N] [--bank-occupancy N] [--share-addr]
  *              [--trace FILE] [--trace-format chrome|konata]
- *              [--trace-cap N] [--profile] [--stats] [--compare]
+ *              [--profile] [--stats] [--compare]
  *
  * --cores (or --mix) switches to the multi-core Processor: N copies
  * of the selected core configuration in front of one shared inclusive
@@ -19,22 +19,21 @@
  * multi-programmed workloads comma-separated; core i runs entry
  * i mod len, so "--cores 4 --mix crc,act" alternates the two. Output
  * adds one line per core plus the LLC contention table. With --trace,
- * each core's pipeline events land in FILE.core<i>.
+ * each core's pipeline trace lands in FILE.core<i>.
  *
  * --compare runs baseline and the selected mode and prints the
  * speedup; --stats dumps the full gem5-style statistics group;
  * --kernel selects the simulation kernel (results are bit-identical,
  * only host speed differs); --profile prints per-phase host timings.
  *
- * --trace (or the REDSOC_TRACE environment variable) records a
- * per-op pipeline event trace of the run and writes it to FILE:
- * Chrome trace_event JSON for chrome://tracing / Perfetto, or Konata
- * text for the Konata pipeline visualizer. The format follows
+ * --trace (or the REDSOC_TRACE environment variable) records every
+ * op of the run and writes its pipeline trace to FILE: Chrome
+ * trace_event JSON for chrome://tracing / Perfetto, or Konata text
+ * for the Konata pipeline visualizer. The format follows
  * --trace-format when given, else the file extension (.json =>
- * chrome). --trace-cap bounds the event ring (default 1M events;
- * the ring keeps the tail of the run). A traced run also prints the
- * trace-derived metrics report (slack and latency distributions,
- * recycle-chain depths, EGPW outcomes).
+ * chrome). A traced run also prints the trace-derived metrics report
+ * (slack and latency distributions, recycle-chain depths, EGPW
+ * outcomes).
  */
 
 #include <cstdio>
@@ -73,7 +72,7 @@ usage(const char *argv0)
                  "[--dram-banks N]\n"
                  "          [--bank-occupancy N] [--share-addr]\n"
                  "          [--trace FILE] [--trace-format "
-                 "chrome|konata] [--trace-cap N]\n",
+                 "chrome|konata]\n",
                  argv0);
 }
 
@@ -108,7 +107,6 @@ try {
     if (const char *env = std::getenv("REDSOC_TRACE"))
         trace_path = env;
     std::optional<TraceFormat> trace_format;
-    size_t trace_cap = PipeTracer::kDefaultCapacity;
 
     unsigned num_cores = 1;
     bool proc_mode = false;
@@ -181,9 +179,6 @@ try {
             if (!trace_format)
                 fatal("unknown trace format '", f,
                       "' (chrome or konata)");
-        } else if (arg == "--trace-cap") {
-            trace_cap = std::strtoull(next().c_str(), nullptr, 0);
-            fatal_if(trace_cap == 0, "--trace-cap must be positive");
         } else if (arg == "--profile") {
             prof::setEnabled(true);
         } else if (arg == "--stats") {
@@ -246,16 +241,15 @@ try {
         ProcStats pstats;
         if (!trace_path.empty()) {
             // Traced multi-core run: uncached (like runTraced), one
-            // tracer and one FILE.core<i> output per core.
+            // recorder and one FILE.core<i> output per core.
             std::vector<const Trace *> traces;
-            for (unsigned i = 0; i < pcfg.num_cores; ++i)
-                traces.push_back(&driver.trace(mix[i % mix.size()]));
+            std::vector<std::unique_ptr<GraphRecorder>> recorders;
             Processor proc(pcfg);
-            std::vector<std::unique_ptr<PipeTracer>> tracers;
             for (unsigned i = 0; i < pcfg.num_cores; ++i) {
-                tracers.push_back(
-                    std::make_unique<PipeTracer>(trace_cap));
-                proc.setTracer(i, tracers.back().get());
+                traces.push_back(&driver.trace(mix[i % mix.size()]));
+                recorders.push_back(
+                    std::make_unique<GraphRecorder>(traces[i]->size()));
+                proc.setRecorder(i, recorders[i].get());
             }
             pstats = proc.run(traces);
             for (unsigned i = 0; i < pcfg.num_cores; ++i) {
@@ -264,9 +258,11 @@ try {
                 const TraceFormat fmt =
                     trace_format ? *trace_format
                                  : traceFormatForPath(trace_path);
-                writeTraceFile(path, fmt, *tracers[i], *traces[i]);
-                std::printf("trace core %u: %zu events -> %s\n", i,
-                            tracers[i]->size(), path.c_str());
+                writeTraceFile(path, fmt, *recorders[i], *traces[i]);
+                std::printf("trace core %u: %llu ops -> %s\n", i,
+                            static_cast<unsigned long long>(
+                                traces[i]->size()),
+                            path.c_str());
             }
         } else {
             pstats = driver.runProc(mix, pcfg);
@@ -305,32 +301,17 @@ try {
     CoreStats stats;
     if (!trace_path.empty()) {
         // A traced run bypasses the result caches (a cache hit has no
-        // events) but produces byte-identical statistics.
-        PipeTracer tracer(trace_cap);
-        stats = driver.runTraced(workload, cfg, tracer);
+        // record) but produces byte-identical statistics.
+        GraphRecorder rec(trace.size());
+        stats = driver.runTraced(workload, cfg, rec);
         const TraceFormat fmt =
             trace_format ? *trace_format : traceFormatForPath(trace_path);
-        writeTraceFile(trace_path, fmt, tracer, trace);
-        std::printf("trace: %zu events (%llu dropped) -> %s [%s]\n",
-                    tracer.size(),
-                    static_cast<unsigned long long>(
-                        tracer.droppedEvents()),
+        writeTraceFile(trace_path, fmt, rec, trace);
+        std::printf("trace: %llu ops -> %s [%s]\n",
+                    static_cast<unsigned long long>(trace.size()),
                     trace_path.c_str(),
                     fmt == TraceFormat::Chrome ? "chrome" : "konata");
-        const TraceMetrics metrics = computeTraceMetrics(tracer, trace);
-        if (metrics.droppedEvents() != 0) {
-            std::fprintf(
-                stderr,
-                "WARNING: trace export TRUNCATED: the event ring "
-                "wrapped and %llu events from the head of the run "
-                "were dropped (kept the most recent %zu). Re-run "
-                "with --trace-cap >= %llu for a complete trace.\n",
-                static_cast<unsigned long long>(
-                    metrics.droppedEvents()),
-                tracer.size(),
-                static_cast<unsigned long long>(
-                    metrics.droppedEvents() + tracer.size()));
-        }
+        const TraceMetrics metrics = computeTraceMetrics(rec, trace);
         std::fputs(renderTraceMetrics(metrics).c_str(), stdout);
     } else {
         stats = driver.run(workload, cfg);
