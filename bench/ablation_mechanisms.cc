@@ -8,16 +8,15 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::ablation_mechanisms(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("ReDSOC mechanism ablations",
                        "Sec.IV design choices");
-    SimDriver driver;
     const std::vector<std::string> cores = {"big", "small"};
 
     // Two-phase prefetch: the tuning sweep first (it decides each
@@ -87,5 +86,4 @@ main(int argc, char **argv)
                 "RSE tracks the Illustrative\ndesign within ~1%%; the "
                 "dynamic threshold approaches the statically\ntuned "
                 "value without per-suite sweeps.\n");
-    return 0;
 }

@@ -1,12 +1,11 @@
 /**
  * @file
- * Shared plumbing for the figure/table regeneration harnesses: suite
- * iteration, a process-wide SimDriver, matrix enumeration + parallel
- * prefetch helpers, and mean helpers. Pass "fast" as the first
- * argument to any harness to run a reduced workload subset (one
- * benchmark per suite).
+ * Shared plumbing for the figure/table regeneration harnesses
+ * (harnesses.h): suite iteration, matrix enumeration + parallel
+ * prefetch helpers, and mean helpers. Fast mode runs a reduced
+ * workload subset (one benchmark per suite).
  *
- * The harness pattern is enumerate-then-print: a main first collects
+ * The harness pattern is enumerate-then-print: a harness first collects
  * every (workload, config) point its tables will touch into a
  * SimDriver::Point matrix and hands it to SimDriver::prefetch(),
  * which fans the points out across the global thread pool (and the
@@ -19,8 +18,6 @@
 #define REDSOC_BENCH_BENCH_COMMON_H
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,12 +27,6 @@
 
 namespace redsoc {
 namespace bench {
-
-inline bool
-fastMode(int argc, char **argv)
-{
-    return argc > 1 && std::strcmp(argv[1], "fast") == 0;
-}
 
 /**
  * Workloads to sweep, honoring fast mode. An empty suite would

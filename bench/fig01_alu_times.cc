@@ -6,12 +6,13 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 #include "timing/timing_model.h"
 
 using namespace redsoc;
 
-int
-main()
+void
+bench::fig01_alu_times(SimDriver &, bool)
 {
     bench::printHeader("ALU computation times", "Fig.1");
     const TimingModel tm;
@@ -58,5 +59,4 @@ main()
     std::printf("paper shape: logical ~95-130ps, moves/shifts "
                 "~140-210ps,\narithmetic ~305-345ps, shifted-operand "
                 "arithmetic ~450-470ps.\n");
-    return 0;
 }

@@ -6,13 +6,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 #include "common/bitutils.h"
 #include "timing/kogge_stone.h"
 
 using namespace redsoc;
 
-int
-main()
+void
+bench::fig02_ks_adder(SimDriver &, bool)
 {
     bench::printHeader("Kogge-Stone critical path vs data width",
                        "Fig.2");
@@ -28,5 +29,4 @@ main()
     std::printf("paper shape: the critical carry path grows ~log2 of "
                 "the\nactive width; a 4-bit add uses a small fraction "
                 "of the\nfull-width critical path.\n");
-    return 0;
 }

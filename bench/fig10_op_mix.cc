@@ -6,17 +6,16 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 #include "workloads/op_mix.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::fig10_op_mix(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("benchmark operation characteristics", "Fig.10");
 
-    SimDriver driver;
     // No timing simulation here, but the functional traces are still
     // expensive: build them all in parallel first.
     std::vector<std::string> all_names;
@@ -54,5 +53,4 @@ main(int argc, char **argv)
     std::printf("paper shape: MiBench averages ~60%% high-slack ALU "
                 "ops vs ~30%%\nfor SPEC; ML kernels carry large SIMD "
                 "fractions; bitcnt has <5%%\nmemory ops.\n");
-    return 0;
 }

@@ -7,16 +7,15 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::fig11_seq_length(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("expected transparent sequence length",
                        "Fig.11");
-    SimDriver driver;
     // The whole matrix is the tuning sweep; simulate it in parallel
     // before any table code runs.
     bench::prefetchTuning(driver, bench::allSuites(), bench::allCores(),
@@ -40,5 +39,4 @@ main(int argc, char **argv)
     std::printf("paper shape: average transparent sequences of ~4-6 "
                 "operations,\nlonger on larger cores (more idle units "
                 "to flow into).\n");
-    return 0;
 }

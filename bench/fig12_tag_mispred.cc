@@ -5,15 +5,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::fig12_tag_mispred(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("P/GP tag misprediction", "Fig.12");
-    SimDriver driver;
     bench::prefetchTuning(driver, bench::allSuites(), bench::allCores(),
                           fast);
     Table t({"suite", "BIG", "MEDIUM", "SMALL"});
@@ -34,5 +33,4 @@ main(int argc, char **argv)
     std::printf("%s\n", t.render().c_str());
     std::printf("paper shape: around 1%% misprediction, slightly "
                 "higher on larger\ncores (more scheduling traffic).\n");
-    return 0;
 }

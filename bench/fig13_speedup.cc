@@ -6,15 +6,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::fig13_speedup(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("ReDSOC speedup over baseline", "Fig.13");
-    SimDriver driver;
     // Every cell of Fig.13 (and the tuning sweep behind it) is a
     // point of the per-suite threshold matrix: fan it out first.
     bench::prefetchTuning(driver, bench::allSuites(), bench::allCores(),
@@ -51,5 +50,4 @@ main(int argc, char **argv)
     std::printf("paper shape (BIG/MED/SMALL means): SPEC 12/8/4%%, "
                 "MiBench 23/17/9%%,\nML 13/9/6%%; bitcount exceeds "
                 "40%% on the big core; gains grow\nwith core size.\n");
-    return 0;
 }

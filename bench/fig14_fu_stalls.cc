@@ -6,15 +6,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::fig14_fu_stalls(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("FU-busy stall rates", "Fig.14");
-    SimDriver driver;
     bench::prefetchTuning(driver, bench::allSuites(), bench::allCores(),
                           fast);
     Table t({"core:suite", "baseline", "REDSOC"});
@@ -37,5 +36,4 @@ main(int argc, char **argv)
     std::printf("paper shape: ReDSOC raises FU-busy stalls everywhere; "
                 "the\nincrease is what bounds recycling gains on the "
                 "small core.\n");
-    return 0;
 }

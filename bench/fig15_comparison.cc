@@ -7,15 +7,14 @@
 
 #include "baselines/timing_speculation.h"
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::fig15_comparison(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("ReDSOC vs TS vs MOS", "Fig.15");
-    SimDriver driver;
     const TimingSpeculation ts;
 
     // Matrix: the tuning sweep (covers baseline + tuned ReDSOC) plus
@@ -63,5 +62,4 @@ main(int argc, char **argv)
                 "2x or more;\nMOS does best on MiBench (highest slack "
                 "pairs); TS is capped by\nits conservative error-rate "
                 "band and fixed memory time.\n");
-    return 0;
 }

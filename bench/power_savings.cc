@@ -6,16 +6,15 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 #include "power/dvfs.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::power_savings(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("iso-performance power savings", "Sec.VI-C");
-    SimDriver driver;
     bench::prefetchTuning(driver, bench::allSuites(), bench::allCores(),
                           fast);
     const DvfsModel dvfs;
@@ -44,5 +43,4 @@ main(int argc, char **argv)
                 "(MiBench)\nand 8-18%% (ML) across the cores, via "
                 "application-level V/F\nscaling modeled on an ARM "
                 "A57.\n");
-    return 0;
 }

@@ -10,16 +10,15 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::sweep_pvt(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("PVT guard-band sweep",
                        "Sec.V (worst-case corner vs nominal PVT)");
-    SimDriver driver;
 
     std::vector<SimDriver::Point> points;
     for (double derate : {1.0, 0.95, 0.9, 0.85}) {
@@ -61,5 +60,4 @@ main(int argc, char **argv)
                 "up —\nnominal-corner paths finish earlier, so every "
                 "LUT bucket gains\nrecyclable ticks (1.0 = worst-case "
                 "corner, the paper's default).\n");
-    return 0;
 }

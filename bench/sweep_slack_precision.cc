@@ -6,15 +6,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::sweep_slack_precision(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("CI precision sweep", "Sec.V (3-bit saturation)");
-    SimDriver driver;
 
     const std::vector<std::string> names =
         fast ? std::vector<std::string>{"crc"}
@@ -54,5 +53,4 @@ main(int argc, char **argv)
     std::printf("%s\n", t.render().c_str());
     std::printf("paper shape: performance saturates at 3 bits of CI "
                 "precision\n(1/8th of the clock period).\n");
-    return 0;
 }

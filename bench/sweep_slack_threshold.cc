@@ -7,15 +7,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::sweep_slack_threshold(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("slack-threshold sweep", "Sec.IV-C step 10");
-    SimDriver driver;
 
     std::vector<SimDriver::Point> points;
     for (const std::string &core : {std::string("big"),
@@ -71,5 +70,4 @@ main(int argc, char **argv)
                 "aggressively; FU\nover-allocation (2-cycle holds) "
                 "pushes stall rates up, bounding\nthe benefit on "
                 "FU-constrained small cores.\n");
-    return 0;
 }

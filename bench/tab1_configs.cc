@@ -4,11 +4,12 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main()
+void
+bench::tab1_configs(SimDriver &, bool)
 {
     bench::printHeader("processor baselines", "Table I");
     Table t({"parameter", "small", "medium", "big"});
@@ -30,5 +31,4 @@ main()
     row("mem ports", [](const CoreConfig &c) { return c.mem_ports; });
     t.addRow({"L1 / L2", "64kB / 2MB w/ prefetch", "same", "same"});
     std::printf("%s", t.render().c_str());
-    return 0;
 }

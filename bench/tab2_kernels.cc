@@ -5,15 +5,14 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::tab2_kernels(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("workload suite", "Table II + Sec.V benchmarks");
-    SimDriver driver;
     auto selected = [&](const Workload &w) {
         return !fast || w.name == "crc" || w.suite == Suite::Ml;
     };
@@ -31,5 +30,4 @@ main(int argc, char **argv)
                   std::to_string(driver.trace(w.name).size())});
     }
     std::printf("%s", t.render().c_str());
-    return 0;
 }

@@ -6,12 +6,13 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 #include "timing/slack_lut.h"
 
 using namespace redsoc;
 
-int
-main()
+void
+bench::tab_slack_lut(SimDriver &, bool)
 {
     bench::printHeader("slack LUT buckets", "Sec.II-B / Fig.3");
     const TimingModel tm;
@@ -33,5 +34,4 @@ main()
                 "at 3-bit\nCI precision, so recycling is never "
                 "timing-speculative.\n",
                 SlackLut::kNumBuckets);
-    return 0;
 }

@@ -6,16 +6,15 @@
  */
 
 #include "bench_common.h"
+#include "harnesses.h"
 
 using namespace redsoc;
 
-int
-main(int argc, char **argv)
+void
+bench::tab_width_predictor(SimDriver &driver, bool fast)
 {
-    const bool fast = bench::fastMode(argc, argv);
     bench::printHeader("data-width predictor accuracy and cost",
                        "Sec.II-B");
-    SimDriver driver;
     const CoreConfig cfg = configFor("medium", SchedMode::ReDSOC);
 
     std::vector<SimDriver::Point> points;
@@ -51,5 +50,4 @@ main(int argc, char **argv)
                 worst_aggressive * 100.0);
     std::printf("paper: aggressive mispredictions ~0.3-0.4%% with a "
                 "4K-entry,\n~1.5KB table (vs 64KB branch predictors).\n");
-    return 0;
 }

@@ -11,9 +11,10 @@
  *    (workload, configKey) point simulates exactly once behind a
  *    per-key std::shared_future, trace construction likewise;
  *  - prefetch()/runAll() enumerate a matrix up front and saturate
- *    std::thread::hardware_concurrency() workers with it;
+ *    the global pool's workers (one per CPU the process may use) with
+ *    it;
  *  - when REDSOC_CACHE_DIR is set, finished points persist to an
- *    on-disk cache shared across harness processes (see run_cache.h).
+ *    on-disk cache shared across processes (see run_cache.h).
  *
  * Batch results are bit-identical to serial runs: parallelism only
  * reorders which deterministic point simulates when.

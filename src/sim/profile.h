@@ -2,8 +2,8 @@
  * @file
  * Lightweight host-side phase profiler. RAII timers accumulate
  * wall-clock nanoseconds and invocation counts per simulator phase
- * into process-wide atomic counters, so any harness (redsoc_sim
- * --profile, bench_all --profile) can report where host time went
+ * into process-wide atomic counters, so any tool (redsoc_sim
+ * --profile, REDSOC_PROFILE=1 bench_sched) can report where host time went
  * without touching the simulated result.
  *
  * Disabled (the default) it costs one predictable branch per scope;

@@ -1,14 +1,31 @@
 #include "sim/thread_pool.h"
 
+#include <sched.h>
+
+#include <algorithm>
+
 namespace redsoc {
+
+namespace {
+
+/** The CPUs the calling thread may run on (its affinity mask, which
+ *  taskset and container CPU sets narrow), else the machine's count. */
+unsigned
+allowedCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+} // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
 {
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
+    if (threads == 0)
+        threads = allowedCpus();
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });

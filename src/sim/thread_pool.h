@@ -25,7 +25,8 @@ namespace redsoc {
 class ThreadPool
 {
   public:
-    /** @p threads == 0 selects std::thread::hardware_concurrency(). */
+    /** @p threads == 0 selects one worker per CPU the calling thread
+     *  may run on (sched_getaffinity), not per CPU of the machine. */
     explicit ThreadPool(unsigned threads = 0);
 
     /** Drains the queue, then joins every worker. */

@@ -13,6 +13,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -170,6 +171,28 @@ TEST(ThreadPool, WaitRethrowsFirstTaskError)
     pool.submit([&done] { ++done; });
     pool.wait();
     EXPECT_EQ(done.load(), 8);
+}
+
+// The default pool is sized by the CPUs the thread may use, not the
+// machine's: under taskset -c 0 it must not run several workers on one
+// CPU (each point's host time would then measure the oversubscription).
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask)
+{
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned threads = ThreadPool(0).threads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(threads, 1u);
+    EXPECT_EQ(ThreadPool(0).threads(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
 }
 
 TEST(ParallelDriver, EightThreadsOnOnePointMatchSerial)

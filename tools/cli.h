@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/logging.h"
 #include "core/core_config.h"
 
@@ -26,6 +27,20 @@ enumArg(const char *flag, const std::string &text)
     E value{};
     if (!parseEnum(text, value)) {
         std::fprintf(stderr, "unknown %s '%s'\n", flag, text.c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
+/** The number @p text spells, whole (parseLeaf). Anything else is a
+ *  usage error (exit status 2), never a silent zero or default. */
+template <class T>
+T
+numArg(const char *flag, const std::string &text)
+{
+    T value{};
+    if (!parseLeaf(text, value)) {
+        std::fprintf(stderr, "invalid %s '%s'\n", flag, text.c_str());
         std::exit(2);
     }
     return value;

@@ -130,12 +130,10 @@ try {
         } else if (arg == "--mode") {
             mode = cli::enumArg<SchedMode>("--mode", next());
         } else if (arg == "--threshold") {
-            threshold = std::strtoull(next().c_str(), nullptr, 0);
+            threshold = cli::numArg<Tick>("--threshold", next());
             threshold_set = true;
         } else if (arg == "--precision") {
-            precision =
-                static_cast<unsigned>(std::strtoul(next().c_str(),
-                                                   nullptr, 0));
+            precision = cli::numArg<unsigned>("--precision", next());
             precision_set = true;
         } else if (arg == "--dynamic-threshold") {
             dynamic_threshold = true;
@@ -147,28 +145,25 @@ try {
         } else if (arg == "--no-skew") {
             no_skew = true;
         } else if (arg == "--pvt-derate") {
-            pvt_derate = std::strtod(next().c_str(), nullptr);
+            pvt_derate = cli::numArg<double>("--pvt-derate", next());
         } else if (arg == "--max-ops") {
-            max_ops = std::strtoull(next().c_str(), nullptr, 0);
+            max_ops = cli::numArg<SeqNum>("--max-ops", next());
         } else if (arg == "--kernel") {
             kernel = cli::enumArg<SchedKernel>("--kernel", next());
             kernel_set = true;
         } else if (arg == "--cores") {
-            num_cores =
-                static_cast<unsigned>(std::strtoul(next().c_str(),
-                                                   nullptr, 0));
+            num_cores = cli::numArg<unsigned>("--cores", next());
             proc_mode = true;
         } else if (arg == "--mix") {
             mix_spec = next();
             proc_mode = true;
         } else if (arg == "--llc-kb") {
-            llc_kb = std::strtoull(next().c_str(), nullptr, 0);
+            llc_kb = cli::numArg<u64>("--llc-kb", next());
         } else if (arg == "--dram-banks") {
-            dram_banks =
-                static_cast<unsigned>(std::strtoul(next().c_str(),
-                                                   nullptr, 0));
+            dram_banks = cli::numArg<unsigned>("--dram-banks", next());
         } else if (arg == "--bank-occupancy") {
-            bank_occupancy = std::strtoull(next().c_str(), nullptr, 0);
+            bank_occupancy =
+                cli::numArg<Cycle>("--bank-occupancy", next());
         } else if (arg == "--share-addr") {
             share_addr = true;
         } else if (arg == "--trace") {
