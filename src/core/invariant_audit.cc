@@ -21,6 +21,7 @@ invariantAuditName(InvariantAudit kind)
       case InvariantAudit::TransparentLink: return "transparent-link";
       case InvariantAudit::ReadyRsAgreement:
         return "ready-rs-agreement";
+      case InvariantAudit::StorePhaseA: return "store-phase-a";
       case InvariantAudit::NUM: break;
     }
     return "?";
@@ -151,6 +152,18 @@ InvariantAuditor::checkReadyAgreement(SeqNum seq, unsigned pending,
     return make(InvariantAudit::ReadyRsAgreement, os);
 }
 
+std::optional<AuditViolation>
+InvariantAuditor::checkStorePhaseA(SeqNum seq, bool in_phase_a)
+{
+    if (in_phase_a)
+        return std::nullopt;
+    std::ostringstream os;
+    os << "store " << seq
+       << " issued outside Phase A: its park-list wakeups would miss "
+          "this cycle's select";
+    return make(InvariantAudit::StorePhaseA, os);
+}
+
 void
 InvariantAuditor::report(const std::optional<AuditViolation> &v)
 {
@@ -197,6 +210,8 @@ InvariantAuditor::onCycleEnd(const OooCore &core)
 void
 InvariantAuditor::onIssue(const OooCore &core, SeqNum seq)
 {
+    if (core.st_[seq] & OooCore::kIsStore)
+        report(checkStorePhaseA(seq, core.in_phase_a_));
     const Tick start = core.cold_[seq].start_tick;
     const Tick tpc = core.clock_.ticksPerCycle();
     report(checkCiRange(seq, core.clock_.ciOf(start), tpc));

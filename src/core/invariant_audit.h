@@ -28,6 +28,12 @@
  *                        every waiting RS entry is reachable by some
  *                        future event — a pending producer broadcast,
  *                        a live future arm, or the parked-load list.
+ *   store-phase-a        A store issues only in Phase A (conventional
+ *                        select): EGPW's evalEager rejects memory ops
+ *                        and MOS fusion needs a slack-eligible op. So
+ *                        a store's park-list wakeups always run while
+ *                        the Phase-A cursor is live, and a woken load
+ *                        re-enters the ready set the same cycle.
  *
  * The audit is debug-gated: OooCore reads REDSOC_AUDIT=1 from the
  * environment once at construction, and a disabled audit costs one
@@ -59,6 +65,7 @@ enum class InvariantAudit : u8 {
     EgpwLeftoverSlot,
     TransparentLink,
     ReadyRsAgreement,
+    StorePhaseA,
     NUM,
 };
 
@@ -116,6 +123,10 @@ class InvariantAuditor
     static std::optional<AuditViolation>
     checkReadyAgreement(SeqNum seq, unsigned pending, Cycle armed_cycle,
                         Cycle now, bool parked, bool in_ready_set);
+
+    /** store-phase-a: a store issued with @p in_phase_a set. */
+    static std::optional<AuditViolation>
+    checkStorePhaseA(SeqNum seq, bool in_phase_a);
 
     // --- Core hooks (friend access; defined in the .cc) -------------
 

@@ -779,7 +779,12 @@ OooCore::broadcastWakeup(SeqNum seq)
     // A store resolving its address unblocks exactly the loads parked
     // on it (memory-order wakeup rides the same broadcast port). A
     // woken load still blocked by a different older store re-parks on
-    // that blocker.
+    // that blocker. Stores issue only in Phase A (evalEager rejects
+    // memory ops, and MOS fusion needs a slack-eligible op), so each
+    // woken load takes scheduleEval's in_phase_a_ branch: it is
+    // younger than the store and re-enters the ready set ahead of the
+    // cursor this cycle, never the next-cycle arm. The audit's
+    // store-phase-a check (REDSOC_AUDIT=1) holds both kernels to it.
     if (st_[seq] & kIsStore) {
         for (SeqNum l = park_head_[seq]; l != kNoSeq;
              l = park_next_[l])
@@ -1028,9 +1033,11 @@ OooCore::issuePhase()
         // issue, so the window is fixed for the whole phase, and an
         // entry issued mid-scan fails every later InRs test.
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
+        in_phase_a_ = true;
         for (SeqNum seq = commit_ptr_; seq < next_fetch_; ++seq)
             if (inRs(seq))
                 phaseAEntry(seq, interleave_spec, fu_denied, nullptr);
+        in_phase_a_ = false;
     }
 
     // Phase B: EGPW speculative requests from leftover units (the

@@ -535,6 +535,9 @@ class OooCore
     bool event_kernel_ = false;
     /** Maintain the separate EGPW candidate set (skewed Phase B). */
     bool collect_eager_ = false;
+    /** Inside the Phase-A select walk (both kernels): an event-kernel
+     *  wakeup lands ahead of the cursor, and the audit checks that
+     *  every store issues here. */
     bool in_phase_a_ = false;
 
     /** Per-producer consumer lists: edge pool + intrusive heads in

@@ -6,6 +6,23 @@
 
 namespace redsoc {
 
+namespace {
+
+/** finalize()'s per-op edge bound failed: kept out of line so the
+ *  per-edge append stays a compare, a store and an increment. With a
+ *  formatted fatal() inline, each of append's ~20 inlined copies grew
+ *  finalize() by ~25 insns; a whole-library (LTO) build then hit
+ *  --param inline-unit-growth, left several calls out of line and
+ *  made finalize() ~35% slower. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+edgeBoundExceeded(u32 op)
+{
+    fatal("op ", op, " has more edges than the per-op bound ",
+          kMaxEdgesPerOp);
+}
+
+} // namespace
+
 DepGraphBuilder::DepGraphBuilder(const Trace &trace,
                                  const CoreConfig &config)
     : GraphRecorder(trace.size()), config_(&config)
@@ -64,9 +81,8 @@ DepGraphBuilder::finalize()
     u32 fence[kNumMilestones];
     u32 n_fence = 0;
     auto append = [&](EdgeKind kind, u32 src, u32 aux = 0) {
-        fatal_if(n_buf == kMaxEdgesPerOp, "op ", i,
-                 " has more edges than the per-op bound ",
-                 kMaxEdgesPerOp);
+        if (n_buf == kMaxEdgesPerOp)
+            edgeBoundExceeded(i);
         buf[n_buf++] = Edge{src, aux, kind};
     };
     // Opens node (i, ms): its in-edges are appended next.

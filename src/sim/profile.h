@@ -2,14 +2,16 @@
  * @file
  * Lightweight host-side phase profiler. RAII timers accumulate
  * wall-clock nanoseconds and invocation counts per simulator phase
- * into process-wide atomic counters, so any tool (redsoc_sim
- * --profile, REDSOC_PROFILE=1 bench_sched) can report where host time went
+ * into per-thread counters, so any tool (redsoc_sim --profile,
+ * REDSOC_PROFILE=1 bench_sched) can report where host time went
  * without touching the simulated result.
  *
  * Disabled (the default) it costs one predictable branch per scope;
  * enable via setEnabled(true) or the REDSOC_PROFILE=1 environment
- * variable. Counters are process-wide and thread-safe: parallel
- * SimDriver batches aggregate across workers.
+ * variable. Each thread adds into its own cache-line-aligned slots
+ * (no locked add, no line shared between threads' timers); totals()
+ * sums every thread's slots, so parallel SimDriver batches aggregate
+ * across workers.
  */
 
 #ifndef REDSOC_SIM_PROFILE_H
@@ -52,9 +54,12 @@ struct PhaseTotals
     u64 calls = 0;
 };
 
+/** @p phase summed over every thread that has recorded it. */
 PhaseTotals totals(Phase phase);
 
-/** Zero all counters (harness setup / between benchmark repeats). */
+/** Zero all counters (harness setup / between benchmark repeats).
+ *  Exact only while no timer is running: a thread adding at the same
+ *  moment may write back its pre-reset count. */
 void reset();
 
 /** Human-readable per-phase table (no output when nothing recorded). */

@@ -504,6 +504,14 @@ TEST(InvariantAuditChecks, ReadyRsAgreement)
                     "last armed for past cycle 50");
 }
 
+TEST(InvariantAuditChecks, StorePhaseA)
+{
+    EXPECT_FALSE(InvariantAuditor::checkStorePhaseA(12, true).has_value());
+    expectViolation(InvariantAuditor::checkStorePhaseA(12, false),
+                    InvariantAudit::StorePhaseA,
+                    "store 12 issued outside Phase A");
+}
+
 TEST(InvariantAuditNames, EveryEnumeratorHasAUniqueName)
 {
     std::vector<std::string> names;
@@ -531,6 +539,54 @@ TEST(InvariantAuditEnd2End, AuditedRunsMatchUnauditedRuns)
     }
     ASSERT_EQ(unsetenv("REDSOC_AUDIT"), 0);
     EXPECT_FALSE(InvariantAuditor::enabledFromEnv());
+}
+
+TEST(InvariantAuditEnd2End, StoresIssueInPhaseAUnderBothKernels)
+{
+    // Each store's data waits on a divide, so it selects (and resolves
+    // its address) late, and the load behind it parks on it until the
+    // store's broadcast wakes it. The audit's store-phase-a check
+    // watches every store grant, in ReDSOC (EGPW Phase B) and MOS
+    // (fusion) mode under both kernels.
+    using K = FuzzInst::Kind;
+    FuzzCase fc;
+    fc.name = "store-heavy";
+    for (u8 k = 0; k < 48; ++k) {
+        const auto next = static_cast<u8>(k + 1);
+        fc.prog.push_back({.kind = K::Sdiv, .dst = k, .a = k});
+        fc.prog.push_back({.kind = K::Store, .sel = k, .a = k, .imm = k});
+        fc.prog.push_back(
+            {.kind = K::Load, .sel = k, .dst = next, .imm = next});
+        fc.prog.push_back(
+            {.kind = K::AluImm, .dst = next, .a = next, .imm = 3});
+    }
+    const Trace trace = buildTrace(fc);
+
+    ASSERT_EQ(setenv("REDSOC_AUDIT", "1", 1), 0);
+    for (const SchedMode mode : {SchedMode::ReDSOC, SchedMode::MOS}) {
+        CoreConfig config = smallCore();
+        config.mode = mode;
+        RunOutcome runs[2];
+        for (const SchedKernel kernel :
+             {SchedKernel::Scan, SchedKernel::Event}) {
+            RunOutcome &r = runs[static_cast<int>(kernel)];
+            r = runOne(trace, config, kernel, Observer::Graph);
+            ASSERT_FALSE(r.deadlock) << schedModeName(mode);
+            EXPECT_EQ(r.stats.stores, 48u);
+            // Loads really waited on a later-resolving store.
+            EXPECT_GT(std::count_if(r.graph.edges.begin(),
+                                    r.graph.edges.end(),
+                                    [](const Edge &e) {
+                                        return e.kind ==
+                                               EdgeKind::MemOrder;
+                                    }),
+                      16)
+                << schedModeName(mode);
+        }
+        EXPECT_EQ(diffOutcome(runs[0], runs[1]), "")
+            << schedModeName(mode);
+    }
+    ASSERT_EQ(unsetenv("REDSOC_AUDIT"), 0);
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * (hit, miss, version invalidation, corrupted-file fallback), and
  * its failure-path hardening: multi-process store races leave no
  * torn files and no stale .tmp-* litter, interrupted sweeps leave
- * every cache entry readable, stale staging files are GC'd.
+ * every cache entry readable, stale staging files are GC'd. The
+ * per-thread profiler slots are summed here too.
  *
  * This binary has its own main(): the multi-process tests re-exec
  * /proc/self/exe in child modes selected by REDSOC_TEST_CHILD.
@@ -31,6 +32,7 @@
 #include "common/shutdown.h"
 #include "helpers.h"
 #include "sched_grid.h"
+#include "sim/profile.h"
 #include "sim/run_cache.h"
 #include "sim/thread_pool.h"
 
@@ -193,6 +195,36 @@ TEST(ThreadPool, DefaultSizeFollowsAffinityMask)
     EXPECT_EQ(threads, 1u);
     EXPECT_EQ(ThreadPool(0).threads(),
               static_cast<unsigned>(CPU_COUNT(&saved)));
+}
+
+// Each thread adds into its own profiler slots; totals() sums them
+// all, counts of exited threads included, and a new thread reusing an
+// exited thread's slots keeps adding to them.
+TEST(Profiler, TotalsSumEveryThreadIncludingExited)
+{
+    const auto phase = prof::Phase::TraceBuild;
+    prof::reset();
+    auto burst = [phase] {
+        for (int k = 0; k < 1000; ++k)
+            prof::record(phase, 3);
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back(burst);
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(prof::totals(phase).calls, 4000u);
+    EXPECT_EQ(prof::totals(phase).ns, 12000u);
+
+    std::thread(burst).join();
+    burst();
+    EXPECT_EQ(prof::totals(phase).calls, 6000u);
+    EXPECT_EQ(prof::totals(phase).ns, 18000u);
+    EXPECT_EQ(prof::totals(prof::Phase::Commit).calls, 0u);
+
+    prof::reset();
+    EXPECT_EQ(prof::totals(phase).calls, 0u);
+    EXPECT_EQ(prof::totals(phase).ns, 0u);
 }
 
 TEST(ParallelDriver, EightThreadsOnOnePointMatchSerial)
