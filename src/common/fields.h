@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace redsoc {
 
 // Preprocessor for-each over a member list (C++20 __VA_OPT__
@@ -237,18 +239,82 @@ parseFieldsText(std::string_view text, T &obj)
     return err;
 }
 
-/** Assign the leaf at @p path from @p text; false if @p obj has no
- *  such leaf or the text does not parse. */
+/** Assign one leaf from a "path=value" token (redsoc_sim --set, the
+ *  fuzz minimizer's resets). Returns "" on success, else the
+ *  problem: no '=', an unknown path or a value that does not parse. */
 template <class T>
-bool
-setLeaf(T &obj, std::string_view path, std::string_view text)
+std::string
+setLeaf(T &obj, std::string_view token)
 {
-    bool ok = false;
+    const size_t eq = token.find('=');
+    if (eq == std::string_view::npos || eq == 0)
+        return "expected PATH=VALUE, got '" + std::string(token) + "'";
+    const std::string_view path = token.substr(0, eq);
+    const std::string_view text = token.substr(eq + 1);
+    std::string err = "unknown path '" + std::string(path) + "'";
     forEachLeaf(obj, [&](const std::string &p, auto &leaf) {
         if (p == path)
-            ok = parseLeaf(text, leaf);
+            err = parseLeaf(text, leaf) ? ""
+                                        : "bad value '" +
+                                              std::string(text) +
+                                              "' for '" + p + "'";
     });
-    return ok;
+    return err;
+}
+
+/**
+ * Builds a config struct's configError(): "" or the first problem,
+ * "path=value: must be RULE" with the leaf's visitor path. The
+ * constructor runs each nested struct's configError() (member name
+ * prefixed to its paths); require() checks leaves in call order.
+ */
+template <class C>
+class RangeCheck
+{
+  public:
+    explicit RangeCheck(const C &config) : config_(config)
+    {
+        visitFields(config, [this](const char *name, const auto &m) {
+            if constexpr (Visitable<std::remove_cvref_t<decltype(m)>>)
+                if (error_.empty() && !configError(m).empty())
+                    error_ = name + ("." + configError(m));
+        });
+    }
+
+    /** Unless @p ok, name @p leaf (found by address) and @p rule. */
+    template <class M>
+    RangeCheck &require(const M &leaf, bool ok, std::string_view rule)
+    {
+        if (ok || !error_.empty())
+            return *this;
+        forEachLeaf(config_, [&](const std::string &path, const auto &m) {
+            if (static_cast<const void *>(&m) == &leaf) {
+                error_ = path + '=';
+                appendLeaf(error_, leaf);
+            }
+        });
+        panic_if(error_.empty(), "require() on a non-leaf: ", rule);
+        error_ += ": must be ";
+        error_ += rule;
+        return *this;
+    }
+
+    std::string error() const { return error_; }
+
+  private:
+    const C &config_;
+    std::string error_;
+};
+
+/** @p config, after a fatal() naming its first configError() problem:
+ *  a constructor's first member initializer, so nothing is built. */
+template <class C>
+C
+checkedConfig(C config, const char *what)
+{
+    const std::string err = configError(config);
+    fatal_if(!err.empty(), "bad ", what, " config: ", err);
+    return config;
 }
 
 } // namespace redsoc

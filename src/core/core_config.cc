@@ -92,18 +92,7 @@ smallCore()
 CoreConfig
 mediumCore()
 {
-    CoreConfig c;
-    c.name = "medium";
-    c.frontend_width = 4;
-    c.commit_width = 4;
-    c.rob_entries = 80;
-    c.lsq_entries = 32;
-    c.rs_entries = 64;
-    c.alu_units = 4;
-    c.simd_units = 3;
-    c.fp_units = 3;
-    c.mem_ports = 2;
-    return c;
+    return CoreConfig{}; // the struct's defaults are the medium core
 }
 
 CoreConfig

@@ -151,6 +151,34 @@ REDSOC_FIELDS(CoreConfig, name, frontend_width, commit_width, rob_entries,
               ci_precision_bits, slack_threshold_ticks, dynamic_threshold,
               threshold_epoch, no_commit_horizon, egpw, skewed_select)
 
+/** Legal ranges (common/fields.h RangeCheck), the nested structs'
+ *  included. OooCore refuses a config this rejects. */
+inline std::string
+configError(const CoreConfig &c)
+{
+    RangeCheck check(c);
+    for (const unsigned *n :
+         {&c.frontend_width, &c.commit_width, &c.rob_entries,
+          &c.lsq_entries, &c.rs_entries, &c.alu_units, &c.simd_units,
+          &c.fp_units, &c.mem_ports})
+        check.require(*n, *n >= 1, "at least 1");
+    // A precision past 8 bits is reported before the threshold (and
+    // never shifted by).
+    return check
+        .require(c.ci_precision_bits,
+                 c.ci_precision_bits >= 1 && c.ci_precision_bits <= 8,
+                 "in 1..8")
+        .require(c.slack_threshold_ticks,
+                 c.ci_precision_bits > 8 ||
+                     c.slack_threshold_ticks <= Tick{1}
+                                                    << c.ci_precision_bits,
+                 "at most 2^ci_precision_bits (one cycle)")
+        .require(c.threshold_epoch, c.threshold_epoch >= 1, "at least 1")
+        .require(c.no_commit_horizon, c.no_commit_horizon >= 1,
+                 "at least 1")
+        .error();
+}
+
 /** Table I presets. */
 CoreConfig smallCore();
 CoreConfig mediumCore();

@@ -9,7 +9,6 @@ namespace redsoc {
 
 Lsq::Lsq(unsigned capacity) : capacity_(capacity)
 {
-    fatal_if(capacity == 0, "zero-entry LSQ");
     ring_.resize(std::bit_ceil(static_cast<size_t>(capacity)));
     mask_ = ring_.size() - 1;
 }

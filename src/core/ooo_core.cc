@@ -49,7 +49,7 @@ toStatGroup(const CoreStats &stats, const std::string &name)
 }
 
 OooCore::OooCore(CoreConfig config)
-    : config_(std::move(config)),
+    : config_(checkedConfig(std::move(config), "core")),
       clock_(config_.ci_precision_bits, config_.timing.clock_period_ps),
       timing_(config_.timing),
       lut_(timing_, clock_),
@@ -62,10 +62,6 @@ OooCore::OooCore(CoreConfig config)
       fu_(config_),
       chains_(config_.rob_entries)
 {
-    fatal_if(config_.slack_threshold_ticks > clock_.ticksPerCycle(),
-             "slack threshold exceeds a full cycle");
-    fatal_if(config_.no_commit_horizon == 0,
-             "zero no-commit watchdog horizon");
     event_kernel_ = config_.sched_kernel == SchedKernel::Event;
     audit_on_ = InvariantAuditor::enabledFromEnv();
     // The EGPW candidate set only exists where a separate Phase-B

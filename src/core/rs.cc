@@ -6,12 +6,6 @@
 
 namespace redsoc {
 
-ReservationStations::ReservationStations(unsigned capacity)
-    : capacity_(capacity)
-{
-    fatal_if(capacity == 0, "zero-entry reservation stations");
-}
-
 void
 ReadySet::configure(unsigned window)
 {

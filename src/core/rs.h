@@ -25,7 +25,7 @@ namespace redsoc {
 class ReservationStations
 {
   public:
-    explicit ReservationStations(unsigned capacity);
+    explicit ReservationStations(unsigned capacity) : capacity_(capacity) {}
 
     bool full() const { return size_ >= capacity_; }
     bool empty() const { return size_ == 0; }

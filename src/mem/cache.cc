@@ -1,27 +1,14 @@
 #include "mem/cache.h"
 
-#include "common/bitutils.h"
-#include "common/logging.h"
-
 namespace redsoc {
 
 Cache::Cache(CacheConfig config)
-    : config_(std::move(config)), line_bytes_(config_.line_bytes)
+    : config_(checkedConfig(std::move(config), "cache")),
+      line_bytes_(config_.line_bytes),
+      num_sets_(static_cast<unsigned>(
+          config_.size_bytes / (u64{config_.line_bytes} * config_.assoc))),
+      lines_(u64{num_sets_} * config_.assoc)
 {
-    fatal_if(config_.size_bytes == 0, "zero cache size");
-    // Overflow guard: the tag array is materialized, so a corrupt or
-    // adversarial size (e.g. a fuzzer knob gone wrong) must fail
-    // loudly instead of attempting a multi-terabyte allocation.
-    fatal_if(config_.size_bytes > (u64{1} << 32),
-             "cache size over 4 GiB: likely an overflowing config");
-    fatal_if(!isPowerOfTwo(config_.line_bytes), "line size not pow2");
-    fatal_if(config_.assoc == 0, "zero associativity");
-    fatal_if(config_.size_bytes % (config_.line_bytes * config_.assoc) != 0,
-             "cache size not divisible by way size");
-    num_sets_ = static_cast<unsigned>(
-        config_.size_bytes / (config_.line_bytes * config_.assoc));
-    fatal_if(!isPowerOfTwo(num_sets_), "set count not pow2");
-    lines_.resize(u64{num_sets_} * config_.assoc);
 }
 
 unsigned

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "common/bitutils.h"
 #include "common/fields.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -26,6 +27,28 @@ struct CacheConfig
 };
 
 REDSOC_FIELDS(CacheConfig, name, size_bytes, assoc, line_bytes)
+
+/** Legal ranges (common/fields.h RangeCheck). The tag array is
+ *  materialized: the size cap turns a corrupt or overflowing size
+ *  into an error, not a multi-terabyte allocation. */
+inline std::string
+configError(const CacheConfig &c)
+{
+    const u64 way_bytes = u64{c.line_bytes} * c.assoc;
+    return RangeCheck(c)
+        .require(c.size_bytes,
+                 c.size_bytes >= 1 && c.size_bytes <= (u64{1} << 32),
+                 "in 1..2^32")
+        .require(c.line_bytes, isPowerOfTwo(c.line_bytes),
+                 "a power of two")
+        .require(c.assoc, c.assoc >= 1, "at least 1")
+        .require(c.size_bytes,
+                 way_bytes != 0 && c.size_bytes % way_bytes == 0 &&
+                     isPowerOfTwo(c.size_bytes / way_bytes) &&
+                     c.size_bytes / way_bytes <= (u64{1} << 31),
+                 "line_bytes * assoc times a power of two up to 2^31")
+        .error();
+}
 
 class Cache
 {

@@ -2,23 +2,16 @@
 
 #include <cmath>
 
-#include "common/logging.h"
 #include "proc/llc.h"
 
 namespace redsoc {
 
 MemHierarchy::MemHierarchy(HierarchyConfig config)
-    : config_(std::move(config)),
+    : config_(checkedConfig(std::move(config), "memory hierarchy")),
       l1_(config_.l1),
       l2_(config_.l2),
       prefetcher_(config_.prefetcher)
 {
-    // NaN fails the >= comparison, so the negated form also rejects
-    // a non-finite scale smuggled in through a parsed config.
-    fatal_if(!(config_.offcore_latency_scale >= 1.0),
-             "off-core latency scale cannot shrink latency");
-    fatal_if(config_.l1_latency == 0,
-             "zero L1 latency: loads must take at least one cycle");
 }
 
 void
@@ -33,11 +26,6 @@ void
 MemHierarchy::attachSharedLlc(SharedLlc *llc, unsigned core_id,
                               Addr addr_offset)
 {
-    fatal_if(llc != nullptr &&
-                 llc->tags().config().line_bytes !=
-                     config_.l1.line_bytes,
-             "shared LLC line size must match the L1 line size "
-             "(back-invalidation is line-granular)");
     llc_ = llc;
     core_id_ = core_id;
     addr_offset_ = addr_offset;

@@ -50,6 +50,18 @@ REDSOC_FIELDS(HierarchyConfig, l1, l2, prefetch, prefetch_fill_l1,
               prefetcher, l1_latency, l2_latency, mem_latency,
               offcore_latency_scale)
 
+/** Legal ranges (common/fields.h RangeCheck), the caches' and the
+ *  prefetcher's included. A NaN scale fails the >= comparison. */
+inline std::string
+configError(const HierarchyConfig &c)
+{
+    return RangeCheck(c)
+        .require(c.l1_latency, c.l1_latency >= 1, "at least 1")
+        .require(c.offcore_latency_scale, c.offcore_latency_scale >= 1.0,
+                 "at least 1.0 (memory does not speed up with the core)")
+        .error();
+}
+
 class MemHierarchy
 {
   public:

@@ -1,15 +1,10 @@
 #include "mem/prefetcher.h"
 
-#include "common/bitutils.h"
-#include "common/logging.h"
-
 namespace redsoc {
 
 StridePrefetcher::StridePrefetcher(PrefetcherConfig config)
-    : config_(config), table_(config.entries)
+    : config_(checkedConfig(config, "prefetcher")), table_(config.entries)
 {
-    fatal_if(!isPowerOfTwo(config.entries),
-             "prefetcher entries must be a power of two");
 }
 
 std::vector<Addr>

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/bitutils.h"
 #include "common/fields.h"
 #include "common/types.h"
 
@@ -23,6 +24,15 @@ struct PrefetcherConfig
 };
 
 REDSOC_FIELDS(PrefetcherConfig, entries, degree, min_confidence)
+
+/** Legal ranges (common/fields.h RangeCheck). */
+inline std::string
+configError(const PrefetcherConfig &c)
+{
+    return RangeCheck(c)
+        .require(c.entries, isPowerOfTwo(c.entries), "a power of two")
+        .error();
+}
 
 class StridePrefetcher
 {

@@ -5,10 +5,9 @@
 namespace redsoc {
 
 BranchPredictor::BranchPredictor(BranchPredictorConfig config)
-    : config_(config), counters_(1u << config.table_bits, 1)
+    : config_(checkedConfig(config, "branch predictor")),
+      counters_(1u << config.table_bits, 1)
 {
-    fatal_if(config.table_bits == 0 || config.table_bits > 24,
-             "bad branch table size");
     ras_.reserve(config.ras_entries);
 }
 

@@ -25,6 +25,16 @@ struct BranchPredictorConfig
 
 REDSOC_FIELDS(BranchPredictorConfig, table_bits, ras_entries)
 
+/** Legal ranges (common/fields.h RangeCheck). */
+inline std::string
+configError(const BranchPredictorConfig &c)
+{
+    return RangeCheck(c)
+        .require(c.table_bits, c.table_bits >= 1 && c.table_bits <= 24,
+                 "in 1..24")
+        .error();
+}
+
 class BranchPredictor
 {
   public:

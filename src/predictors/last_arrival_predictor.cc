@@ -1,15 +1,13 @@
 #include "predictors/last_arrival_predictor.h"
 
-#include "common/bitutils.h"
 #include "common/logging.h"
 
 namespace redsoc {
 
 LastArrivalPredictor::LastArrivalPredictor(LastArrivalConfig config)
-    : config_(config), last_is_slot1_(config.entries, false)
+    : config_(checkedConfig(config, "last-arrival predictor")),
+      last_is_slot1_(config.entries, false)
 {
-    fatal_if(!isPowerOfTwo(config.entries),
-             "last-arrival predictor entries must be a power of two");
 }
 
 unsigned

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/bitutils.h"
 #include "common/fields.h"
 #include "common/types.h"
 
@@ -25,6 +26,15 @@ struct LastArrivalConfig
 };
 
 REDSOC_FIELDS(LastArrivalConfig, entries)
+
+/** Legal ranges (common/fields.h RangeCheck). */
+inline std::string
+configError(const LastArrivalConfig &c)
+{
+    return RangeCheck(c)
+        .require(c.entries, isPowerOfTwo(c.entries), "a power of two")
+        .error();
+}
 
 class LastArrivalPredictor
 {

@@ -1,19 +1,12 @@
 #include "predictors/width_predictor.h"
 
-#include "common/bitutils.h"
-#include "common/logging.h"
-
 namespace redsoc {
 
 WidthPredictor::WidthPredictor(WidthPredictorConfig config)
-    : config_(config),
+    : config_(checkedConfig(config, "width predictor")),
       max_confidence_(static_cast<u8>((1u << config.confidence_bits) - 1)),
       table_(config.entries)
 {
-    fatal_if(!isPowerOfTwo(config.entries),
-             "width predictor entries must be a power of two");
-    fatal_if(config.confidence_bits == 0 || config.confidence_bits > 8,
-             "bad confidence width");
 }
 
 unsigned

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/bitutils.h"
 #include "common/fields.h"
 #include "common/stats.h"
 #include "timing/timing_model.h"
@@ -27,6 +28,18 @@ struct WidthPredictorConfig
 };
 
 REDSOC_FIELDS(WidthPredictorConfig, entries, confidence_bits)
+
+/** Legal ranges (common/fields.h RangeCheck). */
+inline std::string
+configError(const WidthPredictorConfig &c)
+{
+    return RangeCheck(c)
+        .require(c.entries, isPowerOfTwo(c.entries), "a power of two")
+        .require(c.confidence_bits,
+                 c.confidence_bits >= 1 && c.confidence_bits <= 8,
+                 "in 1..8")
+        .error();
+}
 
 class WidthPredictor
 {

@@ -18,13 +18,11 @@ constexpr size_t kMshrPruneAt = 1024;
 SharedLlc::SharedLlc(CacheConfig geometry, DramConfig dram,
                      unsigned num_cores, Cycle fill_latency)
     : tags_(std::move(geometry)),
-      dram_(dram),
+      dram_(checkedConfig(dram, "DRAM")),
       fill_latency_(fill_latency),
       l1s_(num_cores, nullptr),
-      banks_(std::max(1u, dram.banks))
+      banks_(dram_.banks)
 {
-    fatal_if(num_cores == 0, "shared LLC with zero cores");
-    fatal_if(dram_.banks == 0, "zero DRAM banks");
     stats_.per_core.resize(num_cores);
 }
 
@@ -32,9 +30,6 @@ void
 SharedLlc::attachL1(unsigned core_id, Cache *l1)
 {
     fatal_if(core_id >= l1s_.size(), "attachL1: core id out of range");
-    fatal_if(l1 != nullptr &&
-                 l1->config().line_bytes != tags_.config().line_bytes,
-             "L1 line size must match the LLC line size");
     l1s_[core_id] = l1;
 }
 

@@ -51,6 +51,13 @@ struct DramConfig
 
 REDSOC_FIELDS(DramConfig, banks, bank_occupancy)
 
+/** Legal ranges (common/fields.h RangeCheck). */
+inline std::string
+configError(const DramConfig &c)
+{
+    return RangeCheck(c).require(c.banks, c.banks >= 1, "at least 1").error();
+}
+
 /** Per-core slice of the LLC statistics. */
 struct LlcCoreStats
 {

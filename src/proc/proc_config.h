@@ -64,10 +64,27 @@ struct ProcConfig
 
 REDSOC_FIELDS(ProcConfig, num_cores, core, llc, dram, share_address_space)
 
-/** Reject invalid configurations via fatal() (std::logic_error):
- *  zero cores, unreasonable core counts, LLC/L1 line-size mismatch
- *  (cache geometry itself is validated by the Cache constructor). */
-void validateProcConfig(const ProcConfig &config);
+/** Legal ranges (common/fields.h RangeCheck), the core template's,
+ *  the LLC's and the DRAM's included. */
+inline std::string
+configError(const ProcConfig &c)
+{
+    // Back-invalidation is line-granular: one line size everywhere.
+    return RangeCheck(c)
+        .require(c.num_cores, c.num_cores >= 1 && c.num_cores <= 64,
+                 "in 1..64")
+        .require(c.llc.line_bytes,
+                 c.llc.line_bytes == c.core.memory.l1.line_bytes,
+                 "equal to core.memory.l1.line_bytes")
+        .error();
+}
+
+/** fatal() (std::logic_error) unless configError(config) is "". */
+inline void
+validateProcConfig(const ProcConfig &config)
+{
+    checkedConfig(config, "processor");
+}
 
 } // namespace redsoc
 

@@ -18,7 +18,6 @@ canRecycle(Tick producer_complete, Tick arrival_tick,
 TransparentTracker::TransparentTracker(unsigned window)
     : lengths_(64)
 {
-    fatal_if(window == 0, "zero-window transparent tracker");
     const size_t n = std::bit_ceil(static_cast<size_t>(window));
     slots_.resize(n);
     mask_ = n - 1;

@@ -43,11 +43,9 @@ widthClassName(WidthClass wc)
     }
 }
 
-TimingModel::TimingModel(TimingConfig config) : config_(config)
+TimingModel::TimingModel(TimingConfig config)
+    : config_(checkedConfig(config, "timing"))
 {
-    fatal_if(config_.clock_period_ps == 0, "zero clock period");
-    fatal_if(config_.pvt_derate <= 0.0 || config_.pvt_derate > 1.0,
-             "pvt_derate must be in (0, 1]");
 }
 
 namespace {

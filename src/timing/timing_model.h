@@ -49,6 +49,17 @@ struct TimingConfig
 
 REDSOC_FIELDS(TimingConfig, clock_period_ps, pvt_derate)
 
+/** Legal ranges (common/fields.h RangeCheck). */
+inline std::string
+configError(const TimingConfig &c)
+{
+    return RangeCheck(c)
+        .require(c.clock_period_ps, c.clock_period_ps >= 1, "at least 1")
+        .require(c.pvt_derate, c.pvt_derate > 0.0 && c.pvt_derate <= 1.0,
+                 "in (0, 1]")
+        .error();
+}
+
 class TimingModel
 {
   public:

@@ -112,6 +112,17 @@ TEST(FuzzHarness, EveryGeneratedPointBuildsAndAgrees)
     }
 }
 
+/** Every draw lands inside the ranges configError states: the
+ *  generator never spends a point on a config the core refuses. */
+TEST(FuzzHarness, EveryRandomConfigIsInRange)
+{
+    for (u64 seed = 0; seed < 5000; ++seed) {
+        EXPECT_EQ(caseConfigError(randomCase(seed)), "") << "seed " << seed;
+        EXPECT_EQ(caseConfigError(randomProcCase(seed)), "")
+            << "proc seed " << seed;
+    }
+}
+
 TEST(FuzzHarness, DiffOutcomeReportsTheFirstDifferingField)
 {
     RunOutcome a;
@@ -211,6 +222,16 @@ TEST(FuzzHarness, ParserRejectsMalformedFixtures)
     EXPECT_THROW(parseCase(configLine("rob_entries=40", "rob_entries") +
                            inst),
                  std::runtime_error);
+    // A config configError rejects: an epoch the dynamic threshold
+    // would divide by, a threshold beyond one cycle.
+    EXPECT_THROW(parseCase(configLine("threshold_epoch=2000",
+                                      "threshold_epoch=0") +
+                           inst),
+                 std::runtime_error);
+    EXPECT_THROW(parseCase(configLine("slack_threshold_ticks=6",
+                                      "slack_threshold_ticks=9") +
+                           inst),
+                 std::runtime_error);
 }
 
 TEST(FuzzHarness, ConfigLineCarriesDoublesExactly)
@@ -281,6 +302,11 @@ TEST(FuzzProc, ParserRejectsMalformedProcFixtures)
     // Missing or empty extra-core programs.
     EXPECT_THROW(parseCase(procLine() + inst), std::runtime_error);
     EXPECT_THROW(parseCase(procLine() + inst + "core 1\n"),
+                 std::runtime_error);
+    // An LLC line size that differs from the L1's.
+    EXPECT_THROW(parseCase(procLine("llc.line_bytes=64",
+                                    "llc.line_bytes=128") +
+                           inst + core1),
                  std::runtime_error);
     // An unknown leaf, and a config line next to the proc line.
     EXPECT_THROW(parseCase(procLine("\n", " bogus=1\n") + inst + core1),

@@ -52,13 +52,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "core/ooo_core.h"
@@ -242,13 +242,11 @@ main(int argc, char **argv)
         if (arg == "fast") {
             fast = true;
         } else if (arg == "--max-ops" && i + 1 < argc) {
-            max_ops = static_cast<SeqNum>(std::atoll(argv[++i]));
+            max_ops = cli::numArg<SeqNum>("--max-ops", argv[++i]);
         } else if (arg == "--reps" && i + 1 < argc) {
-            reps = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (reps == 0)
-                reps = 1;
+            reps = std::max(1u, cli::numArg<unsigned>("--reps", argv[++i]));
         } else if (arg == "--min-speedup" && i + 1 < argc) {
-            min_speedup = std::atof(argv[++i]);
+            min_speedup = cli::numArg<double>("--min-speedup", argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [fast] [--max-ops N] [--reps N] "

@@ -18,8 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include <string>
 #include <vector>
@@ -44,7 +42,7 @@ main(int argc, char **argv)
         if (arg == "fast") {
             fast = true;
         } else if (arg == "--max-ops" && i + 1 < argc) {
-            max_ops = static_cast<SeqNum>(std::atoll(argv[++i]));
+            max_ops = cli::numArg<SeqNum>("--max-ops", argv[++i]);
         } else if (arg == "--mix" && i + 1 < argc) {
             mix_spec = argv[++i];
         } else if (arg == "--core" && i + 1 < argc) {

@@ -35,15 +35,16 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "core/ooo_core.h"
@@ -112,26 +113,18 @@ jsonStr(const std::string &line, const char *field, std::string &out)
     return true;
 }
 
+/** The number after "field": on @p line (std::from_chars stops at
+ *  the ',' or '}' that follows it). */
+template <class T>
 bool
-jsonNum(const std::string &line, const char *field, double &out)
+jsonNum(const std::string &line, const char *field, T &out)
 {
     const std::string pat = std::string("\"") + field + "\": ";
     const size_t at = line.find(pat);
-    if (at == std::string::npos)
-        return false;
-    out = std::atof(line.c_str() + at + pat.size());
-    return true;
-}
-
-bool
-jsonU64(const std::string &line, const char *field, u64 &out)
-{
-    const std::string pat = std::string("\"") + field + "\": ";
-    const size_t at = line.find(pat);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtoull(line.c_str() + at + pat.size(), nullptr, 10);
-    return true;
+    return at != std::string::npos &&
+           std::from_chars(line.data() + at + pat.size(),
+                           line.data() + line.size(), out)
+                   .ec == std::errc();
 }
 
 bool
@@ -152,10 +145,10 @@ loadBaseline(const std::string &path, std::vector<GridPoint> &out)
             !jsonStr(line, "kernel", p.kernel))
             continue;
         u64 cyc = 0;
-        jsonU64(line, "cycles", cyc);
+        jsonNum(line, "cycles", cyc);
         p.cycles = static_cast<Cycle>(cyc);
-        jsonU64(line, "committed", p.committed);
-        jsonU64(line, "checksum", p.checksum);
+        jsonNum(line, "committed", p.committed);
+        jsonNum(line, "checksum", p.checksum);
         jsonNum(line, "sim_seconds", p.sim_seconds);
         out.push_back(std::move(p));
     }
@@ -269,15 +262,13 @@ main(int argc, char **argv)
         if (arg == "fast") {
             fast = true;
         } else if (arg == "--max-ops" && i + 1 < argc) {
-            max_ops = static_cast<SeqNum>(std::atoll(argv[++i]));
+            max_ops = cli::numArg<SeqNum>("--max-ops", argv[++i]);
         } else if (arg == "--reps" && i + 1 < argc) {
-            reps = static_cast<unsigned>(std::atoi(argv[++i]));
-            if (reps == 0)
-                reps = 1;
+            reps = std::max(1u, cli::numArg<unsigned>("--reps", argv[++i]));
         } else if (arg == "--baseline" && i + 1 < argc) {
             baseline_path = argv[++i];
         } else if (arg == "--tolerance" && i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
+            tolerance = cli::numArg<double>("--tolerance", argv[++i]);
         } else {
             std::fprintf(stderr,
                          "usage: %s [fast] [--max-ops N] [--reps N] "

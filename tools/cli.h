@@ -18,31 +18,35 @@
 
 namespace redsoc::cli {
 
+/** A usage error: @p msg on stderr, exit status 2. */
+[[noreturn]] inline void
+usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "%s\n", msg.c_str());
+    std::exit(2);
+}
+
 /** The enumerator named @p text (enumText's inverse). An unknown name
- *  is a usage error (exit status 2), never a silent default. */
+ *  is a usage error, never a silent default. */
 template <class E>
 E
 enumArg(const char *flag, const std::string &text)
 {
     E value{};
-    if (!parseEnum(text, value)) {
-        std::fprintf(stderr, "unknown %s '%s'\n", flag, text.c_str());
-        std::exit(2);
-    }
+    if (!parseEnum(text, value))
+        usageError("unknown " + std::string(flag) + " '" + text + "'");
     return value;
 }
 
 /** The number @p text spells, whole (parseLeaf). Anything else is a
- *  usage error (exit status 2), never a silent zero or default. */
+ *  usage error, never a silent zero or default. */
 template <class T>
 T
 numArg(const char *flag, const std::string &text)
 {
     T value{};
-    if (!parseLeaf(text, value)) {
-        std::fprintf(stderr, "invalid %s '%s'\n", flag, text.c_str());
-        std::exit(2);
-    }
+    if (!parseLeaf(text, value))
+        usageError("invalid " + std::string(flag) + " '" + text + "'");
     return value;
 }
 

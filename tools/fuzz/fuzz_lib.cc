@@ -102,8 +102,8 @@ randomConfig(Rng &rng)
     cfg.rs_design = rng.chance(0.5) ? RsDesign::Operational
                                     : RsDesign::Illustrative;
 
-    // CI precision bounds ticksPerCycle (2^bits); the threshold must
-    // stay within one cycle or the core (correctly) refuses to run.
+    // Every draw stays inside configError's ranges (FuzzHarness
+    // property test); the threshold is drawn up to one full cycle.
     cfg.ci_precision_bits = static_cast<unsigned>(1 + rng.below(4));
     const Tick tpc = Tick{1} << cfg.ci_precision_bits;
     cfg.slack_threshold_ticks = rng.below(tpc + 1);
@@ -120,17 +120,14 @@ randomConfig(Rng &rng)
     cfg.memory.prefetch = rng.chance(0.7);
     cfg.memory.prefetch_fill_l1 = rng.chance(0.3);
 
-    // Hierarchy geometry: power-of-two sizes/associativities only
-    // (the tag model requires power-of-two set counts). Tiny L1s
-    // push the workload into the L2/LLC where the shared-path timing
-    // actually differs.
+    // Hierarchy geometry: tiny L1s push the workload into the L2/LLC
+    // where the shared-path timing actually differs.
     cfg.memory.l1.size_bytes = u64{8 * 1024} << rng.below(4);
     cfg.memory.l1.assoc = 1u << rng.below(4);
     cfg.memory.l2.size_bytes = u64{256 * 1024} << rng.below(4);
     cfg.memory.l2.assoc = 4u << rng.below(3);
 
-    // Timing-speculation rescale of off-core latencies (>= 1.0; the
-    // hierarchy rejects shrinking memory latency with the core clock).
+    // Timing-speculation rescale of off-core latencies.
     static constexpr double kScales[] = {1.0, 1.0, 1.25, 1.5, 2.0};
     cfg.memory.offcore_latency_scale = kScales[rng.below(5)];
 
@@ -961,6 +958,13 @@ checkContracts(const std::vector<const Trace *> &traces,
 }
 
 std::string
+caseConfigError(const FuzzCase &fc)
+{
+    return configError(fc.config.num_cores == 1 ? soloConfig(fc.config.core)
+                                                : fc.config);
+}
+
+std::string
 checkCase(const FuzzCase &fc)
 {
     const Contracts every{.deadlock_ok = true};
@@ -1047,14 +1051,10 @@ minimizeCase(const FuzzCase &orig)
     // default (the core template toward the medium core), keeping a
     // reset only if the divergence survives it. The core count was
     // settled above; a single-core case reads only the core template.
-    // A reset that leaves the config invalid (a slack threshold beyond
-    // the cycle, say) makes the core refuse it: not a repro.
+    // A reset that leaves the config out of range (a slack threshold
+    // beyond the cycle, say) is not a repro.
     auto diverges = [](const FuzzCase &c) {
-        try {
-            return !checkCase(c).empty();
-        } catch (const std::logic_error &) {
-            return false;
-        }
+        return caseConfigError(c).empty() && !checkCase(c).empty();
     };
     ProcConfig def;
     def.core = mediumCore();
@@ -1062,10 +1062,10 @@ minimizeCase(const FuzzCase &orig)
         if (path == "num_cores" ||
             (cur.config.num_cores == 1 && !path.starts_with("core.")))
             return;
-        std::string text;
-        appendLeaf(text, leaf);
+        std::string token = path + '=';
+        appendLeaf(token, leaf);
         FuzzCase cand = cur;
-        if (setLeaf(cand.config, path, text) && diverges(cand))
+        if (setLeaf(cand.config, token).empty() && diverges(cand))
             cur = std::move(cand);
     });
     return cur;
@@ -1111,39 +1111,6 @@ malformed(const std::string &what)
     throw std::runtime_error("malformed fuzz fixture: " + what);
 }
 
-/** Split "key=value", throwing on anything else. */
-std::pair<std::string, std::string>
-splitKv(const std::string &tok)
-{
-    const size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0)
-        malformed("expected key=value, got '" + tok + "'");
-    return {tok.substr(0, eq), tok.substr(eq + 1)};
-}
-
-s64
-parseNum(const std::string &v)
-{
-    try {
-        size_t used = 0;
-        const s64 n = std::stoll(v, &used);
-        if (used != v.size())
-            malformed("trailing junk in number '" + v + "'");
-        return n;
-    } catch (const std::logic_error &) {
-        malformed("bad number '" + v + "'");
-    }
-}
-
-unsigned
-parseUnsigned(const std::string &v)
-{
-    const s64 n = parseNum(v);
-    if (n < 0)
-        malformed("negative value '" + v + "'");
-    return static_cast<unsigned>(n);
-}
-
 } // namespace
 
 FuzzCase
@@ -1174,12 +1141,13 @@ parseCase(const std::string &text)
                                  : parseFieldsText(leaves, fc.config);
             if (!err.empty())
                 malformed(word + " line: " + err);
-            if (fc.config.num_cores == 0 || fc.config.num_cores > 64)
-                malformed("num_cores out of range");
+            const std::string range = caseConfigError(fc);
+            if (!range.empty())
+                malformed(word + " line: " + range);
         } else if (word == "core") {
-            if (!(ls >> word))
+            unsigned idx = 0;
+            if (!(ls >> word) || !parseLeaf(word, idx))
                 malformed("core line without an index");
-            const unsigned idx = parseUnsigned(word);
             if (idx != fc.extra_progs.size() + 1 ||
                 idx >= fc.config.num_cores)
                 malformed("core index " + word + " out of sequence");
@@ -1192,20 +1160,18 @@ parseCase(const std::string &text)
                 malformed("unknown inst kind '" + word + "'");
             FuzzInst fi;
             fi.kind = *kind;
+            // key=value, the value whole and in its field's range.
             while (ls >> word) {
-                auto [k, v] = splitKv(word);
-                if (k == "sel")
-                    fi.sel = static_cast<u8>(parseUnsigned(v));
-                else if (k == "d")
-                    fi.dst = static_cast<u8>(parseUnsigned(v));
-                else if (k == "a")
-                    fi.a = static_cast<u8>(parseUnsigned(v));
-                else if (k == "b")
-                    fi.b = static_cast<u8>(parseUnsigned(v));
-                else if (k == "imm")
-                    fi.imm = parseNum(v);
-                else
-                    malformed("unknown inst key '" + k + "'");
+                const size_t eq = std::min(word.find('='), word.size());
+                const std::string k = word.substr(0, eq);
+                const std::string_view v = std::string_view(word).substr(
+                    std::min(eq + 1, word.size()));
+                if (!(k == "sel"   ? parseLeaf(v, fi.sel)
+                      : k == "d"   ? parseLeaf(v, fi.dst)
+                      : k == "a"   ? parseLeaf(v, fi.a)
+                      : k == "b"   ? parseLeaf(v, fi.b)
+                      : k == "imm" && parseLeaf(v, fi.imm)))
+                    malformed("bad inst field '" + word + "'");
             }
             if (fc.extra_progs.empty())
                 fc.prog.push_back(fi);

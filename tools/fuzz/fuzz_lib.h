@@ -270,6 +270,10 @@ ContractReport checkContracts(const std::vector<const Trace *> &traces,
  */
 std::string checkCase(const FuzzCase &fc);
 
+/** configError of what @p fc runs: a single-core case's core also
+ *  runs as a 1-core Processor (soloConfig), a mix its ProcConfig. */
+std::string caseConfigError(const FuzzCase &fc);
+
 // ---------------------------------------------------------------------
 // Minimization
 // ---------------------------------------------------------------------
@@ -293,7 +297,8 @@ FuzzCase minimizeCase(const FuzzCase &fc);
  *  DESIGN.md §11.3 and tests/fuzz_corpus/). */
 std::string serializeCase(const FuzzCase &fc);
 
-/** Parse a fixture; throws std::runtime_error on malformed input. */
+/** Parse a fixture; throws std::runtime_error on malformed input,
+ *  a config that caseConfigError rejects included. */
 FuzzCase parseCase(const std::string &text);
 
 } // namespace redsoc::fuzz

@@ -9,14 +9,9 @@
  *   redsoc_fuzz --replay tests/fuzz_corpus/foo.fuzz
  *   redsoc_fuzz --dump-seed 42                # print the fixture text
  *
- * A single-core point must hold every contract of checkContracts
- * (fuzz_lib.h): Scan ≡ Event, ring- and recorder-neutral, identical
- * ring streams, recorder event count, 1-core Processor ≡ single core,
- * the graph invariants, base retime ≡ simulation and batched ≡
- * per-model retime. --proc draws multi-core Processor points (1-3
- * cores, randomized LLC geometry, DRAM banking, shared/split address
- * spaces); a mix must hold Scan ≡ Event and traced ≡ untraced over
- * per-core and LLC statistics, and a 1-core draw every contract.
+ * Every point must hold the contracts of checkContracts (fuzz_lib.h).
+ * --proc draws multi-core Processor points (1-3 cores, randomized LLC
+ * geometry, DRAM banking, shared/split address spaces).
  *
  * Exit status 0 when every point agrees, 1 on any divergence (or a
  * failing replay), 2 on usage errors.
@@ -29,6 +24,7 @@
 #include <sstream>
 #include <string>
 
+#include "../cli.h"
 #include "fuzz_lib.h"
 
 namespace {
@@ -62,59 +58,39 @@ std::optional<Options>
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    auto num_arg = [&](int &i, const char *flag) -> std::optional<u64> {
-        if (i + 1 >= argc) {
-            std::cerr << "redsoc_fuzz: " << flag
-                      << " needs a value\n";
-            return std::nullopt;
-        }
-        return std::strtoull(argv[++i], nullptr, 10);
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        // The flag's value; a missing one is a usage error.
+        auto next = [&]() -> std::string {
+            if (i + 1 >= argc) {
+                std::cerr << "redsoc_fuzz: " << arg << " needs a value\n";
+                usage(std::cerr);
+                std::exit(2);
+            }
+            return argv[++i];
+        };
         if (arg == "--seed") {
-            const auto v = num_arg(i, "--seed");
-            if (!v)
-                return std::nullopt;
-            opt.seed = *v;
+            opt.seed = cli::numArg<u64>("--seed", next());
         } else if (arg == "--count") {
-            const auto v = num_arg(i, "--count");
-            if (!v)
-                return std::nullopt;
-            opt.count = *v;
+            opt.count = cli::numArg<u64>("--count", next());
         } else if (arg == "--budget") {
-            const auto v = num_arg(i, "--budget");
-            if (!v)
-                return std::nullopt;
-            opt.budget_s = static_cast<double>(*v);
+            opt.budget_s = cli::numArg<double>("--budget", next());
         } else if (arg == "--minimize") {
             opt.minimize = true;
         } else if (arg == "--proc") {
             opt.proc = true;
         } else if (arg == "--out") {
-            if (i + 1 >= argc) {
-                std::cerr << "redsoc_fuzz: --out needs a directory\n";
-                return std::nullopt;
-            }
-            opt.out_dir = argv[++i];
+            opt.out_dir = next();
         } else if (arg == "--replay") {
-            if (i + 1 >= argc) {
-                std::cerr << "redsoc_fuzz: --replay needs a fixture\n";
-                return std::nullopt;
-            }
-            opt.replay_path = argv[++i];
+            opt.replay_path = next();
         } else if (arg == "--dump-seed") {
-            const auto v = num_arg(i, "--dump-seed");
-            if (!v)
-                return std::nullopt;
             opt.dump_seed = true;
-            opt.dump_seed_value = *v;
+            opt.dump_seed_value = cli::numArg<u64>("--dump-seed", next());
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             std::exit(0);
         } else {
             std::cerr << "redsoc_fuzz: unknown flag '" << arg << "'\n";
-            usage(std::cerr);
             return std::nullopt;
         }
     }

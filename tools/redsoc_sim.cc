@@ -3,49 +3,34 @@
  * redsoc_sim: command-line front end to the simulator.
  *
  *   redsoc_sim [--workload NAME | --list] [--core small|medium|big]
- *              [--mode baseline|redsoc|mos] [--threshold N]
- *              [--precision BITS] [--dynamic-threshold]
- *              [--rs illustrative|operational] [--no-egpw] [--no-skew]
- *              [--pvt-derate X] [--max-ops N] [--kernel scan|event]
- *              [--cores N] [--mix A,B,...] [--llc-kb N]
- *              [--dram-banks N] [--bank-occupancy N] [--share-addr]
+ *              [--mode baseline|redsoc|mos] [--max-ops N]
+ *              [--cores N] [--mix A,B,...] [--set PATH=VALUE]...
  *              [--trace FILE] [--trace-format chrome|konata]
  *              [--profile] [--stats] [--compare]
  *
- * --cores (or --mix) switches to the multi-core Processor: N copies
- * of the selected core configuration in front of one shared inclusive
- * LLC (--llc-kb, default the core's private L2 size) and a banked
- * DRAM backend (--dram-banks/--bank-occupancy). --mix names the
- * multi-programmed workloads comma-separated; core i runs entry
- * i mod len, so "--cores 4 --mix crc,act" alternates the two. Output
- * adds one line per core plus the LLC contention table. With --trace,
- * each core's pipeline trace lands in FILE.core<i>.
+ * --set assigns one config leaf after the --core/--mode preset, in
+ * order. PATH is a ProcConfig leaf path, as in a fuzz fixture's proc
+ * line ("core.egpw=0", "dram.banks=4"). A bad path or value, a config
+ * configError rejects, core.mode (use --mode), or a leaf the run does
+ * not read (outside core.* without --cores/--mix) exits with status 2.
  *
- * --compare runs baseline and the selected mode and prints the
- * speedup; --stats dumps the full gem5-style statistics group;
- * --kernel selects the simulation kernel (results are bit-identical,
- * only host speed differs); --profile prints per-phase host timings.
- *
- * --trace (or the REDSOC_TRACE environment variable) records every
- * op of the run and writes its pipeline trace to FILE: Chrome
- * trace_event JSON for chrome://tracing / Perfetto, or Konata text
- * for the Konata pipeline visualizer. The format follows
- * --trace-format when given, else the file extension (.json =>
- * chrome). A traced run also prints the trace-derived metrics report
- * (slack and latency distributions, recycle-chain depths, EGPW
- * outcomes).
+ * --cores (or --mix) runs N copies of the core in front of one
+ * shared LLC; core i runs mix entry i mod len. --compare also runs
+ * baseline (with the same --set leaves) and prints the speedup;
+ * --stats dumps the statistics group; --profile prints host timings.
+ * --trace (or REDSOC_TRACE) writes the run's pipeline trace (Chrome
+ * JSON or Konata, by --trace-format or the extension; FILE.core<i>
+ * per core) and prints the trace-derived metrics.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cli.h"
-#include "common/logging.h"
 #include "common/shutdown.h"
 #include "sim/driver.h"
 #include "sim/profile.h"
@@ -62,17 +47,11 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--workload NAME | --list] [--core NAME] "
                  "[--mode MODE]\n"
-                 "          [--threshold N] [--precision BITS] "
-                 "[--dynamic-threshold]\n"
-                 "          [--rs DESIGN] [--no-egpw] [--no-skew] "
-                 "[--pvt-derate X]\n"
-                 "          [--max-ops N] [--kernel scan|event] "
-                 "[--profile] [--stats] [--compare]\n"
-                 "          [--cores N] [--mix A,B,...] [--llc-kb N] "
-                 "[--dram-banks N]\n"
-                 "          [--bank-occupancy N] [--share-addr]\n"
+                 "          [--max-ops N] [--cores N] [--mix A,B,...] "
+                 "[--set PATH=VALUE]...\n"
                  "          [--trace FILE] [--trace-format "
-                 "chrome|konata]\n",
+                 "chrome|konata]\n"
+                 "          [--profile] [--stats] [--compare]\n",
                  argv0);
 }
 
@@ -94,15 +73,7 @@ try {
     bool list_only = false;
     SeqNum max_ops = 2'000'000;
 
-    bool threshold_set = false, precision_set = false;
-    Tick threshold = 0;
-    unsigned precision = 0;
-    bool dynamic_threshold = false, no_egpw = false, no_skew = false;
-    RsDesign rs_design = RsDesign::Operational;
-    bool rs_set = false;
-    double pvt_derate = 1.0;
-    SchedKernel kernel = SchedKernel::Event;
-    bool kernel_set = false;
+    std::vector<std::string> sets;
     std::string trace_path;
     if (const char *env = std::getenv("REDSOC_TRACE"))
         trace_path = env;
@@ -111,16 +82,12 @@ try {
     unsigned num_cores = 1;
     bool proc_mode = false;
     std::string mix_spec;
-    u64 llc_kb = 0; // 0 = the core's private L2 size
-    unsigned dram_banks = 8;
-    Cycle bank_occupancy = 16;
-    bool share_addr = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                cli::usageError("missing value for " + arg);
             return argv[++i];
         };
         if (arg == "--workload") {
@@ -129,51 +96,24 @@ try {
             core = next();
         } else if (arg == "--mode") {
             mode = cli::enumArg<SchedMode>("--mode", next());
-        } else if (arg == "--threshold") {
-            threshold = cli::numArg<Tick>("--threshold", next());
-            threshold_set = true;
-        } else if (arg == "--precision") {
-            precision = cli::numArg<unsigned>("--precision", next());
-            precision_set = true;
-        } else if (arg == "--dynamic-threshold") {
-            dynamic_threshold = true;
-        } else if (arg == "--rs") {
-            rs_design = cli::enumArg<RsDesign>("--rs", next());
-            rs_set = true;
-        } else if (arg == "--no-egpw") {
-            no_egpw = true;
-        } else if (arg == "--no-skew") {
-            no_skew = true;
-        } else if (arg == "--pvt-derate") {
-            pvt_derate = cli::numArg<double>("--pvt-derate", next());
         } else if (arg == "--max-ops") {
             max_ops = cli::numArg<SeqNum>("--max-ops", next());
-        } else if (arg == "--kernel") {
-            kernel = cli::enumArg<SchedKernel>("--kernel", next());
-            kernel_set = true;
+        } else if (arg == "--set") {
+            sets.push_back(next());
         } else if (arg == "--cores") {
             num_cores = cli::numArg<unsigned>("--cores", next());
             proc_mode = true;
         } else if (arg == "--mix") {
             mix_spec = next();
             proc_mode = true;
-        } else if (arg == "--llc-kb") {
-            llc_kb = cli::numArg<u64>("--llc-kb", next());
-        } else if (arg == "--dram-banks") {
-            dram_banks = cli::numArg<unsigned>("--dram-banks", next());
-        } else if (arg == "--bank-occupancy") {
-            bank_occupancy =
-                cli::numArg<Cycle>("--bank-occupancy", next());
-        } else if (arg == "--share-addr") {
-            share_addr = true;
         } else if (arg == "--trace") {
             trace_path = next();
         } else if (arg == "--trace-format") {
             const std::string f = next();
             trace_format = parseTraceFormat(f);
             if (!trace_format)
-                fatal("unknown trace format '", f,
-                      "' (chrome or konata)");
+                cli::usageError("unknown trace format '" + f +
+                                "' (chrome or konata)");
         } else if (arg == "--profile") {
             prof::setEnabled(true);
         } else if (arg == "--stats") {
@@ -187,7 +127,7 @@ try {
             return 0;
         } else {
             usage(argv[0]);
-            fatal("unknown argument '", arg, "'");
+            cli::usageError("unknown argument '" + arg + "'");
         }
     }
 
@@ -198,40 +138,47 @@ try {
         return 0;
     }
 
+    // One side of the run: the preset in mode @p m, then every --set
+    // in order, twice: the LLC geometry between the passes follows the
+    // final core (so a 1-core mix matches the plain hierarchy) unless
+    // an llc.* leaf is set.
     auto make_config = [&](SchedMode m) {
-        CoreConfig cfg = configFor(core, m);
-        if (threshold_set)
-            cfg.slack_threshold_ticks = threshold;
-        if (precision_set)
-            cfg.ci_precision_bits = precision;
-        if (rs_set)
-            cfg.rs_design = rs_design;
-        cfg.dynamic_threshold = dynamic_threshold;
-        cfg.egpw = !no_egpw;
-        cfg.skewed_select = !no_skew;
-        cfg.timing.pvt_derate = pvt_derate;
-        if (kernel_set)
-            cfg.sched_kernel = kernel;
-        return cfg;
+        ProcConfig pcfg;
+        pcfg.num_cores = num_cores;
+        pcfg.core = configFor(core, m);
+        auto apply_sets = [&] {
+            for (const std::string &token : sets) {
+                const std::string err = setLeaf(pcfg, token);
+                if (!err.empty())
+                    cli::usageError("invalid --set: " + err);
+                // --mode names the run and picks --compare's side.
+                if (token.starts_with("core.mode="))
+                    cli::usageError("--set core.mode: use --mode");
+                if (!proc_mode && !token.starts_with("core."))
+                    cli::usageError("--set " + token +
+                                    ": a single-core run reads only "
+                                    "core.* leaves (add --cores or --mix)");
+            }
+        };
+        apply_sets();
+        pcfg.llc.size_bytes = pcfg.core.memory.l2.size_bytes;
+        pcfg.llc.line_bytes = pcfg.core.memory.l1.line_bytes;
+        apply_sets();
+        // A single-core run reads only the core (named by --set path).
+        const std::string err =
+            proc_mode ? configError(pcfg) : configError(pcfg.core);
+        if (!err.empty())
+            cli::usageError("invalid config: " +
+                            std::string(proc_mode ? "" : "core.") + err);
+        return pcfg;
     };
+    const ProcConfig pcfg = make_config(mode);
 
     SimDriver driver(max_ops);
 
     if (proc_mode) {
         const std::vector<std::string> mix =
             cli::splitMix(mix_spec.empty() ? workload : mix_spec);
-
-        ProcConfig pcfg;
-        pcfg.num_cores = num_cores;
-        pcfg.core = make_config(mode);
-        if (llc_kb != 0)
-            pcfg.llc.size_bytes = llc_kb * 1024;
-        else
-            pcfg.llc.size_bytes = pcfg.core.memory.l2.size_bytes;
-        pcfg.llc.line_bytes = pcfg.core.memory.l1.line_bytes;
-        pcfg.dram.banks = dram_banks;
-        pcfg.dram.bank_occupancy = bank_occupancy;
-        pcfg.share_address_space = share_addr;
 
         ProcStats pstats;
         if (!trace_path.empty()) {
@@ -292,7 +239,7 @@ try {
     std::printf("workload '%s': %llu dynamic ops\n", workload.c_str(),
                 static_cast<unsigned long long>(trace.size()));
 
-    const CoreConfig cfg = make_config(mode);
+    const CoreConfig &cfg = pcfg.core;
     CoreStats stats;
     if (!trace_path.empty()) {
         // A traced run bypasses the result caches (a cache hit has no
@@ -320,7 +267,7 @@ try {
 
     if (want_compare && mode != SchedMode::Baseline) {
         const CoreStats &base =
-            driver.run(workload, make_config(SchedMode::Baseline));
+            driver.run(workload, make_config(SchedMode::Baseline).core);
         std::printf("baseline: %llu cycles -> speedup %.2f%%\n",
                     static_cast<unsigned long long>(base.cycles),
                     (ratioOf(base.cycles, stats.cycles) - 1.0) * 100.0);
