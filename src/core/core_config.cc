@@ -112,8 +112,8 @@ bigCore()
     return c;
 }
 
-CoreConfig
-coreByName(const std::string &name)
+std::optional<CoreConfig>
+findCorePreset(std::string_view name)
 {
     if (name == "small")
         return smallCore();
@@ -121,7 +121,15 @@ coreByName(const std::string &name)
         return mediumCore();
     if (name == "big")
         return bigCore();
-    fatal("unknown core preset '", name, "'");
+    return std::nullopt;
+}
+
+CoreConfig
+coreByName(const std::string &name)
+{
+    std::optional<CoreConfig> preset = findCorePreset(name);
+    fatal_if(!preset, "unknown core preset '", name, "'");
+    return *std::move(preset);
 }
 
 } // namespace redsoc

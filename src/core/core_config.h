@@ -8,6 +8,7 @@
 #ifndef REDSOC_CORE_CORE_CONFIG_H
 #define REDSOC_CORE_CORE_CONFIG_H
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -184,7 +185,10 @@ CoreConfig smallCore();
 CoreConfig mediumCore();
 CoreConfig bigCore();
 
-/** Preset by name ("small"/"medium"/"big"). */
+/** Preset by name ("small"/"medium"/"big"); nullopt for any other. */
+std::optional<CoreConfig> findCorePreset(std::string_view name);
+
+/** Preset by name; fatal for an unknown one. */
 CoreConfig coreByName(const std::string &name);
 
 } // namespace redsoc

@@ -22,6 +22,7 @@ invariantAuditName(InvariantAudit kind)
       case InvariantAudit::ReadyRsAgreement:
         return "ready-rs-agreement";
       case InvariantAudit::StorePhaseA: return "store-phase-a";
+      case InvariantAudit::RingOwner: return "ring-owner";
       case InvariantAudit::NUM: break;
     }
     return "?";
@@ -164,6 +165,18 @@ InvariantAuditor::checkStorePhaseA(SeqNum seq, bool in_phase_a)
     return make(InvariantAudit::StorePhaseA, os);
 }
 
+std::optional<AuditViolation>
+InvariantAuditor::checkRingOwner(SeqNum seq, SeqNum commit, SeqNum fetch)
+{
+    if (seq >= commit && seq < fetch)
+        return std::nullopt;
+    std::ostringstream os;
+    os << "window lane accessed for op " << seq
+       << " outside the in-flight window [" << commit << ", " << fetch
+       << ")";
+    return make(InvariantAudit::RingOwner, os);
+}
+
 void
 InvariantAuditor::report(const std::optional<AuditViolation> &v)
 {
@@ -188,7 +201,8 @@ InvariantAuditor::onCycleEnd(const OooCore &core)
     for (SeqNum seq = core.commit_ptr_; seq < core.next_fetch_; ++seq) {
         if (!core.inRs(seq))
             continue;
-        const auto &oc = core.cold_[seq];
+        const OooCore::Slot w = core.slot(seq);
+        const auto &oc = core.cold_[w];
         unsigned recount = 0;
         for (unsigned i = 0; i < oc.nprod; ++i) {
             bool dup = false;
@@ -197,13 +211,11 @@ InvariantAuditor::onCycleEnd(const OooCore &core)
             if (!dup && core.inRs(oc.prod[i]))
                 ++recount;
         }
-        report(checkPendingCount(seq, core.pending_[seq], recount));
-        const bool parked =
-            core.armed_[seq] == OooCore::kParkLoad;
+        report(checkPendingCount(seq, core.pending_[w], recount));
+        const bool parked = core.armed_[w] == OooCore::kParkLoad;
         const bool in_ready = core.ready_.contains(seq);
-        report(checkReadyAgreement(seq, core.pending_[seq],
-                                   core.armed_[seq], core.cycle_,
-                                   parked, in_ready));
+        report(checkReadyAgreement(seq, core.pending_[w], core.armed_[w],
+                                   core.cycle_, parked, in_ready));
     }
 }
 
@@ -212,11 +224,12 @@ InvariantAuditor::onIssue(const OooCore &core, SeqNum seq)
 {
     if (core.st_[seq] & OooCore::kIsStore)
         report(checkStorePhaseA(seq, core.in_phase_a_));
-    const Tick start = core.cold_[seq].start_tick;
+    const auto &oc = core.cold_[core.slot(seq)];
+    const Tick start = oc.start_tick;
     const Tick tpc = core.clock_.ticksPerCycle();
     report(checkCiRange(seq, core.clock_.ciOf(start), tpc));
     report(checkCiRange(seq, core.clock_.ciOf(core.done_[seq]), tpc));
-    if (core.cold_[seq].cflags & OooCore::kColdTransparent) {
+    if (oc.cflags & OooCore::kColdTransparent) {
         const SeqNum producer = core.lastProducer(seq);
         const Tick producer_complete =
             producer == kNoSeq ? 0 : core.done_[producer];
@@ -232,6 +245,12 @@ InvariantAuditor::onEgpwGrant(const OooCore &core, SeqNum seq,
 {
     (void)core;
     report(checkEgpwLeftover(seq, free_units));
+}
+
+void
+InvariantAuditor::onSlot(const OooCore &core, SeqNum seq)
+{
+    report(checkRingOwner(seq, core.commit_ptr_, core.next_fetch_));
 }
 
 } // namespace redsoc

@@ -34,10 +34,17 @@
  *                        a store's park-list wakeups always run while
  *                        the Phase-A cursor is live, and a woken load
  *                        re-enters the ready set the same cycle.
+ *   ring-owner           Every window-lane slot (a ring of
+ *                        bit_ceil(rob_entries) slots at seq & mask,
+ *                        OooCore::slot) is taken for an in-flight op,
+ *                        seq in [commit, fetch). A slot-aliasing bug
+ *                        hits both kernels alike, so Scan == Event
+ *                        cannot catch it; this check can.
  *
  * The audit is debug-gated: OooCore reads REDSOC_AUDIT=1 from the
  * environment once at construction, and a disabled audit costs one
- * predictable branch per cycle. Each check is a pure static function
+ * predictable branch per cycle (and per slot() call for
+ * ring-owner). Each check is a pure static function
  * returning the violation (if any) so unit tests can corrupt inputs
  * directly and assert the exact failure message without death tests;
  * the member hooks gather real core state and panic on a violation.
@@ -66,6 +73,7 @@ enum class InvariantAudit : u8 {
     TransparentLink,
     ReadyRsAgreement,
     StorePhaseA,
+    RingOwner,
     NUM,
 };
 
@@ -128,6 +136,11 @@ class InvariantAuditor
     static std::optional<AuditViolation>
     checkStorePhaseA(SeqNum seq, bool in_phase_a);
 
+    /** ring-owner: a window-lane access for @p seq lies in the
+     *  in-flight window [@p commit, @p fetch). */
+    static std::optional<AuditViolation>
+    checkRingOwner(SeqNum seq, SeqNum commit, SeqNum fetch);
+
     // --- Core hooks (friend access; defined in the .cc) -------------
 
     /** End-of-cycle sweep: structure order, pending counts, liveness. */
@@ -137,6 +150,9 @@ class InvariantAuditor
     /** EGPW grant-time check (called before the unit is booked). */
     void onEgpwGrant(const OooCore &core, SeqNum seq,
                      unsigned free_units);
+    /** Window-lane slot check (every OooCore::slot call); reads only
+     *  the core's window, so OooCore may call it as a pure function. */
+    static void onSlot(const OooCore &core, SeqNum seq);
 
   private:
     /** Panic with the audit tag if @p v holds a violation. */

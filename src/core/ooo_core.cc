@@ -1,6 +1,7 @@
 #include "core/ooo_core.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <sstream>
 
@@ -71,13 +72,32 @@ OooCore::OooCore(CoreConfig config)
                      config_.mode == SchedMode::ReDSOC && config_.egpw &&
                      config_.skewed_select;
 
-    // Candidate-set rings sized for the in-flight window, and every
-    // per-cycle scratch vector reserved up front: the scheduler loops
-    // must never allocate (redsoc_lint R8 hot-alloc).
+    // Window lanes and candidate-set rings sized for the in-flight
+    // window, and every per-cycle scratch vector reserved up front:
+    // the scheduler loops must never allocate (redsoc_lint R8
+    // hot-alloc).
+    const size_t slots = std::bit_ceil(size_t{config_.rob_entries});
+    ring_mask_ = slots - 1;
+    cls_.allocate(slots);
+    pending_.allocate(slots);
+    gate_.allocate(slots);
+    armed_.allocate(slots);
+    cold_.allocate(slots);
+    park_head_.allocate(slots);
+    park_next_.allocate(slots);
+    cons_edges_ = std::make_unique_for_overwrite<ConsumerEdge[]>(
+        kMaxProducers * slots);
     ready_.configure(config_.rob_entries);
     eager_.configure(config_.rob_entries);
     conv_grants_.reserve(config_.rs_entries);
     next_arms_.reserve(2 * config_.rs_entries);
+}
+
+size_t
+OooCore::ringAudit(SeqNum seq) const
+{
+    InvariantAuditor::onSlot(*this, seq);
+    return 0;
 }
 
 bool
@@ -141,7 +161,7 @@ OooCore::buildInstMeta(const Program &program)
 SeqNum
 OooCore::lastProducer(SeqNum seq) const
 {
-    const OpCold &oc = cold_[seq];
+    const OpCold &oc = cold_[slot(seq)];
     SeqNum last = kNoSeq;
     Tick best = 0;
     for (unsigned i = 0; i < oc.nprod; ++i) {
@@ -157,7 +177,7 @@ OooCore::lastProducer(SeqNum seq) const
 Tick
 OooCore::producersComplete(SeqNum seq) const
 {
-    const OpCold &oc = cold_[seq];
+    const OpCold &oc = cold_[slot(seq)];
     Tick t = 0;
     for (unsigned i = 0; i < oc.nprod; ++i)
         t = std::max(t, done_[oc.prod[i]]);
@@ -167,7 +187,7 @@ OooCore::producersComplete(SeqNum seq) const
 Cycle
 OooCore::selGate(SeqNum seq) const
 {
-    const OpCold &oc = cold_[seq];
+    const OpCold &oc = cold_[slot(seq)];
     Cycle gate = oc.dispatch_cycle + 1;
     for (unsigned i = 0; i < oc.nprod; ++i)
         gate = std::max(gate, sel_[oc.prod[i]] + 1);
@@ -199,7 +219,7 @@ OooCore::emitIssue(const Candidate &cand)
     // Every input below is part of the committed schedule, so both
     // scheduler kernels report identical issues.
     const SeqNum seq = cand.seq;
-    const OpCold &oc = cold_[seq];
+    const OpCold &oc = cold_[slot(seq)];
     IssueRecord op;
     op.seq = seq;
     op.select = clock_.cycleStart(cycle_);
@@ -237,7 +257,7 @@ OooCore::dispatchPhase(const Trace &trace)
     if (cycle_ < fetch_stall_until_)
         return;
 
-    for (unsigned w = 0; w < config_.frontend_width; ++w) {
+    for (unsigned k = 0; k < config_.frontend_width; ++k) {
         if (next_fetch_ >= trace.size())
             return;
         const DynOp &dyn = dyn_[next_fetch_];
@@ -258,14 +278,16 @@ OooCore::dispatchPhase(const Trace &trace)
                        static_cast<u8>(m.cls & kClsPoolMask));
         });
 
+        const Slot w = slot(seq);
+
         // Direct unconditional control flow is resolved entirely in
         // the front end (target known at decode, RAS for returns):
         // it occupies a ROB slot but no RS entry or execution port.
         if (!needs_rs) {
             st_[seq] = kStDone | (m.seed & kIsBranch);
-            cls_[seq] = packCls(FuPoolKind::Alu, FuClass::None);
+            cls_[w] = packCls(FuPoolKind::Alu, FuClass::None);
             sel_[seq] = cycle_;
-            OpCold &oc = cold_[seq];
+            OpCold &oc = cold_[w];
             oc = kFreshCold;
             oc.dispatch_cycle = cycle_;
             oc.start_tick = clock_.cycleStart(cycle_ + 1);
@@ -279,7 +301,7 @@ OooCore::dispatchPhase(const Trace &trace)
                 ++stats_.branch_lookups;
                 oc.predicted_next = branch_pred_.predict(
                     dyn.pc, trace.inst(seq), dyn.pc + 1);
-                if (oc.predicted_next != dyn.next_pc) {
+                if (oc.predicted_next != trace.nextPc(seq)) {
                     oc.cflags |= kColdBranchMispred;
                     fetch_blocked_on_ = seq;
                     return;
@@ -290,11 +312,11 @@ OooCore::dispatchPhase(const Trace &trace)
 
         const Inst &inst = trace.inst(seq);
         st_[seq] = kStInRs | m.seed;
-        cls_[seq] = m.cls;
-        gate_[seq] = cycle_ + 1;
-        armed_[seq] = kNoCycle;
-        pending_[seq] = 0;
-        OpCold &oc = cold_[seq];
+        cls_[w] = m.cls;
+        gate_[w] = cycle_ + 1;
+        armed_[w] = kNoCycle;
+        pending_[w] = 0;
+        OpCold &oc = cold_[w];
         oc = kFreshCold;
         oc.dispatch_cycle = cycle_;
 
@@ -339,7 +361,7 @@ OooCore::dispatchPhase(const Trace &trace)
             ++stats_.branch_lookups;
             oc.predicted_next =
                 branch_pred_.predict(dyn.pc, inst, dyn.pc + 1);
-            if (oc.predicted_next != dyn.next_pc)
+            if (oc.predicted_next != trace.nextPc(seq))
                 oc.cflags |= kColdBranchMispred;
         }
 
@@ -347,8 +369,8 @@ OooCore::dispatchPhase(const Trace &trace)
         if (is_mem) {
             lsq_.dispatch(seq, (m.seed & kIsStore) != 0);
             st_[seq] |= kInLsq;
-            park_head_[seq] = kNoSeq;
-            park_next_[seq] = kNoSeq;
+            park_head_[w] = kNoSeq;
+            park_next_[w] = kNoSeq;
         }
 
         if (event_kernel_) {
@@ -366,17 +388,17 @@ OooCore::dispatchPhase(const Trace &trace)
                 const SeqNum p = oc.prod[i];
                 if (!inRs(p))
                     continue;
-                ++pending;
-                const u32 e = static_cast<u32>(cons_edges_.size());
-                cons_edges_.push_back({seq, kNoEdge});
-                OpCold &pcold = cold_[p];
+                const u32 e =
+                    static_cast<u32>(kMaxProducers * w.i + pending++);
+                cons_edges_[e] = {seq, kNoEdge};
+                OpCold &pcold = cold_[slot(p)];
                 if (pcold.cons_tail == kNoEdge)
                     pcold.cons_head = e;
                 else
                     cons_edges_[pcold.cons_tail].next = e;
                 pcold.cons_tail = e;
             }
-            pending_[seq] = pending;
+            pending_[w] = pending;
             if (pending == 0)
                 armAt(seq, cycle_ + 1);
         }
@@ -395,10 +417,11 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
     const u8 st = st_[seq];
     if ((st & kStMask) != kStInRs)
         return false;
+    const Slot w = slot(seq);
     // gate_ folds max(dispatch_cycle + 1, LA-replay retry cycle).
-    if (cycle_ < gate_[seq]) {
+    if (cycle_ < gate_[w]) {
         if (next_try)
-            *next_try = gate_[seq];
+            *next_try = gate_[w];
         return false;
     }
 
@@ -412,7 +435,7 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
     const bool steady = (st & kReadyConv) != 0;
     const bool maybe_transparent =
         config_.mode == SchedMode::ReDSOC && (st & kEligible);
-    OpCold &oc = cold_[seq];
+    OpCold &oc = cold_[w];
     if (!steady) {
         for (unsigned i = 0; i < oc.nprod; ++i) {
             if (!issued(oc.prod[i]))
@@ -449,9 +472,9 @@ OooCore::evalConventional(SeqNum seq, Candidate &cand, Cycle *next_try)
                 // true_ready >= dispatch_cycle + 1, so the gate fold
                 // stays valid.
                 static constexpr Cycle kLaReplayPenalty = 2;
-                gate_[seq] = true_ready + kLaReplayPenalty;
+                gate_[w] = true_ready + kLaReplayPenalty;
                 if (next_try)
-                    *next_try = gate_[seq];
+                    *next_try = gate_[w];
                 return false;
             }
         }
@@ -575,7 +598,7 @@ OooCore::fillCompletion(Candidate &cand, SeqNum seq, Tick arrival,
         return;
     }
 
-    OpCold &oc = cold_[seq];
+    OpCold &oc = cold_[slot(seq)];
     if ((oc.cflags & kColdWidthPredicted) && oc.actual_wc > oc.pred_wc) {
         // Aggressive width misprediction, detected at execute:
         // conservative re-execution from the next boundary
@@ -600,9 +623,10 @@ OooCore::evalEager(SeqNum seq, Candidate &cand)
     const u8 st = st_[seq];
     if ((st & kStMask) != kStInRs || !(st & kEligible))
         return false;
-    if (cycle_ < gate_[seq])
+    const Slot w = slot(seq);
+    if (cycle_ < gate_[w])
         return false;
-    const OpCold &oc = cold_[seq];
+    const OpCold &oc = cold_[w];
     if (oc.nprod == 0)
         return false;
     if (st & (kIsLoad | kIsStore))
@@ -620,7 +644,7 @@ OooCore::evalEager(SeqNum seq, Candidate &cand)
     // away, but the grandparent broadcast (last cycle) can wake it.
     if (sel_[parent] != cycle_ || stateOf(parent) != St::Done)
         return false;
-    const OpCold &pc = cold_[parent];
+    const OpCold &pc = cold_[slot(parent)];
     if (pc.nprod == 0)
         return false; // no grandparent tags ever broadcast
     for (unsigned i = 0; i < pc.nprod; ++i) {
@@ -673,7 +697,7 @@ OooCore::issueOp(const Candidate &cand)
     panic_if(!inRs(seq), "issue of op not in RS");
     setState(seq, St::Done);
     sel_[seq] = cycle_;
-    OpCold &oc = cold_[seq];
+    OpCold &oc = cold_[slot(seq)];
     oc.start_tick = cand.start;
     done_[seq] = cand.complete;
     if (cand.transparent)
@@ -737,7 +761,7 @@ OooCore::issueOp(const Candidate &cand)
 void
 OooCore::armAt(SeqNum seq, Cycle c)
 {
-    armed_[seq] = c;
+    armed_[slot(seq)] = c;
     if (c == cycle_ + 1)
         next_arms_.push_back(seq);
     else
@@ -752,7 +776,7 @@ OooCore::scheduleEval(SeqNum seq, bool newly_woken)
         // not reached this entry yet: it gets evaluated this cycle,
         // exactly where the scan kernel's full pass would visit it.
         ready_.insert(seq);
-        armed_[seq] = cycle_;
+        armed_[slot(seq)] = cycle_;
     } else {
         armAt(seq, cycle_ + 1);
     }
@@ -766,10 +790,11 @@ void
 OooCore::broadcastWakeup(SeqNum seq)
 {
     prof::ScopedTimer wt(prof::Phase::Wakeup, profiling_);
-    const OpCold &oc = cold_[seq];
+    const Slot w = slot(seq);
+    const OpCold &oc = cold_[w];
     for (u32 e = oc.cons_head; e != kNoEdge; e = cons_edges_[e].next) {
         const SeqNum cseq = cons_edges_[e].consumer;
-        if (--pending_[cseq] == 0)
+        if (--pending_[slot(cseq)] == 0)
             scheduleEval(cseq, true);
     }
     // A store resolving its address unblocks exactly the loads parked
@@ -782,11 +807,11 @@ OooCore::broadcastWakeup(SeqNum seq)
     // cursor this cycle, never the next-cycle arm. The audit's
     // store-phase-a check (REDSOC_AUDIT=1) holds both kernels to it.
     if (st_[seq] & kIsStore) {
-        for (SeqNum l = park_head_[seq]; l != kNoSeq;
-             l = park_next_[l])
+        for (SeqNum l = park_head_[w]; l != kNoSeq;
+             l = park_next_[slot(l)])
             if (inRs(l))
                 scheduleEval(l, false);
-        park_head_[seq] = kNoSeq;
+        park_head_[w] = kNoSeq;
     }
 }
 
@@ -797,14 +822,14 @@ OooCore::drainWakeQueue()
         // Arms pushed last cycle for this one (fastForward never
         // jumps over a pending next-cycle arm).
         for (SeqNum seq : next_arms_)
-            if (inRs(seq) && armed_[seq] == cycle_)
+            if (inRs(seq) && armed_[slot(seq)] == cycle_)
                 ready_.insert(seq);
         next_arms_.clear();
     }
     while (!wake_pq_.empty() && wake_pq_.top().first <= cycle_) {
         const auto [c, seq] = wake_pq_.top();
         wake_pq_.pop();
-        if (!inRs(seq) || armed_[seq] != c)
+        if (!inRs(seq) || armed_[slot(seq)] != c)
             continue; // stale arm (issued, or re-armed since)
         ready_.insert(seq);
     }
@@ -915,8 +940,8 @@ OooCore::phaseAEntry(SeqNum seq, bool interleave_spec, bool &fu_denied,
     }
     fu_.book(pool, cycle_ + 1, cand.span);
     issueOp(cand);
-    if (!cand.speculative)
-        conv_grants_.push_back(cand);
+    if (!cand.speculative && config_.mode == SchedMode::MOS)
+        conv_grants_.push_back(cand); // MOS fusion's producers
     return true;
 }
 
@@ -928,11 +953,12 @@ OooCore::tryFuse(const Candidate &pg, SeqNum cseq)
     const u8 cst = st_[cseq];
     if ((cst & kStMask) != kStInRs || !(cst & kEligible))
         return false;
-    if (cycle_ < gate_[cseq])
+    const Slot cw = slot(cseq);
+    if (cycle_ < gate_[cw])
         return false;
     if (poolOf(cseq) != poolOf(pg.seq))
         return false;
-    const OpCold &cc = cold_[cseq];
+    OpCold &cc = cold_[cw];
     bool all_sched = true;
     bool parent_is_last = false;
     Tick others = 0;
@@ -949,19 +975,20 @@ OooCore::tryFuse(const Candidate &pg, SeqNum cseq)
     }
     if (!all_sched || !parent_is_last || others > arrival)
         return false;
-    if (Tick{cold_[pg.seq].est_ticks} + cc.est_ticks > tpc)
+    const Tick pg_est = cold_[slot(pg.seq)].est_ticks;
+    if (pg_est + cc.est_ticks > tpc)
         return false;
 
     Candidate fc;
     fc.seq = cseq;
     fc.speculative = false;
     fc.recycle_ok = true;
-    fc.start = arrival + cold_[pg.seq].est_ticks;
+    fc.start = arrival + pg_est;
     fc.complete = arrival + tpc;
     fc.span = 0;
     fc.transparent = false;
     issueOp(fc);
-    cold_[cseq].cflags |= kColdFused;
+    cc.cflags |= kColdFused;
     ++stats_.fused_ops;
     observe([&](auto &h) { h.fuse(cseq, pg.seq); });
     return true;
@@ -1014,9 +1041,11 @@ OooCore::issuePhase()
                     lsq_.youngestUnresolvedStoreBefore(seq);
                 panic_if(blocker == kNoSeq,
                          "parked load without a blocking store");
-                park_next_[seq] = park_head_[blocker];
-                park_head_[blocker] = seq;
-                armed_[seq] = kParkLoad; // audit: "parked" marker
+                const Slot w = slot(seq);
+                const Slot bw = slot(blocker);
+                park_next_[w] = park_head_[bw];
+                park_head_[bw] = seq;
+                armed_[w] = kParkLoad; // audit: "parked" marker
             } else if (next_try != kNoCycle) {
                 armAt(seq, next_try);
             }
@@ -1112,7 +1141,7 @@ OooCore::issuePhase()
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
         if (event_kernel_) {
             for (const Candidate &pg : conv_grants_) {
-                const OpCold &pcold = cold_[pg.seq];
+                const OpCold &pcold = cold_[slot(pg.seq)];
                 if (!(st_[pg.seq] & kEligible) || pcold.est_ticks == 0)
                     continue;
                 for (u32 e = pcold.cons_head; e != kNoEdge;
@@ -1123,7 +1152,7 @@ OooCore::issuePhase()
         } else {
             for (const Candidate &pg : conv_grants_) {
                 if (!(st_[pg.seq] & kEligible) ||
-                    cold_[pg.seq].est_ticks == 0)
+                    cold_[slot(pg.seq)].est_ticks == 0)
                     continue;
                 for (SeqNum cseq = commit_ptr_; cseq < next_fetch_; ++cseq)
                     if (inRs(cseq) && tryFuse(pg, cseq))
@@ -1181,11 +1210,11 @@ OooCore::commitPhase()
             lsq_.commit(seq);
         setState(seq, St::Committed);
 
-        const OpCold &oc = cold_[seq];
+        const OpCold &oc = cold_[slot(seq)];
         if (st & kIsBranch) {
             const DynOp &dyn = dyn_[seq];
             if (branch_pred_.resolve(dyn.pc, trace_->inst(seq),
-                                     dyn.taken, dyn.next_pc,
+                                     dyn.taken, trace_->nextPc(seq),
                                      oc.predicted_next))
                 ++stats_.branch_mispredicts;
         }
@@ -1233,7 +1262,7 @@ OooCore::fastForward(bool adapting)
     Cycle target = kNoCycle;
     while (!wake_pq_.empty()) {
         const auto &[c, seq] = wake_pq_.top();
-        if (!inRs(seq) || armed_[seq] != c) {
+        if (!inRs(seq) || armed_[slot(seq)] != c) {
             wake_pq_.pop(); // stale arm
             continue;
         }
@@ -1302,10 +1331,10 @@ OooCore::beginRun(const Trace &trace)
     // Reset all run state so a core object can be reused. A reused
     // core gets back the cold predictors, caches and FU bookings of a
     // fresh one, and empty LSQ and RS (an aborted run, DeadlockError,
-    // leaves entries in both). The SoA lanes are neither zeroed nor
-    // cleared: every lane field is written at the op's dispatch before
-    // any read (DESIGN.md §12), so uninitialized or stale values are
-    // unobservable.
+    // leaves entries in both). The SoA lanes, window rings and consumer
+    // edges are neither zeroed nor cleared: every field is written at
+    // the op's dispatch before any read (DESIGN.md §12), so
+    // uninitialized or stale values are unobservable.
     if (trace_ != nullptr) {
         memory_.reset();
         branch_pred_ = BranchPredictor(config_.branch_pred);
@@ -1321,15 +1350,8 @@ OooCore::beginRun(const Trace &trace)
     const size_t n = static_cast<size_t>(trace.size());
     if (n > lane_ops_) {
         st_ = std::make_unique_for_overwrite<u8[]>(n);
-        cls_ = std::make_unique_for_overwrite<u8[]>(n);
-        pending_ = std::make_unique_for_overwrite<u8[]>(n);
-        gate_ = std::make_unique_for_overwrite<Cycle[]>(n);
-        armed_ = std::make_unique_for_overwrite<Cycle[]>(n);
         sel_ = std::make_unique_for_overwrite<Cycle[]>(n);
         done_ = std::make_unique_for_overwrite<Tick[]>(n);
-        cold_ = std::make_unique_for_overwrite<OpCold[]>(n);
-        park_head_ = std::make_unique_for_overwrite<SeqNum[]>(n);
-        park_next_ = std::make_unique_for_overwrite<SeqNum[]>(n);
         lane_ops_ = n;
     }
     next_fetch_ = 0;
@@ -1347,11 +1369,6 @@ OooCore::beginRun(const Trace &trace)
     last_epoch_commits_ = 0;
     stats_.threshold_min = cur_threshold_;
     stats_.threshold_max = cur_threshold_;
-    cons_edges_.clear();
-    // Pre-size the consumer-edge pool to the common case (about one
-    // in-RS consumer edge per op); heavier fan-out traces grow it
-    // amortized, outside the per-cycle loops (redsoc_lint R8).
-    cons_edges_.reserve(n);
     {
         // Rebuild the wake heap on reserved storage (move-from keeps
         // the capacity) so steady-state arms never allocate.

@@ -16,8 +16,11 @@
  * byte, class byte, pending count, gate/arm/select cycles, completion
  * tick) that stream contiguously, while everything written once at
  * dispatch and read once at issue/commit lives in a cache-line-sized
- * cold record. Both scheduler kernels run on the same lanes, so the
- * layout cannot perturb the differential bit-identity contract.
+ * cold record. Only the status, select-cycle and completion lanes
+ * span the trace, because consumers read them for producers that have
+ * already committed; every other lane is a ring sized to the ROB.
+ * Both scheduler kernels run on the same lanes, so the layout cannot
+ * perturb the differential bit-identity contract.
  */
 
 #ifndef REDSOC_CORE_OOO_CORE_H
@@ -235,6 +238,8 @@ class OooCore
     static constexpr Cycle kParkLoad = kNoCycle - 1;
     /** Consumer-edge list terminator. */
     static constexpr u32 kNoEdge = ~u32{0};
+    /** Producers (and so consumer edges) per op: Inst::sources(). */
+    static constexpr unsigned kMaxProducers = 3;
 
     // --- Per-op status lane encoding --------------------------------
     //
@@ -289,7 +294,7 @@ class OooCore
      */
     struct OpCold
     {
-        std::array<SeqNum, 3> prod;
+        std::array<SeqNum, kMaxProducers> prod;
         Cycle dispatch_cycle;
         Tick start_tick;
         u32 predicted_next;  ///< branch predictor outcome
@@ -374,11 +379,11 @@ class OooCore
     }
     FuPoolKind poolOf(SeqNum seq) const
     {
-        return static_cast<FuPoolKind>(cls_[seq] & kClsPoolMask);
+        return static_cast<FuPoolKind>(cls_[slot(seq)] & kClsPoolMask);
     }
     FuClass fuOf(SeqNum seq) const
     {
-        return static_cast<FuClass>(cls_[seq] >> 2);
+        return static_cast<FuClass>(cls_[slot(seq)] >> 2);
     }
 
     // --- The ROB: in-flight ops are exactly [commit_ptr_, next_fetch_)
@@ -497,19 +502,73 @@ class OooCore
     // network; gate_ is the earliest-eval cycle max(dispatch_cycle+1,
     // retry_cycle); cold_ is written at dispatch and read at
     // issue/commit. Lanes are allocated uninitialized and reused by
-    // later runs that fit: every field is fully initialized at the
-    // op's dispatch, and no lane is read for an undispatched op.
+    // later runs: every field is fully initialized at the op's
+    // dispatch, and no lane is read for an undispatched op.
+    //
+    // st_/sel_/done_ span the trace: a consumer reads them for its
+    // producers, which may have committed long ago (issued, selGate,
+    // producersComplete, lastProducer, LA training). Every other lane
+    // is only touched for in-flight ops, so it is a Ring.
     template <typename T>
     using Lane = std::unique_ptr<T[]>;
+
+    /** A window-lane index: the ring slot of an in-flight op. Rings
+     *  take nothing else, so every ring access goes through slot(). */
+    struct Slot
+    {
+        size_t i;
+    };
+
+    /**
+     * The slot of in-flight op @p seq: seq & mask over
+     * bit_ceil(rob_entries) slots. robFull() caps the in-flight window
+     * [commit_ptr_, next_fetch_) at rob_entries, so two live ops never
+     * share a slot. An audited core checks @p seq against that window
+     * (ring-owner); a function that touches several lanes of one op
+     * takes its slot once.
+     */
+    Slot slot(SeqNum seq) const
+    {
+        size_t i = static_cast<size_t>(seq & ring_mask_);
+        if (audit_on_) [[unlikely]]
+            i += ringAudit(seq);
+        return Slot{i};
+    }
+    /** ring-owner: 0, or a panic. Pure and out of line, so an
+     *  unaudited slot() costs only the flag test: the compiler knows
+     *  the call writes no memory. */
+    [[gnu::pure, gnu::cold, gnu::noinline]] size_t
+    ringAudit(SeqNum seq) const;
+
+    /** A window lane: one element per ring slot, allocated once per
+     *  core and indexed only by Slot. */
+    template <typename T>
+    class Ring
+    {
+      public:
+        using element_type = T;
+
+        void allocate(size_t slots)
+        {
+            data_ = std::make_unique_for_overwrite<T[]>(slots);
+        }
+        T &operator[](Slot s) { return data_[s.i]; }
+        const T &operator[](Slot s) const { return data_[s.i]; }
+
+      private:
+        std::unique_ptr<T[]> data_;
+    };
+
     Lane<u8> st_;       ///< lifecycle state + flag bits
-    Lane<u8> cls_;      ///< packed FU pool | FuClass
-    Lane<u8> pending_;  ///< producers still in RS (event kernel)
-    Lane<Cycle> gate_;  ///< earliest conventional-eval cycle
-    Lane<Cycle> armed_; ///< live wake_pq_ arm (stale-guard)
+    Ring<u8> cls_;      ///< packed FU pool | FuClass
+    Ring<u8> pending_;  ///< producers still in RS (event kernel)
+    Ring<Cycle> gate_;  ///< earliest conventional-eval cycle
+    Ring<Cycle> armed_; ///< live wake_pq_ arm (stale-guard)
     Lane<Cycle> sel_;   ///< select cycle (valid once issued)
     Lane<Tick> done_;   ///< completion tick (valid once issued)
-    Lane<OpCold> cold_; ///< dispatch/commit-only record
-    size_t lane_ops_ = 0; ///< ops every lane has room for
+    Ring<OpCold> cold_; ///< dispatch/commit-only record
+    SeqNum ring_mask_ = 0; ///< ring slots - 1
+    size_t lane_ops_ = 0; ///< ops the trace-long lanes have room for
 
     std::vector<InstMeta> meta_; ///< per static instruction
     const DynOp *dyn_ = nullptr; ///< trace_->ops().data() (hoisted)
@@ -529,7 +588,7 @@ class OooCore
 
     // Reusable per-cycle scratch buffer (hot path: issuePhase runs
     // every cycle and must not allocate).
-    std::vector<Candidate> conv_grants_; ///< this cycle's conv. grants
+    std::vector<Candidate> conv_grants_; ///< MOS: this cycle's conv. grants
 
     // --- Event-kernel state (SchedKernel::Event) --------------------
     bool event_kernel_ = false;
@@ -542,13 +601,16 @@ class OooCore
 
     /** Per-producer consumer lists: edge pool + intrusive heads in
      *  OpCold. Edges append at consumer dispatch, so every list is
-     *  age-ordered. */
+     *  age-ordered. A consumer's k-th edge is edge kMaxProducers * slot
+     *  + k: a list is walked only while its producer is in flight, and
+     *  so are the (younger) consumers on it, so edges are a window
+     *  ring too. */
     struct ConsumerEdge
     {
         SeqNum consumer;
         u32 next;
     };
-    std::vector<ConsumerEdge> cons_edges_;
+    std::unique_ptr<ConsumerEdge[]> cons_edges_;
 
     /** Far-future re-evaluations: (cycle, seq) min-heap with lazy
      *  invalidation via armed_. */
@@ -568,8 +630,8 @@ class OooCore
      *  intrusive list threaded through park_next_[load]; a parked
      *  load is marked by armed_[load] == kParkLoad. Both lanes are
      *  written at the op's dispatch before any read. */
-    Lane<SeqNum> park_head_;
-    Lane<SeqNum> park_next_;
+    Ring<SeqNum> park_head_;
+    Ring<SeqNum> park_next_;
 
     /** First cycle NOT covered by a parked span-denied steady
      *  requester. Every cycle below it holds at least one ready

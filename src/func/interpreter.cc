@@ -173,7 +173,6 @@ Interpreter::stepInto(DynOp &dyn)
         }
         if (inst.dst != kNoReg)
             setReg(inst.dst, result);
-        dyn.result = result;
         dyn.eff_width = intAluEffWidth(inst, b);
     } else if (op == Opcode::MUL || op == Opcode::MLA ||
                op == Opcode::SDIV || op == Opcode::UDIV) {
@@ -199,7 +198,6 @@ Interpreter::stepInto(DynOp &dyn)
           default: panic("unreachable");
         }
         setReg(inst.dst, result);
-        dyn.result = result;
         dyn.eff_width = static_cast<u16>(
             std::max(effectiveWidth(a), effectiveWidth(b)));
     } else if (isFp(op)) {
@@ -240,19 +238,16 @@ Interpreter::stepInto(DynOp &dyn)
           default: panic("unhandled FP op");
         }
         setReg(inst.dst, result);
-        dyn.result = result;
     } else if (isMem(op)) {
         const Addr addr = effectiveAddress(inst);
         dyn.mem_addr = addr;
         if (op == Opcode::VLDR) {
             vregs_[inst.dst - kVecRegBase] = memory_.readVec(addr);
-            dyn.result = vregs_[inst.dst - kVecRegBase].lo;
         } else if (op == Opcode::VSTR) {
             memory_.writeVec(addr, vregs_[inst.src3 - kVecRegBase]);
         } else if (isLoad(op)) {
             const u64 value = memory_.read(addr, memAccessSize(op));
             setReg(inst.dst, value);
-            dyn.result = value;
         } else {
             memory_.write(addr, reg(inst.src3), memAccessSize(op));
         }
@@ -328,17 +323,14 @@ Interpreter::stepInto(DynOp &dyn)
             for (unsigned l = 0; l < lanes; ++l)
                 sum += va().lane(vt, l);
             setReg(inst.dst, sum);
-            dyn.result = sum;
             dyn.eff_width = static_cast<u16>(vecElemBits(vt));
             pc_ = next;
-            dyn.next_pc = next;
             return;
           }
           default: panic("unhandled SIMD op ", opcodeName(op));
         }
         if (isVecReg(inst.dst))
             vregs_[inst.dst - kVecRegBase] = result;
-        dyn.result = result.lo;
         // Type-Slack: the datapath precision comes from the ISA.
         dyn.eff_width = static_cast<u16>(vecElemBits(vt));
     } else if (isBranch(op)) {
@@ -376,7 +368,6 @@ Interpreter::stepInto(DynOp &dyn)
     }
 
     pc_ = next;
-    dyn.next_pc = next;
 }
 
 Trace
@@ -405,7 +396,7 @@ Interpreter::run(SeqNum max_ops)
         n += filled;
     }
     ops.resize(n); // trim the unfilled tail of the last chunk
-    return Trace(program_, std::move(ops));
+    return Trace(program_, std::move(ops), pc_);
 }
 
 Trace

@@ -1,5 +1,6 @@
 #include "func/memory_image.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -9,16 +10,16 @@ namespace redsoc {
 u8
 MemoryImage::readByte(Addr addr) const
 {
-    const Page *page = pageForConst(addr);
-    if (!page)
+    const Block *block = blockForConst(addr);
+    if (!block)
         return 0;
-    return (*page)[addr & (kPageSize - 1)];
+    return (*block)[addr & (kBlockSize - 1)];
 }
 
 void
 MemoryImage::writeByte(Addr addr, u8 value)
 {
-    pageFor(addr)[addr & (kPageSize - 1)] = value;
+    blockFor(addr)[addr & (kBlockSize - 1)] = value;
 }
 
 u64
@@ -26,6 +27,15 @@ MemoryImage::read(Addr addr, unsigned size) const
 {
     panic_if(size == 0 || size > 8, "bad scalar read size ", size);
     u64 value = 0;
+    const Addr off = addr & (kBlockSize - 1);
+    if (off + size <= kBlockSize) {
+        // Within one block: one lookup for the whole access.
+        const Block *block = blockForConst(addr);
+        if (block)
+            for (unsigned i = 0; i < size; ++i)
+                value |= u64{(*block)[off + i]} << (8 * i);
+        return value;
+    }
     for (unsigned i = 0; i < size; ++i)
         value |= u64{readByte(addr + i)} << (8 * i);
     return value;
@@ -35,6 +45,13 @@ void
 MemoryImage::write(Addr addr, u64 value, unsigned size)
 {
     panic_if(size == 0 || size > 8, "bad scalar write size ", size);
+    const Addr off = addr & (kBlockSize - 1);
+    if (off + size <= kBlockSize) {
+        Block &block = blockFor(addr);
+        for (unsigned i = 0; i < size; ++i)
+            block[off + i] = static_cast<u8>(value >> (8 * i));
+        return;
+    }
     for (unsigned i = 0; i < size; ++i)
         writeByte(addr + i, static_cast<u8>(value >> (8 * i)));
 }
@@ -55,8 +72,15 @@ MemoryImage::writeVec(Addr addr, const Vec128 &value)
 void
 MemoryImage::fill(Addr addr, std::span<const u8> data)
 {
-    for (size_t i = 0; i < data.size(); ++i)
-        writeByte(addr + i, data[i]);
+    // A block at a time: one lookup and one copy per block touched.
+    while (!data.empty()) {
+        const Addr off = addr & (kBlockSize - 1);
+        const size_t n =
+            std::min<size_t>(data.size(), kBlockSize - off);
+        std::memcpy(blockFor(addr).data() + off, data.data(), n);
+        addr += n;
+        data = data.subspan(n);
+    }
 }
 
 void
@@ -76,20 +100,20 @@ MemoryImage::peekF64(Addr addr) const
     return v;
 }
 
-MemoryImage::Page &
-MemoryImage::pageFor(Addr addr)
+MemoryImage::Block &
+MemoryImage::blockFor(Addr addr)
 {
-    auto [it, inserted] = pages_.try_emplace(addr >> kPageShift);
+    auto [it, inserted] = blocks_.try_emplace(addr >> kBlockShift);
     if (inserted)
         it->second.fill(0);
     return it->second;
 }
 
-const MemoryImage::Page *
-MemoryImage::pageForConst(Addr addr) const
+const MemoryImage::Block *
+MemoryImage::blockForConst(Addr addr) const
 {
-    auto it = pages_.find(addr >> kPageShift);
-    return it == pages_.end() ? nullptr : &it->second;
+    auto it = blocks_.find(addr >> kBlockShift);
+    return it == blocks_.end() ? nullptr : &it->second;
 }
 
 } // namespace redsoc

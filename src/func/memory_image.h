@@ -1,7 +1,10 @@
 /**
  * @file
  * Sparse byte-addressable 64-bit memory for functional execution.
- * Pages are allocated on first touch and zero-initialized.
+ * Memory is held in 256-byte blocks, allocated on first touch and
+ * zero-initialized: small enough that data scattered over a large
+ * region (a pointer tree in a 24 MiB pool) costs only the blocks it
+ * touches.
  */
 
 #ifndef REDSOC_FUNC_MEMORY_IMAGE_H
@@ -43,22 +46,23 @@ class MemoryImage
     u8 peek8(Addr addr) const { return static_cast<u8>(read(addr, 1)); }
     double peekF64(Addr addr) const;
 
-    /** Number of resident pages (for tests/inspection). */
-    size_t residentPages() const { return pages_.size(); }
+    /** Allocation granule, bytes. */
+    static constexpr unsigned kBlockShift = 8;
+    static constexpr Addr kBlockSize = Addr{1} << kBlockShift;
+
+    /** Number of resident blocks (for tests/inspection). */
+    size_t residentBlocks() const { return blocks_.size(); }
 
   private:
-    static constexpr unsigned kPageShift = 12;
-    static constexpr Addr kPageSize = Addr{1} << kPageShift;
-
-    using Page = std::array<u8, kPageSize>;
+    using Block = std::array<u8, kBlockSize>;
 
     u8 readByte(Addr addr) const;
     void writeByte(Addr addr, u8 value);
 
-    Page &pageFor(Addr addr);
-    const Page *pageForConst(Addr addr) const;
+    Block &blockFor(Addr addr);
+    const Block *blockForConst(Addr addr) const;
 
-    std::unordered_map<Addr, Page> pages_;
+    std::unordered_map<Addr, Block> blocks_;
 };
 
 } // namespace redsoc

@@ -538,6 +538,19 @@ TEST(InvariantAuditChecks, StorePhaseA)
                     "store 12 issued outside Phase A");
 }
 
+TEST(InvariantAuditChecks, RingOwner)
+{
+    EXPECT_FALSE(InvariantAuditor::checkRingOwner(10, 10, 12).has_value());
+    EXPECT_FALSE(InvariantAuditor::checkRingOwner(11, 10, 12).has_value());
+    // Committed (the slot may belong to a younger op now) and not yet
+    // dispatched are both outside the window.
+    expectViolation(InvariantAuditor::checkRingOwner(9, 10, 12),
+                    InvariantAudit::RingOwner,
+                    "op 9 outside the in-flight window [10, 12)");
+    expectViolation(InvariantAuditor::checkRingOwner(12, 10, 12),
+                    InvariantAudit::RingOwner, "op 12 outside");
+}
+
 TEST(InvariantAuditNames, EveryEnumeratorHasAUniqueName)
 {
     std::vector<std::string> names;

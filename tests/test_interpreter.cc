@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,16 +42,32 @@ TEST(MemoryImage, UntouchedMemoryReadsZero)
 {
     MemoryImage mem;
     EXPECT_EQ(mem.read(0xdeadbeef, 8), 0u);
-    EXPECT_EQ(mem.residentPages(), 0u);
+    EXPECT_EQ(mem.residentBlocks(), 0u);
 }
 
-TEST(MemoryImage, CrossPageAccess)
+TEST(MemoryImage, CrossBlockAccess)
 {
     MemoryImage mem;
-    const Addr addr = 0x1FFE; // straddles a 4K page boundary
+    const Addr addr = 3 * MemoryImage::kBlockSize - 2; // straddles a block
     mem.write(addr, 0xAABBCCDD, 4);
     EXPECT_EQ(mem.read(addr, 4), 0xAABBCCDDu);
-    EXPECT_EQ(mem.residentPages(), 2u);
+    EXPECT_EQ(mem.read(addr + 2, 2), 0xAABBu); // the second block alone
+    EXPECT_EQ(mem.residentBlocks(), 2u);
+}
+
+TEST(MemoryImage, FillSpansBlocks)
+{
+    MemoryImage mem;
+    std::vector<u8> data(3 * MemoryImage::kBlockSize);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<u8>(i * 7 + 1);
+    const Addr base = 0x5000 + 17; // unaligned: a partial first block
+    mem.fill(base, data);
+    for (size_t i = 0; i < data.size(); ++i)
+        ASSERT_EQ(mem.peek8(base + i), data[i]) << i;
+    EXPECT_EQ(mem.read(base - 1, 1), 0u);
+    EXPECT_EQ(mem.read(base + data.size(), 1), 0u);
+    EXPECT_EQ(mem.residentBlocks(), 4u);
 }
 
 TEST(MemoryImage, VectorAndDoubleHelpers)
@@ -336,6 +353,37 @@ TEST(Interpreter, BranchesAndCalls)
     EXPECT_EQ(not_taken, 1u);         // final loop exit
 }
 
+TEST(Interpreter, NextPcIsTheSuccessorsPc)
+{
+    ProgramBuilder b("succ");
+    auto func = b.newLabel();
+    auto loop = b.newLabel();
+    b.movImm(x(1), 2);
+    b.bind(loop);
+    b.alui(Opcode::SUB, x(1), x(1), 1);
+    b.bnez(x(1), loop);
+    b.bl(func);
+    b.halt();
+    b.bind(func);
+    b.ret();
+
+    MemoryImage mem;
+    auto program = std::make_shared<const Program>(b.build());
+    const Trace trace = Interpreter(program, mem).run();
+    for (SeqNum s = 0; s + 1 < trace.size(); ++s)
+        EXPECT_EQ(trace.nextPc(s), trace.op(s + 1).pc) << s;
+    // The branch outcomes land where the program says: a taken BNEZ
+    // at the loop head, the fall-through, the call and the return.
+    EXPECT_EQ(trace.nextPc(2), 1u);  // bnez taken
+    EXPECT_EQ(trace.nextPc(4), 3u);  // bnez falls through
+    EXPECT_EQ(trace.nextPc(5), 5u);  // bl -> func
+    EXPECT_EQ(trace.nextPc(6), 4u);  // ret -> halt
+    // The last op's successor is the trace's end pc: a HALT's own pc.
+    const SeqNum last = trace.size() - 1;
+    EXPECT_EQ(trace.inst(last).op, Opcode::HALT);
+    EXPECT_EQ(trace.nextPc(last), trace.op(last).pc);
+}
+
 TEST(Interpreter, TraceRecordsEffectiveWidths)
 {
     ProgramBuilder b("width");
@@ -469,6 +517,10 @@ TEST(Interpreter, MaxOpsCapStopsRunawayPrograms)
     Trace trace = interp.run(1000);
     EXPECT_EQ(trace.size(), 1000u);
     EXPECT_FALSE(interp.halted());
+    // A capped trace holds exactly its ops, and its last op (the B)
+    // still names the pc the program would run next.
+    EXPECT_EQ(trace.ops().capacity(), trace.size());
+    EXPECT_EQ(trace.nextPc(999), 0u);
 }
 
 } // namespace

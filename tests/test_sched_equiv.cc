@@ -16,11 +16,14 @@
  *     unresolved older stores.
  *
  * Plus unit tests for the two new structures the event kernel leans
- * on, ReadySet and FuPool::freeSpan, and a check that a core reused
- * for a smaller run matches a fresh core (the per-op lanes are never
- * reset between runs).
+ * on, ReadySet and FuPool::freeSpan, a check that a core reused for a
+ * smaller run matches a fresh core (the per-op lanes are never reset
+ * between runs), and pinned schedules for small ROBs whose consumers
+ * read producers committed more than a window ring's length earlier
+ * (a ring-slot aliasing bug would hit both kernels alike).
  */
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -145,6 +148,105 @@ TEST(LaneReuse, SmallRunAfterLargeMatchesFreshCore)
             reused.run(large);
             EXPECT_EQ(firstDifference(fresh, reused.run(small)), "")
                 << schedKernelName(kernel) << "/" << schedModeName(mode);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Window rings: every lane but st_/sel_/done_ is a ring of
+// bit_ceil(rob_entries) slots, so a consumer of a long-committed
+// producer must read only the trace-long lanes for it.
+// ---------------------------------------------------------------------
+
+/**
+ * A loop whose consumers read producers written more than 64 ops
+ * earlier: the memory base, a multiplier and a value carried over an
+ * 80-op filler burst. The consumers are two-source slack-eligible ops
+ * (last-arrival prediction and training, EGPW, fusion), a store and
+ * a load off the far base, and a MUL.
+ */
+Trace
+farProducerTrace()
+{
+    ProgramBuilder b("ring_window");
+    b.movImm(x(9), 0x35);
+    b.movImm(x(10), 0x1b);
+    b.movImm(x(11), 0x2000);
+    b.movImm(x(12), 3);
+    b.movImm(x(7), 24);
+    auto loop = b.newLabel();
+    b.bind(loop);
+    for (unsigned j = 0; j < 80; ++j)
+        b.alui(j % 2 ? Opcode::EOR : Opcode::ADD, x(1 + j % 4),
+               x(1 + j % 4), static_cast<s64>(j));
+    b.alu(Opcode::ADD, x(5), x(9), x(1));
+    b.alu(Opcode::EOR, x(6), x(10), x(5));
+    b.store(Opcode::STR, x(6), x(11), 8);
+    b.load(Opcode::LDR, x(8), x(11), 8);
+    b.mul(x(2), x(8), x(12));
+    b.alui(Opcode::ADD, x(9), x(6), 1);
+    b.alui(Opcode::SUB, x(7), x(7), 1);
+    b.bnez(x(7), loop);
+    b.halt();
+    return makeTrace(b);
+}
+
+/** Sets REDSOC_AUDIT=1 for its lifetime (cores read it when built). */
+struct ScopedAudit
+{
+    ScopedAudit() { ::setenv("REDSOC_AUDIT", "1", 1); }
+    ~ScopedAudit() { ::unsetenv("REDSOC_AUDIT"); }
+};
+
+TEST(WindowRing, FarProducersPinnedOnSmallRobs)
+{
+    const Trace trace = farProducerTrace();
+
+    // The construction must read producers more than 64 ops back,
+    // past the ring of a 40-entry ROB.
+    std::vector<SeqNum> writer(kNumRegs, kNoSeq);
+    unsigned far_reads = 0;
+    for (SeqNum seq = 0; seq < trace.size(); ++seq) {
+        const Inst &inst = trace.inst(seq);
+        for (RegIdx r : inst.sources())
+            if (r != kNoReg && writer[r] != kNoSeq &&
+                seq - writer[r] > 64)
+                ++far_reads;
+        if (inst.destination() != kNoReg)
+            writer[inst.destination()] = seq;
+    }
+    EXPECT_GT(far_reads, 100u);
+
+    // Commit checksums of the schedules before the lanes became rings.
+    struct Pin
+    {
+        unsigned rob;
+        const char *tag;
+        u64 checksum;
+    };
+    const Pin pins[] = {
+        {8, "baseline", 0x8fa11d80f6bee8c9ull},
+        {8, "mos", 0x784ba6f52d2e418bull},
+        {8, "redsoc", 0x1e1ee1e7a92cbcbeull},
+        {8, "redsoc_illustrative", 0x1e1ee1e7a92cbcbeull},
+        {40, "baseline", 0xfbccca5fd3132d3cull},
+        {40, "mos", 0xdcc627f99f9d04c0ull},
+        {40, "redsoc", 0xc684fef246c12e6eull},
+        {40, "redsoc_illustrative", 0x5beb7bf2435360c0ull},
+    };
+    const ScopedAudit audit; // ring-owner checks every lane access
+    for (const unsigned rob : {8u, 40u}) {
+        for (auto [tag, cfg] : differentialConfigs("small")) {
+            cfg.rob_entries = rob;
+            const std::string what = "rob" + std::to_string(rob) + "/" + tag;
+            const CoreStats stats = expectScanEqualsEvent(trace, cfg, what);
+            EXPECT_EQ(stats.committed, trace.size()) << what;
+            for (const Pin &pin : pins) {
+                if (pin.rob != rob || tag != pin.tag)
+                    continue;
+                EXPECT_EQ(stats.commit_checksum, pin.checksum)
+                    << what << std::hex << " got 0x" << stats.commit_checksum;
+            }
         }
     }
 }

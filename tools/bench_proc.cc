@@ -46,7 +46,7 @@ main(int argc, char **argv)
         } else if (arg == "--mix" && i + 1 < argc) {
             mix_spec = argv[++i];
         } else if (arg == "--core" && i + 1 < argc) {
-            core_name = argv[++i];
+            core_name = cli::coreArg(argv[++i]);
         } else if (arg == "--mode" && i + 1 < argc) {
             mode = cli::enumArg<SchedMode>("--mode", argv[++i]);
         } else {

@@ -38,6 +38,16 @@ enumArg(const char *flag, const std::string &text)
     return value;
 }
 
+/** The core preset name @p text (findCorePreset). An unknown name is
+ *  a usage error, not an abort. */
+inline std::string
+coreArg(const std::string &text)
+{
+    if (!findCorePreset(text))
+        usageError("unknown --core '" + text + "'");
+    return text;
+}
+
 /** The number @p text spells, whole (parseLeaf). Anything else is a
  *  usage error, never a silent zero or default. */
 template <class T>

@@ -93,7 +93,7 @@ try {
         if (arg == "--workload") {
             workload = next();
         } else if (arg == "--core") {
-            core = next();
+            core = cli::coreArg(next());
         } else if (arg == "--mode") {
             mode = cli::enumArg<SchedMode>("--mode", next());
         } else if (arg == "--max-ops") {
