@@ -51,8 +51,8 @@ enum class SchedKernel : u8 {
      *  (O(RS x producers) per cycle). Kept as the reference model. */
     Scan,
     /** Event-driven: tag-broadcast wakeup through per-producer
-     *  consumer lists, age-ordered per-pool ready sets, and
-     *  idle-cycle fast-forward. The default. */
+     *  consumer lists, age-ordered ready sets over the window ring,
+     *  and idle-cycle fast-forward. The default. */
     Event,
 };
 

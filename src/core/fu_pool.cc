@@ -112,16 +112,6 @@ FuPool::book(FuPoolKind kind, Cycle cycle, unsigned span)
     }
 }
 
-void
-FuPool::release(FuPoolKind kind, Cycle cycle, unsigned span)
-{
-    for (unsigned i = 0; i < span; ++i) {
-        unsigned &busy = slot(kind, cycle + i);
-        panic_if(busy == 0, "releasing an unbooked FU");
-        --busy;
-    }
-}
-
 unsigned
 FuPool::capacity(FuPoolKind kind) const
 {
@@ -132,12 +122,6 @@ unsigned
 FuPool::busyUnits(FuPoolKind kind, Cycle cycle) const
 {
     return slotConst(kind, cycle);
-}
-
-void
-FuPool::retireBefore(Cycle cycle)
-{
-    (void)cycle; // tags lazily recycle; nothing to do eagerly
 }
 
 } // namespace redsoc

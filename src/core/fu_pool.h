@@ -4,6 +4,7 @@
  * recycling allocates an execution unit for *two* cycles when an
  * operation's transparent execution window crosses a clock boundary
  * (IT3, Sec.III), so availability is tracked per future cycle.
+ * Bookings are never taken back: a granted op keeps its units.
  */
 
 #ifndef REDSOC_CORE_FU_POOL_H
@@ -38,20 +39,17 @@ class FuPool
     /**
      * Earliest cycle >= @p from where freeSpan(kind, cycle, span)
      * holds under the *current* bookings. Because bookings only ever
-     * accumulate (release() has no caller in the simulator) and only
-     * for cycles inside the look-ahead ring, the result is a sound
-     * lower bound on when the span can actually be admitted: the
-     * event kernel parks span-denied steady requesters until then
-     * instead of re-evaluating them every cycle.
+     * accumulate (the pool has no release) and only for cycles inside
+     * the look-ahead ring, the result is a sound lower bound on when
+     * the span can actually be admitted: the event kernel parks
+     * span-denied steady requesters until then instead of
+     * re-evaluating them every cycle.
      */
     Cycle nextFreeSpanCycle(FuPoolKind kind, Cycle from,
                             unsigned span) const;
 
     /** Book one unit of @p kind for cycles [cycle, cycle+span). */
     void book(FuPoolKind kind, Cycle cycle, unsigned span = 1);
-
-    /** Release one unit booked in error (misprediction cancel). */
-    void release(FuPoolKind kind, Cycle cycle, unsigned span = 1);
 
     unsigned capacity(FuPoolKind kind) const;
 
@@ -60,9 +58,6 @@ class FuPool
      * Fig.14).
      */
     unsigned busyUnits(FuPoolKind kind, Cycle cycle) const;
-
-    /** Drop accounting for cycles before @p cycle (ring advance). */
-    void retireBefore(Cycle cycle);
 
   private:
     static constexpr unsigned kHorizon = 64; ///< booking look-ahead

@@ -213,7 +213,8 @@ InvariantAuditor::onCycleEnd(const OooCore &core)
         }
         report(checkPendingCount(seq, core.pending_[w], recount));
         const bool parked = core.armed_[w] == OooCore::kParkLoad;
-        const bool in_ready = core.ready_.contains(seq);
+        const bool in_ready =
+            core.ready_.contains(w.i) || core.next_.contains(w.i);
         report(checkReadyAgreement(seq, core.pending_[w], core.armed_[w],
                                    core.cycle_, parked, in_ready));
     }

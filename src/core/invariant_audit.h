@@ -27,7 +27,8 @@
  *   ready-rs-agreement   Event kernel liveness: at a cycle boundary
  *                        every waiting RS entry is reachable by some
  *                        future event — a pending producer broadcast,
- *                        a live future arm, or the parked-load list.
+ *                        a live future arm, membership in the ready
+ *                        or next-cycle set, or the parked-load list.
  *   store-phase-a        A store issues only in Phase A (conventional
  *                        select): EGPW's evalEager rejects memory ops
  *                        and MOS fusion needs a slack-eligible op. So
@@ -125,9 +126,8 @@ class InvariantAuditor
                          Tick ci);
 
     /** ready-rs-agreement: a waiting entry must have @p pending > 0,
-     *  a live arm strictly after @p now, sit in the ready set (a
-     *  mid-scan wakeup older than the Phase-A cursor is revisited
-     *  next cycle), or be parked. */
+     *  a live arm strictly after @p now, sit in the ready or
+     *  next-cycle set (walked next cycle), or be parked. */
     static std::optional<AuditViolation>
     checkReadyAgreement(SeqNum seq, unsigned pending, Cycle armed_cycle,
                         Cycle now, bool parked, bool in_ready_set);

@@ -10,7 +10,18 @@ namespace redsoc {
 Lsq::Lsq(unsigned capacity) : capacity_(capacity)
 {
     ring_.resize(std::bit_ceil(static_cast<size_t>(capacity)));
+    unresolved_.assign((ring_.size() + 63) / 64, 0);
     mask_ = ring_.size() - 1;
+}
+
+void
+Lsq::setUnresolved(u64 pos, bool on)
+{
+    const u64 bit = u64{1} << (pos & 63);
+    if (on)
+        unresolved_[pos >> 6] |= bit;
+    else
+        unresolved_[pos >> 6] &= ~bit;
 }
 
 void
@@ -19,14 +30,16 @@ Lsq::dispatch(SeqNum seq, bool is_store)
     panic_if(full(), "dispatch into full LSQ");
     panic_if(size() != 0 && seq <= at(size() - 1).seq,
              "out-of-order LSQ dispatch");
-    ring_[tail_++ & mask_] = Entry{seq, is_store};
+    const u64 pos = tail_++ & mask_;
+    ring_[pos] = Entry{seq, is_store};
+    setUnresolved(pos, is_store);
 }
 
-Lsq::Entry *
-Lsq::find(SeqNum seq)
+u64
+Lsq::lowerBound(SeqNum seq) const
 {
     // dispatch() asserts program order, so the ring is sorted by
-    // sequence number: resolve/setComplete lookups are O(log n).
+    // sequence number: lookups are O(log n).
     u64 lo = 0;
     u64 hi = size();
     while (lo < hi) {
@@ -36,55 +49,72 @@ Lsq::find(SeqNum seq)
         else
             hi = mid;
     }
-    if (lo == size() || at(lo).seq != seq)
-        return nullptr;
-    return &at(lo);
+    return lo;
 }
 
 void
 Lsq::resolve(SeqNum seq, Addr addr, unsigned size, Tick complete)
 {
-    Entry *e = find(seq);
-    panic_if(!e, "resolve of op not in LSQ");
-    e->resolved = true;
-    e->addr = addr;
-    e->size = size;
-    e->complete = complete;
+    const u64 i = lowerBound(seq);
+    panic_if(i == this->size() || at(i).seq != seq,
+             "resolve of op not in LSQ");
+    Entry &e = at(i);
+    e.addr = addr;
+    e.size = size;
+    e.complete = complete;
+    setUnresolved((head_ + i) & mask_, false);
 }
 
-void
-Lsq::setComplete(SeqNum seq, Tick complete)
+u64
+Lsq::firstUnresolved(u64 lo, u64 hi) const
 {
-    Entry *e = find(seq);
-    panic_if(!e, "setComplete of op not in LSQ");
-    e->complete = complete;
+    const u64 slots = mask_ + 1;
+    while (lo < hi) {
+        const u64 pos = (head_ + lo) & mask_;
+        const u64 b = pos & 63;
+        const u64 m = unresolved_[pos >> 6] >> b;
+        if (m) {
+            // Bits past a sub-word ring's end are clear, so the hit
+            // lies before the wrap.
+            const u64 i = lo + static_cast<u64>(std::countr_zero(m));
+            return i < hi ? i : kNoEntry;
+        }
+        lo += std::min(64 - b, slots - pos);
+    }
+    return kNoEntry;
+}
+
+u64
+Lsq::lastUnresolved(u64 lo, u64 hi) const
+{
+    while (hi > lo) {
+        const u64 pos = (head_ + hi - 1) & mask_;
+        const u64 b = pos & 63;
+        // Positions [pos - b, pos] of this word, highest first.
+        const u64 m = unresolved_[pos >> 6] << (63 - b);
+        if (m) {
+            const u64 back = static_cast<u64>(std::countl_zero(m));
+            return back <= hi - 1 - lo ? hi - 1 - back : kNoEntry;
+        }
+        hi = hi > b + 1 ? hi - (b + 1) : 0;
+    }
+    return kNoEntry;
 }
 
 bool
 Lsq::olderStoreUnresolved(SeqNum seq) const
 {
-    for (u64 i = 0; i < size(); ++i) {
-        const Entry &e = at(i);
-        if (e.seq >= seq)
-            break;
-        if (e.is_store && !e.resolved)
-            return true;
-    }
-    return false;
+    // Program order: some older store is unresolved iff the oldest
+    // unresolved store is older than @p seq.
+    const u64 i = firstUnresolved(0, size());
+    return i != kNoEntry && at(i).seq < seq;
 }
 
 SeqNum
 Lsq::youngestUnresolvedStoreBefore(SeqNum seq) const
 {
-    SeqNum found = kNoSeq;
-    for (u64 i = 0; i < size(); ++i) {
-        const Entry &e = at(i);
-        if (e.seq >= seq)
-            break;
-        if (e.is_store && !e.resolved)
-            found = e.seq; // program order: the last hit is youngest
-    }
-    return found;
+    const u64 i = lastUnresolved(0, lowerBound(seq));
+    return i == kNoEntry ? kNoSeq : at(i).seq;
 }
 
 std::optional<Lsq::ForwardResult>
@@ -106,7 +136,7 @@ Lsq::forwardFrom(SeqNum load_seq, Addr addr, unsigned size) const
     Tick complete = 0;
     for (u64 i = tail_ - head_; i-- > 0 && need != 0;) {
         const Entry &e = at(i);
-        if (e.seq >= load_seq || !e.is_store || !e.resolved)
+        if (e.seq >= load_seq || !e.is_store || unresolvedAt(i))
             continue;
         const Addr lo = std::max(e.addr, addr);
         const Addr hi = std::min(e.addr + e.size, addr + size);

@@ -4,6 +4,9 @@
  * (loads issue only after all older store addresses are resolved)
  * and store-to-load forwarding. Entries sit in a power-of-two ring in
  * program order: dispatch appends at the tail, commit pops the head.
+ * A bitmask over the ring positions marks the stores whose address
+ * is still unresolved, so the ordering queries read a few words
+ * instead of scanning the queue.
  */
 
 #ifndef REDSOC_CORE_LSQ_H
@@ -29,9 +32,6 @@ class Lsq
 
     /** Record the resolved address/size at issue. */
     void resolve(SeqNum seq, Addr addr, unsigned size, Tick complete);
-
-    /** Update a resolved entry's completion time. */
-    void setComplete(SeqNum seq, Tick complete);
 
     /**
      * True if any store older than @p seq has an unresolved address
@@ -88,8 +88,7 @@ class Lsq
     {
         SeqNum seq;
         bool is_store;
-        bool resolved = false;
-        Addr addr = 0;
+        Addr addr = 0;      ///< valid once resolved
         unsigned size = 0;
         Tick complete = 0;
     };
@@ -98,10 +97,32 @@ class Lsq
     Entry &at(u64 i) { return ring_[(head_ + i) & mask_]; }
     const Entry &at(u64 i) const { return ring_[(head_ + i) & mask_]; }
 
-    Entry *find(SeqNum seq);
+    /** Offset from the oldest of the first entry whose seq is
+     *  @p seq or later (size() when none): the ring is sorted. */
+    u64 lowerBound(SeqNum seq) const;
+
+    /** True iff the entry at offset @p i is an unresolved store. */
+    bool unresolvedAt(u64 i) const
+    {
+        const u64 pos = (head_ + i) & mask_;
+        return (unresolved_[pos >> 6] >> (pos & 63)) & 1;
+    }
+    void setUnresolved(u64 pos, bool on);
+
+    /** Offsets [lo, hi) from the oldest: first / last unresolved
+     *  store, or kNoEntry. */
+    u64 firstUnresolved(u64 lo, u64 hi) const;
+    u64 lastUnresolved(u64 lo, u64 hi) const;
+    static constexpr u64 kNoEntry = ~u64{0};
 
     unsigned capacity_;
     std::vector<Entry> ring_; ///< power-of-two ring, program order
+    /** One bit per ring position: the entry there is a store whose
+     *  address is not yet resolved. Dispatch writes a position's bit
+     *  and the queries bound every hit to the live entries, so a bit
+     *  left at a free position changes no answer; bits past a
+     *  sub-word ring's end stay clear. */
+    std::vector<u64> unresolved_;
     u64 mask_ = 0;            ///< ring_.size() - 1
     u64 head_ = 0;            ///< oldest entry (monotonic index)
     u64 tail_ = 0;            ///< one past the youngest

@@ -71,6 +71,9 @@ OooCore::OooCore(CoreConfig config)
     collect_eager_ = event_kernel_ &&
                      config_.mode == SchedMode::ReDSOC && config_.egpw &&
                      config_.skewed_select;
+    wake_eval_ = event_kernel_ &&
+                 !(config_.mode == SchedMode::ReDSOC && config_.egpw &&
+                   !config_.skewed_select);
 
     // Window lanes and candidate-set rings sized for the in-flight
     // window, and every per-cycle scratch vector reserved up front:
@@ -87,10 +90,10 @@ OooCore::OooCore(CoreConfig config)
     park_next_.allocate(slots);
     cons_edges_ = std::make_unique_for_overwrite<ConsumerEdge[]>(
         kMaxProducers * slots);
-    ready_.configure(config_.rob_entries);
-    eager_.configure(config_.rob_entries);
+    ready_.configure(slots);
+    next_.configure(slots);
+    eager_.configure(slots);
     conv_grants_.reserve(config_.rs_entries);
-    next_arms_.reserve(2 * config_.rs_entries);
 }
 
 size_t
@@ -112,6 +115,7 @@ void
 OooCore::buildInstMeta(const Program &program)
 {
     meta_.resize(program.size());
+    lut_ticks_.resize(program.size());
     for (u32 pc = 0; pc < program.size(); ++pc) {
         const Inst &inst = program.inst(pc);
         InstMeta m;
@@ -155,6 +159,17 @@ OooCore::buildInstMeta(const Program &program)
         m.src = inst.sources();
         m.dst = inst.destination();
         meta_[pc] = m;
+
+        // EX-TIME per width class: the LUT at decode reads it for the
+        // predicted class, a width replay for the actual one.
+        lut_ticks_[pc] = {};
+        if (seed & kEligible)
+            for (u8 wc = 0; wc < lut_ticks_[pc].size(); ++wc)
+                // Bounded by ticksPerCycle <= 2^ci_precision_bits, so
+                // 16 bits are exact. redsoc-lint: allow(cycle-narrow)
+                lut_ticks_[pc][wc] = static_cast<u16>(
+                    // redsoc-lint: allow(cycle-narrow)
+                    lut_.lookupTicks(inst, static_cast<WidthClass>(wc)));
     }
 }
 
@@ -341,11 +356,8 @@ OooCore::dispatchPhase(const Trace &trace)
                 oc.cflags |= kColdWidthPredicted;
                 ++stats_.width_predictions;
             }
-            // Bounded by ticksPerCycle <= 2^ci_precision_bits, so 16
-            // bits are exact. redsoc-lint: allow(cycle-narrow)
-            oc.est_ticks = static_cast<u16>(
-                // redsoc-lint: allow(cycle-narrow)
-                lut_.lookupTicks(inst, oc.pred_wc));
+            oc.est_ticks =
+                lut_ticks_[dyn.pc][static_cast<u8>(oc.pred_wc)];
         }
 
         // Operational design: predict the last-arriving parent for
@@ -400,7 +412,7 @@ OooCore::dispatchPhase(const Trace &trace)
             }
             pending_[w] = pending;
             if (pending == 0)
-                armAt(seq, cycle_ + 1);
+                ready_.insert(w.i); // walked next cycle
         }
 
         if (oc.cflags & kColdBranchMispred) {
@@ -603,8 +615,8 @@ OooCore::fillCompletion(Candidate &cand, SeqNum seq, Tick arrival,
         // Aggressive width misprediction, detected at execute:
         // conservative re-execution from the next boundary
         // (selective-reissue recovery, Sec.II-B).
-        const Tick est = lut_.lookupTicks(trace_->inst(seq),
-                                          oc.actual_wc);
+        const Tick est =
+            lut_ticks_[dyn_[seq].pc][static_cast<u8>(oc.actual_wc)];
         cand.start = arrival;
         cand.transparent = false;
         cand.complete = arrival + tpc + est;
@@ -697,14 +709,20 @@ OooCore::issueOp(const Candidate &cand)
     panic_if(!inRs(seq), "issue of op not in RS");
     setState(seq, St::Done);
     sel_[seq] = cycle_;
-    OpCold &oc = cold_[slot(seq)];
+    const Slot w = slot(seq);
+    OpCold &oc = cold_[w];
     oc.start_tick = cand.start;
     done_[seq] = cand.complete;
     if (cand.transparent)
         oc.cflags |= kColdTransparent;
     rs_.remove();
-    if (event_kernel_)
-        ready_.erase(seq); // may be resident (Phase-A retention)
+    if (event_kernel_) {
+        // It may be resident (Phase-A retention), armed for the next
+        // cycle, or woken for Phase B: no set keeps a stale member.
+        ready_.erase(w.i);
+        next_.erase(w.i);
+        eager_.erase(w.i);
+    }
 
     const u8 st = st_[seq];
     if (st & (kIsLoad | kIsStore))
@@ -762,28 +780,41 @@ void
 OooCore::armAt(SeqNum seq, Cycle c)
 {
     armed_[slot(seq)] = c;
-    if (c == cycle_ + 1)
-        next_arms_.push_back(seq);
-    else
-        wake_pq_.emplace(c, seq);
+    wake_pq_.emplace(c, seq);
 }
 
 void
-OooCore::scheduleEval(SeqNum seq, bool newly_woken)
+OooCore::scheduleEval(SeqNum seq)
 {
-    if (in_phase_a_) {
-        // The waker is older (smaller seq), so the Phase-A cursor has
-        // not reached this entry yet: it gets evaluated this cycle,
-        // exactly where the scan kernel's full pass would visit it.
-        ready_.insert(seq);
-        armed_[slot(seq)] = cycle_;
-    } else {
-        armAt(seq, cycle_ + 1);
-    }
+    const Slot w = slot(seq);
     // A newly-woken entry is an EGPW candidate this same cycle (its
     // last parent was granted this cycle).
-    if (newly_woken && collect_eager_)
-        eager_.insert(seq);
+    if (collect_eager_)
+        eager_.insert(w.i);
+    if (!(in_phase_a_ && wake_eval_)) {
+        // Inside Phase A (interleaved EGPW): the waker is older, so
+        // the cursor has not reached this entry yet and it is
+        // evaluated this cycle, where the scan kernel's full pass
+        // would visit it. After Phase A: next cycle's walk.
+        ready_.insert(w.i);
+        return;
+    }
+    // Evaluate now what the walk would evaluate later this cycle. The
+    // waker was selected this cycle, so selGate is at least the next
+    // cycle and the evaluation stops there, before the LSQ and FU
+    // checks: it cannot request. Every input it reads is final (all
+    // producers have issued), and what it writes (the LA outcome,
+    // this entry's gate and steady bit) nothing else reads before the
+    // entry's own next evaluation.
+    Candidate cand;
+    Cycle next_try = kNoCycle;
+    const bool requested = evalConventional(seq, cand, &next_try);
+    panic_if(requested || next_try <= cycle_ || next_try >= kParkLoad,
+             "woken entry evaluated to a request or no re-arm");
+    if (next_try == cycle_ + 1)
+        next_.insert(w.i);
+    else
+        armAt(seq, next_try);
 }
 
 void
@@ -795,22 +826,25 @@ OooCore::broadcastWakeup(SeqNum seq)
     for (u32 e = oc.cons_head; e != kNoEdge; e = cons_edges_[e].next) {
         const SeqNum cseq = cons_edges_[e].consumer;
         if (--pending_[slot(cseq)] == 0)
-            scheduleEval(cseq, true);
+            scheduleEval(cseq);
     }
     // A store resolving its address unblocks exactly the loads parked
     // on it (memory-order wakeup rides the same broadcast port). A
     // woken load still blocked by a different older store re-parks on
     // that blocker. Stores issue only in Phase A (evalEager rejects
     // memory ops, and MOS fusion needs a slack-eligible op), so each
-    // woken load takes scheduleEval's in_phase_a_ branch: it is
-    // younger than the store and re-enters the ready set ahead of the
-    // cursor this cycle, never the next-cycle arm. The audit's
+    // woken load is younger than the running Phase-A cursor: it
+    // re-enters the ready set ahead of it and is evaluated this
+    // cycle, where its request may be granted. The audit's
     // store-phase-a check (REDSOC_AUDIT=1) holds both kernels to it.
     if (st_[seq] & kIsStore) {
         for (SeqNum l = park_head_[w]; l != kNoSeq;
              l = park_next_[slot(l)])
-            if (inRs(l))
-                scheduleEval(l, false);
+            if (inRs(l)) {
+                const Slot lw = slot(l);
+                ready_.insert(lw.i);
+                armed_[lw] = cycle_; // no longer parked
+            }
         park_head_[w] = kNoSeq;
     }
 }
@@ -818,20 +852,17 @@ OooCore::broadcastWakeup(SeqNum seq)
 void
 OooCore::drainWakeQueue()
 {
-    if (!next_arms_.empty()) {
-        // Arms pushed last cycle for this one (fastForward never
-        // jumps over a pending next-cycle arm).
-        for (SeqNum seq : next_arms_)
-            if (inRs(seq) && armed_[slot(seq)] == cycle_)
-                ready_.insert(seq);
-        next_arms_.clear();
-    }
+    // Arms made inside last cycle's Phase A for this one (fastForward
+    // never jumps over a pending next-cycle arm). Their ops are still
+    // waiting: issueOp takes an op out of every set.
+    if (!next_.empty())
+        ready_.take(next_);
     while (!wake_pq_.empty() && wake_pq_.top().first <= cycle_) {
         const auto [c, seq] = wake_pq_.top();
         wake_pq_.pop();
         if (!inRs(seq) || armed_[slot(seq)] != c)
             continue; // stale arm (issued, or re-armed since)
-        ready_.insert(seq);
+        ready_.insert(slot(seq).i);
     }
 }
 
@@ -1010,18 +1041,20 @@ OooCore::issuePhase()
         // Only entries with a due re-arm or a fresh broadcast wakeup
         // can request (or have a side effect) this cycle; every entry
         // skipped here would evaluate to a pure false under the scan
-        // kernel. Mid-scan wakeups land ahead of the cursor (a
-        // consumer is always younger than its producer), preserving
-        // the full scan's age-ordered select.
+        // kernel. A mid-scan wakeup is evaluated at wake time
+        // (scheduleEval), where the scan kernel's evaluation of it
+        // later in this pass could not request either; a woken parked
+        // load, or any wakeup under interleaved EGPW, lands ahead of
+        // the cursor instead (a consumer is always younger than its
+        // producer), preserving the full scan's age-ordered select.
         {
             prof::ScopedTimer wt(prof::Phase::Wakeup, profiling_);
             drainWakeQueue();
         }
         prof::ScopedTimer st(prof::Phase::Select, profiling_);
         in_phase_a_ = true;
-        SeqNum cur = 0;
-        for (SeqNum seq; (seq = ready_.nextAtOrAfter(cur)) != kNoSeq;) {
-            cur = seq + 1;
+        for (SeqNum seq = commit_ptr_;
+             (seq = nextIn(ready_, seq)) != kNoSeq; ++seq) {
             Cycle next_try = kNoCycle;
             const bool requested =
                 phaseAEntry(seq, interleave_spec, fu_denied, &next_try);
@@ -1029,9 +1062,11 @@ OooCore::issuePhase()
                 continue; // issued (issueOp erases it from the set)
             if (requested && next_try == kNoCycle)
                 continue; // denied or wasted: stays resident
+            if (next_try == cycle_ + 1)
+                continue; // re-evaluated next cycle: stays resident
             // Not ready, or denied with a provable re-grant bound
             // (span parking): sleep until the verdict can change.
-            ready_.erase(seq);
+            ready_.erase(slot(seq).i);
             if (next_try == kParkLoad) {
                 // Park on one concrete blocker: the youngest older
                 // unresolved store. Its resolve (at issue) re-inserts
@@ -1116,10 +1151,9 @@ OooCore::issuePhase()
             // Exactly the entries woken this cycle can pass the
             // evalEager window (their last parent was granted this
             // cycle); Phase-B cascades insert ahead of the cursor.
-            SeqNum cur = 0;
-            for (SeqNum seq;
-                 (seq = eager_.popAtOrAfter(cur)) != kNoSeq;) {
-                cur = seq + 1;
+            for (SeqNum seq = commit_ptr_;
+                 (seq = nextIn(eager_, seq)) != kNoSeq; ++seq) {
+                eager_.erase(slot(seq).i);
                 phase_b(seq);
             }
         } else {
@@ -1248,10 +1282,11 @@ OooCore::commitPhase()
 void
 OooCore::fastForward(bool adapting)
 {
-    // Arms buffered during the just-finished cycle are due exactly
-    // now (cycle_ already advanced), and FU-denied entries resident
-    // in the ready set re-request every cycle: nothing to skip.
-    if (!next_arms_.empty() || !ready_.empty())
+    // Arms made during the just-finished cycle for this one are due
+    // exactly now (cycle_ already advanced), and FU-denied entries
+    // resident in the ready set re-request every cycle: nothing to
+    // skip.
+    if (!next_.empty() || !ready_.empty())
         return;
 
     // The next cycle the scheduler can do non-trivial work: the
@@ -1377,8 +1412,8 @@ OooCore::beginRun(const Trace &trace)
         wake_pq_ = decltype(wake_pq_)(std::greater<>{},
                                       std::move(pq_store));
     }
-    next_arms_.clear();
     ready_.clear();
+    next_.clear();
     eager_.clear();
     denied_horizon_ = 0;
     in_phase_a_ = false;

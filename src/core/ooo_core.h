@@ -428,19 +428,34 @@ class OooCore
     bool tryFuse(const Candidate &pg, SeqNum cseq);
 
     // --- Event-kernel machinery (SchedKernel::Event) ---------------
-    /** Schedule a (re-)evaluation of @p seq in cycle @p c. */
+    /** Schedule a re-evaluation of @p seq in cycle @p c, later than
+     *  the next one, on the wake heap. */
     void armAt(SeqNum seq, Cycle c);
-    /** Move an entry into this cycle's candidate sets: the Phase-A
-     *  ready set when the Phase-A scan is still running (the entry is
-     *  always younger than the scan cursor), else next cycle's queue;
-     *  plus the EGPW set when @p newly_woken in an EGPW config. */
-    void scheduleEval(SeqNum seq, bool newly_woken);
+    /** A producer broadcast dropped @p seq's pending count to zero.
+     *  Inside Phase A without interleaved EGPW the entry is evaluated
+     *  now and armed for the cycle that evaluation names (it cannot
+     *  request this cycle: its waker was only selected now);
+     *  otherwise it joins the ready set, ahead of a running Phase-A
+     *  cursor or for the next cycle's walk. An EGPW config also puts
+     *  it in the Phase-B set. */
+    void scheduleEval(SeqNum seq);
     /** Broadcast an issued op's tag: decrement consumer pending
      *  counts, waking those that hit zero; a store also re-evaluates
      *  parked loads. */
     void broadcastWakeup(SeqNum seq);
-    /** Pop due wake_pq_ arms into the Phase-A ready set. */
+    /** Start the cycle's ready set: merge the next-cycle set and pop
+     *  due wake_pq_ arms into it. */
     void drainWakeQueue();
+    /** Oldest member of @p set at or after @p from (kNoSeq: none). The
+     *  walk starts at the oldest in-flight op's slot, so members come
+     *  out in age order across the ring wrap. */
+    SeqNum nextIn(const WindowSet &set, SeqNum from) const
+    {
+        const size_t d =
+            set.next(static_cast<size_t>(commit_ptr_ & ring_mask_),
+                     static_cast<size_t>(from - commit_ptr_));
+        return d == WindowSet::kNone ? kNoSeq : commit_ptr_ + d;
+    }
     /** Jump cycle_ forward to the next cycle any pipeline stage can
      *  make progress (stats-identical: skipped cycles are provably
      *  side-effect-free under the scan kernel). */
@@ -571,6 +586,9 @@ class OooCore
     size_t lane_ops_ = 0; ///< ops the trace-long lanes have room for
 
     std::vector<InstMeta> meta_; ///< per static instruction
+    /** Slack-LUT EX-TIME ticks per static instruction and WidthClass
+     *  (0 for ops not slack-eligible). */
+    std::vector<std::array<u16, 4>> lut_ticks_;
     const DynOp *dyn_ = nullptr; ///< trace_->ops().data() (hoisted)
 
     SeqNum next_fetch_ = 0;
@@ -594,6 +612,10 @@ class OooCore
     bool event_kernel_ = false;
     /** Maintain the separate EGPW candidate set (skewed Phase B). */
     bool collect_eager_ = false;
+    /** Evaluate a Phase-A wakeup at wake time (scheduleEval): every
+     *  config but the non-skewed EGPW ablation, whose Phase A may
+     *  grant the woken entry an EGPW request in the same cycle. */
+    bool wake_eval_ = false;
     /** Inside the Phase-A select walk (both kernels): an event-kernel
      *  wakeup lands ahead of the cursor, and the audit checks that
      *  every store issues here. */
@@ -617,12 +639,15 @@ class OooCore
     std::priority_queue<std::pair<Cycle, SeqNum>,
                         std::vector<std::pair<Cycle, SeqNum>>,
                         std::greater<>> wake_pq_;
-    /** Next-cycle arms (the overwhelmingly common case: denied-grant
-     *  retries, post-Phase-A wakeups, fresh dispatches) bypass the
-     *  heap; drained by the following cycle's drainWakeQueue. */
-    std::vector<SeqNum> next_arms_;
-    ReadySet ready_;  ///< this cycle's Phase-A candidates
-    ReadySet eager_;  ///< this cycle's EGPW (Phase-B) candidates
+    // The candidate sets, window lanes of one bit per ring slot. An
+    // op leaves all three when it issues, so no member is ever stale.
+    WindowSet ready_; ///< Phase-A candidates; resident across cycles
+    /** Entries armed inside Phase A for the next cycle, merged into
+     *  ready_ when it starts (in ready_ they would be walked again
+     *  this cycle, ahead of the cursor). Arms for the next cycle made
+     *  outside Phase A go straight into ready_. */
+    WindowSet next_;
+    WindowSet eager_; ///< this cycle's EGPW (Phase-B) candidates
     /** Per-store parked-load lists (SoA lanes, mem ops only): a load
      *  blocked on an older unresolved store parks on one concrete
      *  blocker and re-evaluates only when that store resolves at

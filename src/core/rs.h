@@ -1,6 +1,6 @@
 /**
  * @file
- * Reservation-station pool and the event kernel's ready set.
+ * Reservation-station pool and the event kernel's candidate sets.
  *
  * The RS is an occupancy counter. Which ops wait in it is the core's
  * status lane (InRs), and in-flight ops are exactly the sequence
@@ -8,11 +8,17 @@
  * and filtering on InRs visits every waiting op oldest first. The
  * slack-aware RSE fields of Figs.7-8 (parent/grandparent tags,
  * EX-TIME, COMP-INST) live in the core's per-op scheduling state too.
+ *
+ * The event kernel's candidate sets (the "ready set" of the Fig.7
+ * RSE wakeup array) are WindowSets: one bit per slot of the core's
+ * window ring (OooCore::Slot), so they are window lanes like the
+ * others and need no tags, bounds or growth.
  */
 
 #ifndef REDSOC_CORE_RS_H
 #define REDSOC_CORE_RS_H
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <vector>
@@ -52,81 +58,115 @@ class ReservationStations
 };
 
 /**
- * The event-driven kernel's candidate set (the "ready set" of the
- * Fig.7 RSE wakeup array): a windowed ring of 64-bit occupancy words
- * indexed by sequence number. Wakeup inserts set one bit; the select
- * loop pops candidates in global age order with a word-at-a-time
- * count-trailing-zeros scan, which stays valid across mid-iteration
- * insertions because a wakeup can only insert a consumer younger
- * than the op being granted.
+ * A set of in-flight ops: one bit per slot of a power-of-two window
+ * ring (the core's seq & mask). Live ops never share a slot, so a
+ * member is identified by its slot alone, and a walk that starts at
+ * the oldest in-flight op's slot and goes up the ring, wrapping once,
+ * visits the members oldest first.
  *
- * The ring exploits the scheduler's windowing discipline: the live
- * seqs a set ever holds are RS residents, which span at most the ROB
- * window, so a ring of word slots tagged with their absolute word
- * index never aliases two live words. A tag mismatch on insert lazily
- * recycles the stale slot; a live collision (possible only if the
- * configured window was too small) grows the ring. Scans advance the
- * conservative lower bound past dead words, so FU-denied entries may
- * stay resident across cycles (Phase A retention) without the
- * emptied-set bound reset ever firing.
+ * next() searches from a ring distance, not from a remembered
+ * position, so a walk stays correct while members are inserted ahead
+ * of its cursor (a wakeup always lands on a consumer younger than
+ * the op being granted) and erased behind it.
  */
-class ReadySet
+class WindowSet
 {
   public:
-    ReadySet() { configure(kDefaultWindow); }
+    /** next(): no member at or after the requested distance. */
+    static constexpr size_t kNone = ~size_t{0};
 
-    /** Size the ring for an in-flight window of @p window seqs (the
-     *  ROB bound). Clears the set. */
-    void configure(unsigned window);
+    WindowSet() { configure(1); }
 
+    /** Size for a ring of @p slots (a power of two). Clears the set. */
+    void configure(size_t slots)
+    {
+        panic_if(!std::has_single_bit(slots),
+                 "window ring size must be a power of two");
+        mask_ = slots - 1;
+        words_.assign((slots + 63) / 64, 0);
+        size_ = 0;
+    }
+
+    size_t slots() const { return mask_ + 1; }
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
 
-    /** Insert @p seq (idempotent). */
-    void insert(SeqNum seq);
+    /** Insert @p slot (idempotent). */
+    void insert(size_t slot)
+    {
+        u64 &w = words_[slot >> 6];
+        const u64 bit = u64{1} << (slot & 63);
+        size_ += (w & bit) == 0;
+        w |= bit;
+    }
 
-    /** Remove @p seq (no-op if absent). */
-    void erase(SeqNum seq);
+    /** Remove @p slot (no-op if absent). */
+    void erase(size_t slot)
+    {
+        u64 &w = words_[slot >> 6];
+        const u64 bit = u64{1} << (slot & 63);
+        size_ -= (w & bit) != 0;
+        w &= ~bit;
+    }
 
-    /** True iff @p seq is in the set. */
-    bool contains(SeqNum seq) const;
+    bool contains(size_t slot) const
+    {
+        return (words_[slot >> 6] >> (slot & 63)) & 1;
+    }
 
-    /** Oldest candidate with seq >= @p seq, or kNoSeq when none.
-     *  Non-const: a walk that starts at the conservative lower bound
-     *  advances it past provably-dead words (resident-set scans stay
-     *  O(live span) even when the set never drains). */
-    SeqNum nextAtOrAfter(SeqNum seq);
+    /**
+     * Ring distance from slot @p base of the nearest member at
+     * distance @p from or more, walking up the ring and wrapping
+     * once; kNone when there is none. With @p base the oldest
+     * in-flight op's slot, the member's sequence number is the
+     * oldest op's plus the distance.
+     */
+    size_t next(size_t base, size_t from) const
+    {
+        if (size_ == 0)
+            return kNone;
+        const size_t slots = mask_ + 1;
+        for (size_t d = from; d < slots;) {
+            const size_t pos = (base + d) & mask_;
+            const size_t b = pos & 63;
+            // Bits past a sub-word ring's end are never set, so the
+            // word's high bits never alias a wrapped slot.
+            const u64 m = words_[pos >> 6] >> b;
+            if (m) {
+                const size_t hit =
+                    d + static_cast<size_t>(std::countr_zero(m));
+                // A hit at distance >= slots is a member below the
+                // walk's start, met again after the wrap.
+                return hit < slots ? hit : kNone;
+            }
+            d += std::min(64 - b, slots - pos);
+        }
+        return kNone;
+    }
 
-    /** nextAtOrAfter + erase fused into one word walk (the Phase-A /
-     *  Phase-B pop). */
-    SeqNum popAtOrAfter(SeqNum seq);
+    /** Move every member of @p other (same ring) into this set. */
+    void take(WindowSet &other)
+    {
+        size_ = 0;
+        for (size_t i = 0; i < words_.size(); ++i) {
+            words_[i] |= other.words_[i];
+            other.words_[i] = 0;
+            size_ += static_cast<size_t>(std::popcount(words_[i]));
+        }
+        other.size_ = 0;
+    }
 
-    void clear();
+    void clear()
+    {
+        std::fill(words_.begin(), words_.end(), 0);
+        size_ = 0;
+    }
 
   private:
-    static constexpr unsigned kDefaultWindow = 256;
-    static constexpr u64 kNoWord = ~u64{0}; ///< empty-slot tag
-
-    /** Slot index of absolute word @p w. */
-    size_t slotOf(u64 w) const { return static_cast<size_t>(w) & mask_; }
-
-    /** Ensure @p w owns its slot; grows the ring on a live collision. */
-    size_t claimWord(u64 w);
-
-    void grow();
-
-    std::vector<u64> bits_;    ///< ring of 64-seq occupancy words
-    std::vector<u64> word_id_; ///< absolute word index per slot
-    u64 mask_ = 0;             ///< bits_.size() - 1 (power of two)
+    std::vector<u64> words_; ///< one bit per ring slot
+    size_t mask_ = 0;        ///< ring slots - 1
     size_t size_ = 0;
-    u64 min_word_ = kNoWord;   ///< conservative live-word bounds
-    u64 max_word_ = 0;
 };
-
-// One cache line holds eight ready-set words = a 512-seq window: the
-// whole set is a handful of lines for any realistic ROB.
-static_assert(sizeof(u64) == 8 && alignof(u64) == 8,
-              "ready-set occupancy lane must be 8-byte words");
 
 } // namespace redsoc
 

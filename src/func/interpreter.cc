@@ -32,6 +32,16 @@ doubleToBits(double v)
     return raw;
 }
 
+/** reg/setReg's failure path. stepInto reads and writes registers
+ *  at some twenty sites; kept out of line, the check inlined at each
+ *  is a compare and a branch, not a formatted panic that spends the
+ *  whole-library inline budget (DESIGN.md §12). */
+[[noreturn, gnu::cold, gnu::noinline]] void
+badRegIndex(RegIdx r)
+{
+    panic("scalar reg index ", unsigned{r}, " out of range");
+}
+
 } // namespace
 
 Interpreter::Interpreter(std::shared_ptr<const Program> program,
@@ -44,14 +54,16 @@ Interpreter::Interpreter(std::shared_ptr<const Program> program,
 u64
 Interpreter::reg(RegIdx r) const
 {
-    panic_if(r >= kNumIntRegs, "scalar reg index out of range");
+    if (r >= kNumIntRegs) [[unlikely]]
+        badRegIndex(r);
     return r == kZeroReg ? 0 : xregs_[r];
 }
 
 void
 Interpreter::setReg(RegIdx r, u64 value)
 {
-    panic_if(r >= kNumIntRegs, "scalar reg index out of range");
+    if (r >= kNumIntRegs) [[unlikely]]
+        badRegIndex(r);
     if (r != kZeroReg)
         xregs_[r] = value;
 }

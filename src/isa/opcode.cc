@@ -115,16 +115,10 @@ vecLanes(VecType vt)
     return 128 / vecElemBits(vt);
 }
 
-unsigned
-vecElemBits(VecType vt)
+void
+badVecType(VecType vt)
 {
-    switch (vt) {
-      case VecType::I8: return 8;
-      case VecType::I16: return 16;
-      case VecType::I32: return 32;
-      case VecType::I64: return 64;
-      default: panic("bad VecType");
-    }
+    panic("bad VecType ", static_cast<unsigned>(vt));
 }
 
 FuClass

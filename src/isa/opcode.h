@@ -56,8 +56,20 @@ enum class VecType : u8 { I8, I16, I32, I64 };
 /** Lanes in a 128-bit vector for an element type. */
 unsigned vecLanes(VecType vt);
 
-/** Element width in bits. */
-unsigned vecElemBits(VecType vt);
+/** vecElemBits' failure path: out of line, so the accessor stays a
+ *  compare and a shift that inlines into every lane access
+ *  (DESIGN.md §12). */
+[[noreturn, gnu::cold, gnu::noinline]] void badVecType(VecType vt);
+
+/** Element width in bits: 8 << vt over I8..I64. */
+inline unsigned
+vecElemBits(VecType vt)
+{
+    const unsigned v = static_cast<unsigned>(vt);
+    if (v > static_cast<unsigned>(VecType::I64)) [[unlikely]]
+        badVecType(vt);
+    return 8u << v;
+}
 
 /** Functional-unit class an opcode executes on. */
 enum class FuClass : u8 {

@@ -1,26 +1,18 @@
 #include "mem/cache.h"
 
+#include <bit>
+
 namespace redsoc {
 
 Cache::Cache(CacheConfig config)
-    : config_(checkedConfig(std::move(config), "cache")),
-      line_bytes_(config_.line_bytes),
-      num_sets_(static_cast<unsigned>(
-          config_.size_bytes / (u64{config_.line_bytes} * config_.assoc))),
-      lines_(u64{num_sets_} * config_.assoc)
+    : config_(checkedConfig(std::move(config), "cache"))
 {
-}
-
-unsigned
-Cache::setOf(Addr addr) const
-{
-    return static_cast<unsigned>((addr / line_bytes_) & (num_sets_ - 1));
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr / line_bytes_ / num_sets_;
+    const u64 sets =
+        config_.size_bytes / (u64{config_.line_bytes} * config_.assoc);
+    line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+    tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(sets));
+    set_mask_ = sets - 1;
+    lines_.resize(sets * config_.assoc);
 }
 
 Cache::Line *
@@ -45,18 +37,23 @@ Cache::findLine(Addr addr) const
 Cache::AccessResult
 Cache::access(Addr addr, bool is_write)
 {
-    AccessResult result;
     ++stamp_;
     if (Line *line = findLine(addr)) {
         ++hits_;
-        result.hit = true;
         line->lru = stamp_;
         line->dirty |= is_write;
+        AccessResult result;
+        result.hit = true;
         return result;
     }
-
     ++misses_;
-    const unsigned set = setOf(addr);
+    return fill(setOf(addr), addr, is_write);
+}
+
+Cache::AccessResult
+Cache::fill(unsigned set, Addr addr, bool is_write)
+{
+    AccessResult result;
     Line *victim = nullptr;
     for (unsigned w = 0; w < config_.assoc; ++w) {
         Line &line = lines_[u64{set} * config_.assoc + w];
@@ -70,8 +67,8 @@ Cache::access(Addr addr, bool is_write)
     if (victim->valid) {
         result.had_victim = true;
         result.writeback = victim->dirty;
-        result.victim_line =
-            (victim->tag * num_sets_ + set) * line_bytes_;
+        result.victim_line = ((victim->tag << (tag_shift_ - line_shift_)) |
+                              set) << line_shift_;
     }
     victim->valid = true;
     victim->tag = tagOf(addr);
@@ -92,16 +89,14 @@ Cache::insert(Addr addr)
     InsertResult result;
     if (findLine(addr))
         return result;
-    // Reuse demand-allocation machinery but do not count stats:
-    // prefetch fills are not demand accesses.
-    const u64 saved_hits = hits_, saved_misses = misses_;
-    const AccessResult fill = access(addr, false);
-    hits_ = saved_hits;
-    misses_ = saved_misses;
+    // A demand allocation's victim choice and LRU stamp, without the
+    // demand hit/miss counts: prefetch fills are not demand accesses.
+    ++stamp_;
+    const AccessResult fill_result = fill(setOf(addr), addr, false);
     result.allocated = true;
-    result.writeback = fill.writeback;
-    result.victim_line = fill.victim_line;
-    result.had_victim = fill.had_victim;
+    result.writeback = fill_result.writeback;
+    result.victim_line = fill_result.victim_line;
+    result.had_victim = fill_result.had_victim;
     return result;
 }
 
@@ -115,13 +110,6 @@ Cache::invalidate(Addr addr)
         return dirty;
     }
     return false;
-}
-
-void
-Cache::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
 }
 
 } // namespace redsoc

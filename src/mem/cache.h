@@ -92,14 +92,15 @@ class Cache
     /** Invalidate a line if present (returns true if it was dirty). */
     bool invalidate(Addr addr);
 
-    Addr lineAddr(Addr addr) const { return addr & ~(line_bytes_ - 1); }
+    Addr lineAddr(Addr addr) const
+    {
+        return addr & ~((Addr{1} << line_shift_) - 1);
+    }
 
     const CacheConfig &config() const { return config_; }
     u64 hits() const { return hits_; }
     u64 misses() const { return misses_; }
     double missRate() const { return ratioOf(misses_, hits_ + misses_); }
-
-    void resetStats();
 
   private:
     struct Line
@@ -110,15 +111,24 @@ class Cache
         u64 lru = 0; ///< last-touch stamp
     };
 
-    unsigned setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    // configError makes the line size and the set count powers of
+    // two, so the index and tag are shifts and a mask.
+    unsigned setOf(Addr addr) const
+    {
+        return static_cast<unsigned>((addr >> line_shift_) & set_mask_);
+    }
+    Addr tagOf(Addr addr) const { return addr >> tag_shift_; }
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
+    /** Allocate a line for @p addr in set @p set over the LRU (or an
+     *  invalid) way, stamped now; the caller saw it miss. */
+    AccessResult fill(unsigned set, Addr addr, bool is_write);
 
     CacheConfig config_;
-    Addr line_bytes_;
-    unsigned num_sets_;
-    std::vector<Line> lines_; ///< num_sets x assoc, row-major
+    unsigned line_shift_; ///< log2(line_bytes)
+    unsigned tag_shift_;  ///< log2(line_bytes * sets)
+    u64 set_mask_;        ///< sets - 1
+    std::vector<Line> lines_; ///< sets x assoc, row-major
     u64 stamp_ = 0;
     u64 hits_ = 0;
     u64 misses_ = 0;

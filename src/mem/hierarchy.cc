@@ -54,14 +54,14 @@ MemHierarchy::access(u32 pc, Addr addr, bool is_store, Cycle now)
     // pattern. Filling the outer level before the (optional) L1 copy
     // keeps the shared LLC inclusive at every step.
     if (config_.prefetch) {
-        for (Addr pf : prefetcher_.observe(pc, addr)) {
+        prefetcher_.observe(pc, addr, [this](Addr pf) {
             if (llc_ != nullptr)
                 llc_->insertPrefetch(core_id_, pf);
             else
                 l2_.insert(pf);
             if (config_.prefetch_fill_l1)
                 l1_.insert(pf);
-        }
+        });
     }
 
     const auto l1_access = l1_.access(addr, is_store);
@@ -115,14 +115,6 @@ MemHierarchy::access(u32 pc, Addr addr, bool is_store, Cycle now)
                          scaled(config_.mem_latency) + r.wait;
     }
     return result;
-}
-
-void
-MemHierarchy::resetStats()
-{
-    l1_.resetStats();
-    l2_.resetStats();
-    prefetcher_.resetStats();
 }
 
 } // namespace redsoc

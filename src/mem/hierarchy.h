@@ -111,8 +111,6 @@ class MemHierarchy
 
     const HierarchyConfig &config() const { return config_; }
 
-    void resetStats();
-
     /** Empty the caches and the prefetcher, as at construction. The
      *  shared-LLC attachment stays. */
     void reset();

@@ -1,8 +1,10 @@
 /**
  * @file
- * PC-indexed stride prefetcher. Trained on the L1 demand-miss stream;
- * confident strides issue fills into the L2 (and optionally L1),
- * matching Table I's "L1/L2 cache w/ prefetch".
+ * PC-indexed stride prefetcher. Trained on the demand access stream
+ * (MemHierarchy::access observes every access, before the L1
+ * lookup); confident strides issue fills into the L2 (and optionally
+ * L1), matching Table I's "L1/L2 cache w/ prefetch". Fills reach the
+ * caller through a callback, so an access never allocates.
  */
 
 #ifndef REDSOC_MEM_PREFETCHER_H
@@ -40,13 +42,43 @@ class StridePrefetcher
     explicit StridePrefetcher(PrefetcherConfig config = {});
 
     /**
-     * Observe a demand access; returns the list of line addresses to
-     * prefetch (empty when the stride is not yet confident).
+     * Observe a demand access and pass each line address to prefetch
+     * to @p fill, nearest first (none while the stride is not yet
+     * confident). A template callback rather than a returned list:
+     * this runs on every memory access and must not allocate.
      */
-    std::vector<Addr> observe(u32 pc, Addr addr);
+    template <typename Fill>
+    void observe(u32 pc, Addr addr, Fill &&fill)
+    {
+        Entry &e = table_[pc & (config_.entries - 1)];
+        if (!e.valid || e.pc != pc) {
+            e = Entry{};
+            e.pc = pc;
+            e.last_addr = addr;
+            e.valid = true;
+            return;
+        }
+
+        const s64 stride =
+            static_cast<s64>(addr) - static_cast<s64>(e.last_addr);
+        if (stride == e.stride && stride != 0) {
+            if (e.confidence < 15)
+                ++e.confidence;
+        } else {
+            e.stride = stride;
+            e.confidence = 0;
+        }
+        e.last_addr = addr;
+
+        if (e.confidence < config_.min_confidence || e.stride == 0)
+            return;
+        for (unsigned d = 1; d <= config_.degree; ++d)
+            fill(static_cast<Addr>(static_cast<s64>(addr) +
+                                   e.stride * static_cast<s64>(d)));
+        issued_ += config_.degree;
+    }
 
     u64 issued() const { return issued_; }
-    void resetStats() { issued_ = 0; }
 
   private:
     struct Entry

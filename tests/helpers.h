@@ -8,6 +8,7 @@
 #define REDSOC_TESTS_HELPERS_H
 
 #include <memory>
+#include <vector>
 
 #include "core/ooo_core.h"
 #include "func/interpreter.h"
@@ -49,6 +50,15 @@ emitLogicChain(ProgramBuilder &b, unsigned n, RegIdx reg = x(1))
     b.movImm(reg, 0x55);
     for (unsigned i = 0; i < n; ++i)
         b.alui(Opcode::EOR, reg, reg, 0x33);
+}
+
+/** The line addresses @p pf prefetches for one observed access. */
+inline std::vector<Addr>
+prefetches(StridePrefetcher &pf, u32 pc, Addr addr)
+{
+    std::vector<Addr> fills;
+    pf.observe(pc, addr, [&fills](Addr a) { fills.push_back(a); });
+    return fills;
 }
 
 } // namespace test

@@ -4,9 +4,12 @@
  * bookkeeping, the stride prefetcher, and end-to-end latencies.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "helpers.h"
 #include "mem/hierarchy.h"
 
 namespace redsoc {
@@ -54,6 +57,54 @@ TEST(Cache, DirtyVictimReportsWriteback)
     EXPECT_EQ(result.victim_line, 0x0000u);
 }
 
+TEST(Cache, VictimLineIsTheEvictedAddress)
+{
+    // The index and tag are shifts of the address; the victim's line
+    // address rebuilds it from tag and set. Over a random stream, each
+    // reported victim must be a resident line of the filled set, and
+    // gone afterwards, for a 1-set, a 3-way and a 128-byte-line cache.
+    const CacheConfig geometries[] = {
+        {"one-set", 4 * 64, 4, 64},
+        {"three-way", 8 * 3 * 64, 3, 64},
+        {"wide-line", 16 * 2 * 128, 2, 128},
+    };
+    for (const CacheConfig &cfg : geometries) {
+        Cache c(cfg);
+        const u64 line = cfg.line_bytes;
+        const u64 sets = cfg.size_bytes / (line * cfg.assoc);
+        std::set<Addr> resident;
+        Rng rng(cfg.size_bytes);
+        unsigned victims = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const Addr addr = rng.below(u64{1} << 40);
+            const bool prefetch = rng.below(4) == 0;
+            bool had_victim = false;
+            Addr victim = 0;
+            if (prefetch) {
+                const auto r = c.insert(addr);
+                had_victim = r.had_victim;
+                victim = r.victim_line;
+            } else {
+                const auto r = c.access(addr, rng.below(2) == 0);
+                had_victim = r.had_victim;
+                victim = r.victim_line;
+            }
+            if (had_victim) {
+                ++victims;
+                ASSERT_EQ(victim % line, 0u) << cfg.name;
+                ASSERT_EQ(resident.erase(victim), 1u) << cfg.name;
+                EXPECT_EQ(victim / line % sets, addr / line % sets)
+                    << cfg.name;
+                EXPECT_FALSE(c.contains(victim)) << cfg.name;
+            }
+            resident.insert(c.lineAddr(addr));
+            ASSERT_TRUE(c.contains(addr)) << cfg.name;
+        }
+        EXPECT_EQ(resident.size(), sets * cfg.assoc) << cfg.name;
+        EXPECT_GT(victims, 1000u) << cfg.name;
+    }
+}
+
 TEST(Cache, InsertDoesNotPerturbDemandStats)
 {
     Cache c(tinyCache());
@@ -84,7 +135,7 @@ TEST(Prefetcher, DetectsConstantStride)
     StridePrefetcher pf;
     std::vector<Addr> fills;
     for (int i = 0; i < 6; ++i)
-        fills = pf.observe(7, 0x1000 + 64u * i);
+        fills = test::prefetches(pf, 7, 0x1000 + 64u * i);
     ASSERT_EQ(fills.size(), 2u); // degree 2
     EXPECT_EQ(fills[0], 0x1000u + 64 * 6);
     EXPECT_EQ(fills[1], 0x1000u + 64 * 7);
@@ -96,7 +147,7 @@ TEST(Prefetcher, NoFillsForRandomPattern)
     Rng rng(3);
     u64 total = 0;
     for (int i = 0; i < 100; ++i)
-        total += pf.observe(9, rng.next() & 0xFFFFF).size();
+        total += test::prefetches(pf, 9, rng.next() & 0xFFFFF).size();
     EXPECT_EQ(total, 0u);
 }
 
@@ -105,7 +156,7 @@ TEST(Prefetcher, NegativeStrideWorks)
     StridePrefetcher pf;
     std::vector<Addr> fills;
     for (int i = 0; i < 6; ++i)
-        fills = pf.observe(3, 0x10000 - 128u * i);
+        fills = test::prefetches(pf, 3, 0x10000 - 128u * i);
     ASSERT_FALSE(fills.empty());
     EXPECT_EQ(fills[0], 0x10000u - 128 * 6);
 }

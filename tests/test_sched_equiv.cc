@@ -15,14 +15,17 @@
  *     mispredict replay (retry_cycle re-arms) and loads parked behind
  *     unresolved older stores.
  *
- * Plus unit tests for the two new structures the event kernel leans
- * on, ReadySet and FuPool::freeSpan, a check that a core reused for a
+ * Plus unit tests for two structures the event kernel leans on,
+ * WindowSet (its candidate sets) and FuPool::freeSpan, a check that
+ * a core reused for a
  * smaller run matches a fresh core (the per-op lanes are never reset
  * between runs), and pinned schedules for small ROBs whose consumers
  * read producers committed more than a window ring's length earlier
  * (a ring-slot aliasing bug would hit both kernels alike).
  */
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -336,121 +339,133 @@ TEST(SchedEquivRegression, MosFusionChains)
 }
 
 // ---------------------------------------------------------------------
-// Structure unit tests: ReadySet and FuPool::freeSpan
+// Structure unit tests: WindowSet and FuPool::freeSpan
 // ---------------------------------------------------------------------
 
-TEST(ReadySetTest, InsertEraseIdempotent)
+/** Members of @p set at or after @p from, walked oldest first from the
+ *  window starting at seq @p base (the core's nextIn). */
+std::vector<SeqNum>
+walk(const WindowSet &set, SeqNum base, SeqNum from)
 {
-    ReadySet rs;
-    EXPECT_TRUE(rs.empty());
-    rs.insert(5);
-    rs.insert(5); // duplicate: no double count
-    EXPECT_EQ(rs.size(), 1u);
-    EXPECT_TRUE(rs.contains(5));
-    rs.erase(5);
-    rs.erase(5); // absent: no-op
-    EXPECT_TRUE(rs.empty());
-    EXPECT_FALSE(rs.contains(5));
-    rs.erase(42); // never inserted
-    EXPECT_TRUE(rs.empty());
-}
-
-TEST(ReadySetTest, GlobalAgeOrder)
-{
-    ReadySet rs;
-    rs.insert(30);
-    rs.insert(10);
-    rs.insert(20);
-    rs.insert(25);
-
-    // A cursor sweep must see the candidates merged oldest-first.
+    const size_t mask = set.slots() - 1;
     std::vector<SeqNum> order;
-    SeqNum cur = 0;
-    for (SeqNum seq; (seq = rs.nextAtOrAfter(cur)) != kNoSeq;
-         cur = seq + 1)
+    for (SeqNum seq = from;; ++seq) {
+        const size_t d = set.next(base & mask, seq - base);
+        if (d == WindowSet::kNone)
+            break;
+        seq = base + d;
         order.push_back(seq);
-    EXPECT_EQ(order, (std::vector<SeqNum>{10, 20, 25, 30}));
+    }
+    return order;
 }
 
-TEST(ReadySetTest, NextAtOrAfterIsInclusive)
+TEST(WindowSetTest, InsertEraseIdempotent)
 {
-    ReadySet rs;
-    rs.insert(7);
-    EXPECT_EQ(rs.nextAtOrAfter(7), 7u);
-    EXPECT_EQ(rs.nextAtOrAfter(8), kNoSeq);
+    WindowSet ws;
+    ws.configure(64);
+    EXPECT_TRUE(ws.empty());
+    ws.insert(5);
+    ws.insert(5); // duplicate: no double count
+    EXPECT_EQ(ws.size(), 1u);
+    EXPECT_TRUE(ws.contains(5));
+    ws.erase(5);
+    ws.erase(5); // absent: no-op
+    EXPECT_TRUE(ws.empty());
+    EXPECT_FALSE(ws.contains(5));
+    ws.erase(42); // never inserted
+    EXPECT_TRUE(ws.empty());
 }
 
-TEST(ReadySetTest, PopMatchesNextPlusErase)
+TEST(WindowSetTest, OldestFirstAcrossTheRingWrap)
 {
-    ReadySet rs;
-    for (SeqNum s : {3u, 64u, 65u, 200u})
-        rs.insert(s);
-    std::vector<SeqNum> popped;
-    SeqNum cur = 0;
-    for (SeqNum seq; (seq = rs.popAtOrAfter(cur)) != kNoSeq;
-         cur = seq + 1)
-        popped.push_back(seq);
-    EXPECT_EQ(popped, (std::vector<SeqNum>{3, 64, 65, 200}));
-    EXPECT_TRUE(rs.empty());
-    EXPECT_EQ(rs.popAtOrAfter(0), kNoSeq);
-}
-
-TEST(ReadySetTest, RingRecyclesAcrossWindows)
-{
-    // The drain discipline: the set empties every cycle, so far-apart
-    // seq windows reuse ring slots. Interleave a full drain between
-    // distant batches and verify age order within each.
-    ReadySet rs;
-    rs.configure(64);
-    for (unsigned round = 0; round < 8; ++round) {
-        const SeqNum base = SeqNum{round} * 100000;
-        for (SeqNum off : {63u, 0u, 31u, 17u})
-            rs.insert(base + off);
-        EXPECT_EQ(rs.size(), 4u);
-        std::vector<SeqNum> order;
-        SeqNum cur = 0;
-        for (SeqNum seq; (seq = rs.popAtOrAfter(cur)) != kNoSeq;
-             cur = seq + 1)
-            order.push_back(seq);
-        EXPECT_EQ(order, (std::vector<SeqNum>{base + 0, base + 17,
-                                              base + 31, base + 63}));
-        EXPECT_TRUE(rs.empty());
+    // Windows of a ROB's size at random bases, so most straddle the
+    // ring's end: the walk must still come out in age order, from
+    // the window's start and from any cursor inside it.
+    for (const unsigned rob : {8u, 40u, 192u}) {
+        const size_t slots = std::bit_ceil(size_t{rob});
+        WindowSet ws;
+        ws.configure(slots);
+        Rng rng(rob);
+        for (unsigned round = 0; round < 200; ++round) {
+            const SeqNum base = rng.below(100000);
+            std::vector<SeqNum> members;
+            for (SeqNum seq = base; seq < base + rob; ++seq)
+                if (rng.below(3) == 0)
+                    members.push_back(seq);
+            std::vector<SeqNum> shuffled = members;
+            for (size_t i = shuffled.size(); i > 1; --i)
+                std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+            for (SeqNum seq : shuffled)
+                ws.insert(seq & (slots - 1));
+            ASSERT_EQ(ws.size(), members.size()) << "rob " << rob;
+            EXPECT_EQ(walk(ws, base, base), members)
+                << "rob " << rob << " base " << base;
+            const SeqNum cursor = base + rng.below(rob);
+            std::vector<SeqNum> tail;
+            for (SeqNum seq : members)
+                if (seq >= cursor)
+                    tail.push_back(seq);
+            EXPECT_EQ(walk(ws, base, cursor), tail)
+                << "rob " << rob << " base " << base << " cursor "
+                << cursor;
+            ws.clear();
+            EXPECT_TRUE(ws.empty());
+        }
     }
 }
 
-TEST(ReadySetTest, GrowOnLiveCollision)
+TEST(WindowSetTest, NextIsInclusive)
 {
-    // A deliberately undersized ring: live words that alias force a
-    // grow, after which every candidate must still be present and in
-    // age order.
-    ReadySet rs;
-    rs.configure(1); // handful of word slots
-    std::vector<SeqNum> want;
-    for (unsigned i = 0; i < 64; ++i) {
-        const SeqNum seq = SeqNum{i} * 4096 + i; // distinct words
-        rs.insert(seq);
-        want.push_back(seq);
-    }
-    EXPECT_EQ(rs.size(), want.size());
-    for (SeqNum seq : want)
-        EXPECT_TRUE(rs.contains(seq));
-    std::vector<SeqNum> order;
-    SeqNum cur = 0;
-    for (SeqNum seq; (seq = rs.nextAtOrAfter(cur)) != kNoSeq;
-         cur = seq + 1)
-        order.push_back(seq);
-    EXPECT_EQ(order, want);
+    WindowSet ws;
+    ws.configure(8);
+    const SeqNum base = 13; // slot 5: the window wraps
+    ws.insert(17 & 7);
+    EXPECT_EQ(walk(ws, base, 17), (std::vector<SeqNum>{17}));
+    EXPECT_EQ(walk(ws, base, 18), std::vector<SeqNum>{});
 }
 
-TEST(ReadySetTest, ClearResets)
+TEST(WindowSetTest, WalkVisitsInsertsAheadOfTheCursor)
 {
-    ReadySet rs;
-    for (SeqNum s = 0; s < 8; ++s)
-        rs.insert(s);
-    EXPECT_EQ(rs.size(), 8u);
-    rs.clear();
-    EXPECT_TRUE(rs.empty());
-    EXPECT_EQ(rs.nextAtOrAfter(0), kNoSeq);
+    // Phase A's cascade: granting an op wakes a younger consumer,
+    // which the same walk must still reach; erasing behind the cursor
+    // changes nothing ahead of it.
+    WindowSet ws;
+    ws.configure(64);
+    const SeqNum base = 50; // window [50, 90) wraps at slot 63
+    ws.insert(52 & 63);
+    std::vector<SeqNum> order;
+    for (SeqNum seq = base;; ++seq) {
+        const size_t d = ws.next(base & 63, seq - base);
+        if (d == WindowSet::kNone)
+            break;
+        seq = base + d;
+        order.push_back(seq);
+        ws.erase(seq & 63);
+        if (seq == 52)
+            ws.insert(70 & 63);
+        if (seq == 70)
+            ws.insert(85 & 63);
+    }
+    EXPECT_EQ(order, (std::vector<SeqNum>{52, 70, 85}));
+    EXPECT_TRUE(ws.empty());
+}
+
+TEST(WindowSetTest, TakeMergesTheNextCycleSet)
+{
+    WindowSet ready;
+    WindowSet next;
+    ready.configure(256);
+    next.configure(256);
+    for (size_t slot : {3u, 9u, 200u})
+        ready.insert(slot);
+    for (size_t slot : {5u, 9u, 255u})
+        next.insert(slot);
+    ready.take(next);
+    EXPECT_TRUE(next.empty());
+    EXPECT_EQ(next.next(0, 0), WindowSet::kNone);
+    EXPECT_EQ(ready.size(), 5u);
+    EXPECT_EQ(walk(ready, 0, 0),
+              (std::vector<SeqNum>{3, 5, 9, 200, 255}));
 }
 
 TEST(FuPoolTest, FreeSpanMatchesFreeUnitsLoop)

@@ -272,9 +272,10 @@ void ruleNondetTaint(const SourceFile &sf, const ScopeTree &tree,
                      std::vector<Finding> &out);
 
 /** R8: no heap allocation inside the bodies of the per-cycle
- *  scheduler functions. @p hot_paths gates the rule to the scheduler
- *  sources; @p hot_functions names the function definitions whose
- *  bodies run every simulated cycle. Flags 'new',
+ *  scheduler and per-access memory functions. @p hot_paths gates the
+ *  rule to the core and memory sources; @p hot_functions names the
+ *  function definitions whose bodies run every simulated cycle or
+ *  memory access. Flags 'new',
  *  push_back/emplace_back on a container with no reserve()/resize()
  *  call anywhere in the same file, and std::function construction.
  *  Tokenizer heuristics, so allow(hot-alloc) where a flagged site is
@@ -303,14 +304,20 @@ struct Options
 
     // R8 wiring: files (path prefixes) and function definitions the
     // hot-alloc rule scans. The list is the per-cycle call graph of
-    // OooCore::run() plus the ReadySet fast paths it leans on.
-    std::vector<std::string> hot_alloc_paths = {"src/core/"};
+    // OooCore::run(), the WindowSet walk it leans on, and the
+    // per-access memory path (caches, prefetcher, LSQ queries).
+    std::vector<std::string> hot_alloc_paths = {"src/core/", "src/mem/"};
     std::vector<std::string> hot_functions = {
-        "issuePhase",       "dispatchPhase", "commitPhase",
+        "issuePhase",       "dispatchPhase",    "commitPhase",
         "phaseAEntry",      "evalConventional", "evalEager",
-        "broadcastWakeup",  "drainWakeQueue", "scheduleEval",
-        "armAt",            "issueOp",       "nextAtOrAfter",
-        "popAtOrAfter",     "fastForward"};
+        "broadcastWakeup",  "drainWakeQueue",   "scheduleEval",
+        "armAt",            "issueOp",          "nextIn",
+        "next",             "take",             "fastForward",
+        "memCompleteTick",  "observe",          "access",
+        "insert",           "fill",             "findLine",
+        "olderStoreUnresolved", "youngestUnresolvedStoreBefore",
+        "firstUnresolved",  "lastUnresolved",   "forwardFrom",
+        "resolve",          "dispatch",         "commit"};
 
     // R10 coverage gate: the "every field states its discipline"
     // arm only applies to real code, not fixtures lexed under test

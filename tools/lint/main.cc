@@ -50,8 +50,8 @@ listRules()
         "float-accum    float accumulation in per-cycle loops\n"
         "audit-complete InvariantAudit enumerators must each have a "
         "corrupting unit test\n"
-        "hot-alloc      no heap allocation in per-cycle scheduler "
-        "functions\n"
+        "hot-alloc      no heap allocation in per-cycle scheduler and "
+        "per-access memory functions\n"
         "guarded-by     REDSOC_GUARDED_BY fields only touched with "
         "their mutex held; mutex-owning classes annotate every field\n"
         "lock-order     global mutex-acquisition graph must be "

@@ -854,7 +854,7 @@ ruleHotAlloc(const SourceFile &sf,
         for (size_t j = body + 1; j < end; ++j) {
             if (isIdent(t[j], "new")) {
                 emit(sf, t[j].line, "hot-alloc",
-                     "'new' inside per-cycle scheduler function '" +
+                     "'new' inside per-cycle function '" +
                          fn + "': the hot loops must stay "
                          "allocation-free (pre-size at run() start)",
                      out);
@@ -865,7 +865,7 @@ ruleHotAlloc(const SourceFile &sf,
                        !presized.count(t[j - 2].text)) {
                 emit(sf, t[j].line, "hot-alloc",
                      t[j].text + " into '" + t[j - 2].text +
-                         "' inside per-cycle scheduler function '" +
+                         "' inside per-cycle function '" +
                          fn + "' with no reserve()/resize() in this "
                          "file: growth reallocates mid-cycle",
                      out);
@@ -873,7 +873,7 @@ ruleHotAlloc(const SourceFile &sf,
                        isPunct(t[j + 1], "<")) {
                 emit(sf, t[j].line, "hot-alloc",
                      "std::function constructed inside per-cycle "
-                     "scheduler function '" + fn +
+                     "function '" + fn +
                          "': type-erased callables heap-allocate; "
                          "use a template or function pointer",
                      out);
