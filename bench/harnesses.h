@@ -35,6 +35,7 @@ void sweep_slack_threshold(SimDriver &driver, bool fast);
 void sweep_pvt(SimDriver &driver, bool fast);
 void ablation_mechanisms(SimDriver &driver, bool fast);
 void power_savings(SimDriver &driver, bool fast);
+void proc_contention(SimDriver &driver, bool fast);
 
 struct Harness
 {
@@ -60,6 +61,7 @@ inline constexpr Harness kHarnesses[] = {
     {"sweep_pvt", sweep_pvt},
     {"ablation_mechanisms", ablation_mechanisms},
     {"power_savings", power_savings},
+    {"proc_contention", proc_contention},
 };
 
 } // namespace bench

@@ -17,6 +17,7 @@
 #include "predictors/branch_predictor.h"
 #include "predictors/last_arrival_predictor.h"
 #include "predictors/width_predictor.h"
+#include "timing/completion_instant.h"
 #include "timing/timing_model.h"
 
 namespace redsoc {
@@ -163,14 +164,15 @@ configError(const CoreConfig &c)
           &c.lsq_entries, &c.rs_entries, &c.alu_units, &c.simd_units,
           &c.fp_units, &c.mem_ports})
         check.require(*n, *n >= 1, "at least 1");
-    // A precision past 8 bits is reported before the threshold (and
-    // never shifted by).
+    // A precision past the widest CI field is reported before the
+    // threshold (and never shifted by).
     return check
         .require(c.ci_precision_bits,
-                 c.ci_precision_bits >= 1 && c.ci_precision_bits <= 8,
-                 "in 1..8")
+                 c.ci_precision_bits >= 1 &&
+                     c.ci_precision_bits <= kMaxCiPrecisionBits,
+                 "in 1.." + std::to_string(kMaxCiPrecisionBits))
         .require(c.slack_threshold_ticks,
-                 c.ci_precision_bits > 8 ||
+                 c.ci_precision_bits > kMaxCiPrecisionBits ||
                      c.slack_threshold_ticks <= Tick{1}
                                                     << c.ci_precision_bits,
                  "at most 2^ci_precision_bits (one cycle)")

@@ -9,8 +9,9 @@ SubCycleClock::SubCycleClock(unsigned precision_bits, Picos clock_period_ps)
       ticks_per_cycle_(Tick{1} << precision_bits),
       clock_period_ps_(clock_period_ps)
 {
-    fatal_if(precision_bits < 1 || precision_bits > 8,
-             "CI precision must be 1..8 bits, got ", precision_bits);
+    fatal_if(precision_bits < 1 || precision_bits > kMaxCiPrecisionBits,
+             "CI precision must be 1..", kMaxCiPrecisionBits,
+             " bits, got ", precision_bits);
     fatal_if(clock_period_ps == 0, "zero clock period");
 }
 

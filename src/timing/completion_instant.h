@@ -14,11 +14,16 @@
 
 namespace redsoc {
 
+/** The widest CI field the simulator models; precisions run
+ *  1..kMaxCiPrecisionBits. */
+inline constexpr unsigned kMaxCiPrecisionBits = 8;
+
 class SubCycleClock
 {
   public:
     /**
-     * @param precision_bits CI field width in bits (1..8).
+     * @param precision_bits CI field width in bits
+     *        (1..kMaxCiPrecisionBits).
      * @param clock_period_ps physical cycle time.
      */
     SubCycleClock(unsigned precision_bits, Picos clock_period_ps);

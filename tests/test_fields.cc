@@ -10,6 +10,8 @@
  *    procConfigKey, round-trips through the fixture text when the
  *    change stays in range and is refused by the parser when not,
  *    and is reached by redsoc_sim's --set (setLeaf);
+ *  - random draws of several ProcConfig leaves, changed together,
+ *    get distinct keys whenever their leaf sets differ;
  *  - every config range configError states rejects its leaf by path,
  *    at core construction under both kernels and in a fixture;
  *  - every CoreStats / ProcStats leaf, set to a distinct non-default
@@ -17,14 +19,18 @@
  *    exactly that leaf when only it differs.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "fuzz_lib.h"
 #include "sim/driver.h"
 #include "sim/run_cache.h"
@@ -183,6 +189,55 @@ TEST(ConfigLeaves, EveryProcLeafChangesTheProcKey)
     for (size_t k = 0; k < paths.size(); ++k)
         EXPECT_NE(SimDriver::procConfigKey(withLeafBumped(base, k)), key)
             << paths[k];
+}
+
+TEST(ConfigLeaves, MultiLeafDrawsGetDistinctKeys)
+{
+    // 200 seeded draws of 2-4 distinct leaves, bumped together; a draw
+    // configError refuses is skipped and not counted (more than half
+    // are). Two draws that change different leaf sets (the base
+    // changes none) must differ in procConfigKey, and in configKey
+    // when both change only core leaves.
+    ProcConfig base;
+    base.num_cores = 2;
+    const std::vector<std::string> paths = leafPaths(base);
+    using Seen = std::map<std::string, std::set<size_t>>;
+    Seen by_proc_key{{SimDriver::procConfigKey(base), {}}};
+    Seen by_core_key{{SimDriver::configKey(base.core), {}}};
+    auto names = [&paths](const std::set<size_t> &leaves) {
+        std::string out = "{";
+        for (size_t k : leaves)
+            out += (out.size() > 1 ? "," : "") + paths[k];
+        return out + "}";
+    };
+    auto expectOwnKey = [&names](Seen &seen, const std::string &key,
+                                 const std::set<size_t> &leaves) {
+        const auto [it, fresh] = seen.try_emplace(key, leaves);
+        EXPECT_TRUE(fresh || it->second == leaves)
+            << names(it->second) << " and " << names(leaves)
+            << " share a key";
+    };
+    Rng rng(28);
+    unsigned kept = 0;
+    for (unsigned draw = 0; kept < 200; ++draw) {
+        ASSERT_LT(draw, 1000u) << "configError refuses most draws";
+        std::set<size_t> leaves;
+        const u64 count = rng.range(2, 4);
+        while (leaves.size() < count)
+            leaves.insert(rng.below(paths.size()));
+        ProcConfig config = base;
+        for (size_t k : leaves)
+            config = withLeafBumped(config, k);
+        if (!configError(config).empty())
+            continue;
+        ++kept;
+        expectOwnKey(by_proc_key, SimDriver::procConfigKey(config), leaves);
+        if (std::ranges::all_of(leaves, [&paths](size_t k) {
+                return paths[k].starts_with("core.");
+            }))
+            expectOwnKey(by_core_key, SimDriver::configKey(config.core),
+                         leaves);
+    }
 }
 
 /** Expect the parser to refuse @p fc, naming @p path. */

@@ -1,8 +1,10 @@
 /**
  * @file
  * bench_all: run the figure/table harnesses (bench/harnesses.h) in one
- * process over one SimDriver and report per-harness and total
- * wall-clock, plus the throughput totals of the run cache. The shared
+ * process over one SimDriver. stdout carries only the harnesses'
+ * tables, which are deterministic; the summary of host timings
+ * (per-harness and total wall-clock, plus the throughput totals of
+ * the run cache) goes to stderr. The shared
  * driver's in-memory memo simulates every (workload x config) point
  * once per process — in particular the per-suite threshold tuning
  * sweep that most results harnesses read — and each harness fans its
@@ -144,25 +146,26 @@ main(int argc, char **argv)
     }
     const double total = seconds(t0, std::chrono::steady_clock::now());
 
-    std::printf("=== bench_all summary ===\n%s\n",
-                summary.render().c_str());
-    std::printf("total wall-clock: %.2f s over %zu harnesses%s\n",
-                total, ran, fast ? " (fast mode)" : "");
+    std::fprintf(stderr, "=== bench_all summary ===\n%s\n",
+                 summary.render().c_str());
+    std::fprintf(stderr, "total wall-clock: %.2f s over %zu harnesses%s\n",
+                 total, ran, fast ? " (fast mode)" : "");
 
     if (use_cache) {
         const RunCache::Totals totals = RunCache::scan(cache_dir);
         if (totals.runs > 0) {
-            std::printf("run cache: %llu distinct points, %llu "
-                        "committed ops, %.2f core-seconds simulated "
-                        "(%.2f simulated MIPS)\n",
-                        static_cast<unsigned long long>(totals.runs),
-                        static_cast<unsigned long long>(
-                            totals.committed_ops),
-                        totals.sim_seconds,
-                        totals.sim_seconds > 0.0
-                            ? asDouble(totals.committed_ops) /
-                                  totals.sim_seconds / 1e6
-                            : 0.0);
+            std::fprintf(stderr,
+                         "run cache: %llu distinct points, %llu "
+                         "committed ops, %.2f core-seconds simulated "
+                         "(%.2f simulated MIPS)\n",
+                         static_cast<unsigned long long>(totals.runs),
+                         static_cast<unsigned long long>(
+                             totals.committed_ops),
+                         totals.sim_seconds,
+                         totals.sim_seconds > 0.0
+                             ? asDouble(totals.committed_ops) /
+                                   totals.sim_seconds / 1e6
+                             : 0.0);
         }
     }
     if (interrupted) {

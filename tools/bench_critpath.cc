@@ -6,29 +6,29 @@
  * builds the critpath dependence graph through the streaming
  * DepGraphBuilder sink; the harness then
  *
- *   1. gates on exactness: the base-model replay of the graph must
+ *   1. checks exactness: the base-model replay of the graph must
  *      reproduce the simulator's committed cycle count bit-exactly
  *      (exit 1 on divergence — this is the correctness contract of
  *      the whole subsystem);
- *   2. times an analytic what-if sweep of 64 machine models (CI
+ *   2. answers an analytic what-if sweep of 64 machine models (CI
  *      precision x EGPW x FU scaling, plus the ideal-recycle and
  *      no-recycle bounds) as one batched Retimer::retimeAll() pass
  *      over the frozen graph; and
  *   3. re-simulates the same sweep points as cold, single-threaded
- *      OooCore runs of the mapped CoreConfig, reporting per-model
- *      analytic vs simulated cycle counts and the wall-clock ratio
- *      (re-simulation seconds / analytic sweep seconds).
+ *      OooCore runs of the mapped CoreConfig, for per-model analytic
+ *      vs simulated cycle counts.
  *
- * The run fails (exit 1) if any base replay diverges or if the
- * geomean sweep speedup across workloads falls below --min-speedup
- * (default 50).
+ *   bench_critpath [fast] [--reps N]
  *
- *   bench_critpath [fast] [--max-ops N] [--reps N] [--min-speedup X]
+ * stdout carries only machine-independent answers: one JSON object
+ * per line, per-model cycle counts plus a per-workload summary (ops,
+ * edges, traced cycles). The committed BENCH_critpath.json is the
+ * full-mode output, and the bench_critpath_answers ctest pins it byte
+ * for byte.
  *
- * Human-readable tables go to stderr; one JSON object per line goes
- * to stdout (per-model points plus a per-workload summary), for
- * scripted tracking — the committed BENCH_critpath.json is this
- * output.
+ * stderr carries the tables, with the host timings: each
+ * re-simulation's milliseconds, the sweep's milliseconds (best of
+ * --reps, default 5), and the re-simulation / sweep wall-clock ratio.
  *
  * Methodology notes:
  *  - The analytic sweep is timed as best-of---reps over the batched
@@ -36,8 +36,7 @@
  *    across repetitions (and test_critpath cross-checks the batched
  *    pass against per-model retime() calls).
  *  - Graph construction is *not* part of the timed sweep: the graph
- *    is a per-trace artifact built once while tracing (its cost is
- *    reported separately as trace_run_seconds).
+ *    is a per-trace artifact built once while tracing.
  *  - Re-simulated points run the traced config's (default) event
  *    kernel — the simulator's fastest path, not a strawman.
  *  - The slack threshold is held at the same cycle fraction (3/4)
@@ -47,6 +46,9 @@
  *    equivalent; their re-simulation proxies (max-precision ReDSOC
  *    and the conventional baseline) are flagged in the JSON and
  *    excluded from the cycle-delta table.
+ *
+ * REDSOC_CRITPATH_PATH=1 adds each model's critical-path composition
+ * to stderr.
  */
 
 #include <cmath>
@@ -181,8 +183,9 @@ buildSweep()
         p.model.zero_latency_recycle = true;
         p.model.fu_scale = fu;
         p.sim_cfg = tracedConfig();
-        p.sim_cfg.ci_precision_bits = 8;
-        p.sim_cfg.slack_threshold_ticks = thresholdForBits(8);
+        p.sim_cfg.ci_precision_bits = kMaxCiPrecisionBits;
+        p.sim_cfg.slack_threshold_ticks =
+            thresholdForBits(kMaxCiPrecisionBits);
         scaleUnits(p.sim_cfg, fu);
         p.representable = false;
         sweep.push_back(std::move(p));
@@ -206,7 +209,7 @@ struct ModelResult
     std::string model;
     Cycle analytic_cycles = 0;
     Cycle sim_cycles = 0;
-    double sim_seconds = 0.0;
+    double sim_seconds = 0.0; ///< host time: stderr only
     bool representable = true;
 };
 
@@ -216,9 +219,8 @@ struct WorkloadResult
     u64 ops = 0;
     u64 edges = 0;
     Cycle traced_cycles = 0;
-    double trace_run_seconds = 0.0;
-    double sweep_seconds = 0.0;
-    double resim_seconds = 0.0;
+    double sweep_seconds = 0.0; ///< host time: stderr only
+    double resim_seconds = 0.0; ///< host time: stderr only
     std::vector<ModelResult> models;
 
     double speedup() const
@@ -234,24 +236,15 @@ int
 main(int argc, char **argv)
 {
     bool fast = false;
-    SeqNum max_ops = 2'000'000;
     unsigned reps = 5;
-    double min_speedup = 50.0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "fast") {
             fast = true;
-        } else if (arg == "--max-ops" && i + 1 < argc) {
-            max_ops = cli::numArg<SeqNum>("--max-ops", argv[++i]);
         } else if (arg == "--reps" && i + 1 < argc) {
             reps = std::max(1u, cli::numArg<unsigned>("--reps", argv[++i]));
-        } else if (arg == "--min-speedup" && i + 1 < argc) {
-            min_speedup = cli::numArg<double>("--min-speedup", argv[++i]);
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [fast] [--max-ops N] [--reps N] "
-                         "[--min-speedup X]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [fast] [--reps N]\n", argv[0]);
             return 2;
         }
     }
@@ -262,30 +255,27 @@ main(int argc, char **argv)
     const std::vector<SweepPoint> sweep = buildSweep();
     const CoreConfig traced_cfg = tracedConfig();
 
-    bool gate_failed = false;
     std::vector<WorkloadResult> results;
 
     for (const std::string &workload : workloads) {
         WorkloadResult wr;
         wr.workload = workload;
-        const Trace trace = traceWorkload(workload, max_ops);
+        const Trace trace = traceWorkload(workload);
 
         // Traced reference run: the core reports straight to the
         // graph builder.
-        auto t0 = std::chrono::steady_clock::now();
         DepGraphBuilder builder(trace, traced_cfg);
         OooCore core(traced_cfg);
         core.setRecorder(&builder);
         const CoreStats stats = core.run(trace);
         const DepGraph graph = builder.finalize();
-        wr.trace_run_seconds = secondsSince(t0);
         wr.ops = graph.num_ops;
         wr.edges = graph.numEdges();
         wr.traced_cycles = stats.cycles;
 
         Retimer retimer(graph);
 
-        // Gate 1: base-model replay must be bit-exact.
+        // The base-model replay must be bit-exact.
         const RetimeResult base = retimer.retime(WhatIfModel{});
         if (base.cycles != stats.cycles ||
             base.ops != stats.committed) {
@@ -354,7 +344,7 @@ main(int argc, char **argv)
             sweep_models.push_back(sp.model);
         std::vector<Cycle> analytic(sweep.size(), 0);
         for (unsigned r = 0; r < reps; ++r) {
-            t0 = std::chrono::steady_clock::now();
+            const auto t0 = std::chrono::steady_clock::now();
             const std::vector<RetimeResult> batched =
                 retimer.retimeAll(sweep_models);
             const double secs = secondsSince(t0);
@@ -380,7 +370,7 @@ main(int argc, char **argv)
             mr.model = sweep[m].model.name;
             mr.analytic_cycles = analytic[m];
             mr.representable = sweep[m].representable;
-            t0 = std::chrono::steady_clock::now();
+            const auto t0 = std::chrono::steady_clock::now();
             OooCore sim_core(sweep[m].sim_cfg);
             const CoreStats sim_stats = sim_core.run(trace);
             mr.sim_seconds = secondsSince(t0);
@@ -434,25 +424,12 @@ main(int argc, char **argv)
             ? 0.0
             : std::exp(log_sum / static_cast<double>(results.size()));
     std::fprintf(stderr, "%s\n", summary.render().c_str());
-    // Gate on the geomean, the headline the bench reports: per-workload
-    // ratios are still printed above, but a hard per-workload gate on a
-    // shared machine trips on host noise rather than regressions.
-    if (geomean < min_speedup) {
-        std::fprintf(stderr,
-                     "bench_critpath: SPEEDUP FAILURE: geomean sweep "
-                     "speedup %.1fx below gate %.1fx\n",
-                     geomean, min_speedup);
-        gate_failed = true;
-    }
     std::fprintf(stderr,
                  "geomean sweep speedup: %.1fx over %zu workloads x "
-                 "%zu models (gate %.1fx, best of %u rep%s%s)\n",
-                 geomean, results.size(), sweep.size(), min_speedup,
-                 reps, reps == 1 ? "" : "s",
-                 fast ? ", fast mode" : "");
+                 "%zu models (best of %u rep%s%s)\n",
+                 geomean, results.size(), sweep.size(), reps,
+                 reps == 1 ? "" : "s", fast ? ", fast mode" : "");
 
-    // JSON to stdout, one object per line (the committed
-    // BENCH_critpath.json baseline is this output).
     std::printf("[\n");
     bool first = true;
     for (const WorkloadResult &wr : results) {
@@ -460,32 +437,23 @@ main(int argc, char **argv)
             std::printf("%s  {\"workload\": \"%s\", \"model\": \"%s\", "
                         "\"analytic_cycles\": %llu, "
                         "\"sim_cycles\": %llu, "
-                        "\"representable\": %s, "
-                        "\"sim_seconds\": %.6f}",
+                        "\"representable\": %s}",
                         first ? "" : ",\n", wr.workload.c_str(),
                         mr.model.c_str(),
                         static_cast<unsigned long long>(
                             mr.analytic_cycles),
                         static_cast<unsigned long long>(mr.sim_cycles),
-                        mr.representable ? "true" : "false",
-                        mr.sim_seconds);
+                        mr.representable ? "true" : "false");
             first = false;
         }
         std::printf(",\n  {\"workload\": \"%s\", \"model\": "
                     "\"__summary__\", \"ops\": %llu, \"edges\": %llu, "
-                    "\"traced_cycles\": %llu, "
-                    "\"trace_run_seconds\": %.6f, "
-                    "\"sweep_seconds\": %.6f, "
-                    "\"resim_seconds\": %.6f, "
-                    "\"speedup\": %.1f}",
+                    "\"traced_cycles\": %llu}",
                     wr.workload.c_str(),
                     static_cast<unsigned long long>(wr.ops),
                     static_cast<unsigned long long>(wr.edges),
-                    static_cast<unsigned long long>(wr.traced_cycles),
-                    wr.trace_run_seconds, wr.sweep_seconds,
-                    wr.resim_seconds, wr.speedup());
+                    static_cast<unsigned long long>(wr.traced_cycles));
     }
     std::printf("\n]\n");
-
-    return gate_failed ? 1 : 0;
+    return 0;
 }

@@ -18,6 +18,8 @@
  * shared LLC; core i runs mix entry i mod len. --compare also runs
  * baseline (with the same --set leaves) and prints the speedup;
  * --stats dumps the statistics group; --profile prints host timings.
+ * Host timings (the "host:" line, --profile) go to stderr; only the
+ * --stats dump still carries one on stdout (its sim_seconds leaf).
  * --trace (or REDSOC_TRACE) writes the run's pipeline trace (Chrome
  * JSON or Konata, by --trace-format or the extension; FILE.core<i>
  * per core) and prints the trace-derived metrics.
@@ -262,8 +264,8 @@ try {
                 schedModeName(mode),
                 static_cast<unsigned long long>(stats.cycles),
                 stats.ipc());
-    std::printf("host: %.3f s simulation, %.2f simulated MIPS\n",
-                stats.sim_seconds, stats.simMips());
+    std::fprintf(stderr, "host: %.3f s simulation, %.2f simulated MIPS\n",
+                 stats.sim_seconds, stats.simMips());
 
     if (want_compare && mode != SchedMode::Baseline) {
         const CoreStats &base =
