@@ -36,6 +36,7 @@ void sweep_pvt(SimDriver &driver, bool fast);
 void ablation_mechanisms(SimDriver &driver, bool fast);
 void power_savings(SimDriver &driver, bool fast);
 void proc_contention(SimDriver &driver, bool fast);
+void critpath_whatif(SimDriver &driver, bool fast);
 
 struct Harness
 {
@@ -62,6 +63,7 @@ inline constexpr Harness kHarnesses[] = {
     {"ablation_mechanisms", ablation_mechanisms},
     {"power_savings", power_savings},
     {"proc_contention", proc_contention},
+    {"critpath_whatif", critpath_whatif},
 };
 
 } // namespace bench

@@ -473,27 +473,4 @@ RunCache::storeText(const std::string &final_path,
     fs::remove(tmp_path, ec);
 }
 
-RunCache::Totals
-RunCache::scan(const std::string &dir)
-{
-    Totals t;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (entry.path().extension() != ".stats")
-            continue;
-        std::ifstream in(entry.path(), std::ios::binary);
-        if (!in)
-            continue;
-        std::ostringstream text;
-        text << in.rdbuf();
-        const auto stats = deserializeStats(text.str(), "");
-        if (!stats)
-            continue;
-        ++t.runs;
-        t.committed_ops += stats->committed;
-        t.sim_seconds += stats->sim_seconds;
-    }
-    return t;
-}
-
 } // namespace redsoc

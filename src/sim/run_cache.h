@@ -65,7 +65,7 @@ class RunCache
     void store(const std::string &key, const CoreStats &stats) const;
 
     /** Multi-core entries: same contract as load()/store(), separate
-     *  ".pstats" namespace (scan() totals ignore them). */
+     *  ".pstats" namespace. */
     std::optional<ProcStats> loadProc(const std::string &key) const;
     void storeProc(const std::string &key, const ProcStats &stats) const;
 
@@ -76,16 +76,6 @@ class RunCache
 
     /** Path of the multi-core entry file for @p key. */
     std::string procEntryPath(const std::string &key) const;
-
-    /** Aggregate totals over every readable entry in a cache dir
-     *  (the bench_all throughput summary). */
-    struct Totals
-    {
-        u64 runs = 0;
-        u64 committed_ops = 0;
-        double sim_seconds = 0.0;
-    };
-    static Totals scan(const std::string &dir);
 
     /**
      * Remove ".tmp-*" staging files in @p dir older than @p max_age

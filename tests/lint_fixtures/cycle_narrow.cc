@@ -9,7 +9,7 @@ unsigned
 lossyReport(Cycle cycles, Cycle start_tick)
 {
     const unsigned c32 = static_cast<unsigned>(cycles);  // line 11: violation
-    unsigned window = cycles - start_tick;               // line 12: violation
+    unsigned window = cycles - start_tick;               // -Wconversion's, quiet
     window += c32;
     return window;
 }

@@ -3,8 +3,7 @@
  * bench_all: run the figure/table harnesses (bench/harnesses.h) in one
  * process over one SimDriver. stdout carries only the harnesses'
  * tables, which are deterministic; the summary of host timings
- * (per-harness and total wall-clock, plus the throughput totals of
- * the run cache) goes to stderr. The shared
+ * (per-harness and total wall-clock) goes to stderr. The shared
  * driver's in-memory memo simulates every (workload x config) point
  * once per process — in particular the per-suite threshold tuning
  * sweep that most results harnesses read — and each harness fans its
@@ -39,7 +38,6 @@
 #include "common/shutdown.h"
 #include "common/table.h"
 #include "harnesses.h"
-#include "sim/run_cache.h"
 
 using namespace redsoc;
 
@@ -150,24 +148,6 @@ main(int argc, char **argv)
                  summary.render().c_str());
     std::fprintf(stderr, "total wall-clock: %.2f s over %zu harnesses%s\n",
                  total, ran, fast ? " (fast mode)" : "");
-
-    if (use_cache) {
-        const RunCache::Totals totals = RunCache::scan(cache_dir);
-        if (totals.runs > 0) {
-            std::fprintf(stderr,
-                         "run cache: %llu distinct points, %llu "
-                         "committed ops, %.2f core-seconds simulated "
-                         "(%.2f simulated MIPS)\n",
-                         static_cast<unsigned long long>(totals.runs),
-                         static_cast<unsigned long long>(
-                             totals.committed_ops),
-                         totals.sim_seconds,
-                         totals.sim_seconds > 0.0
-                             ? asDouble(totals.committed_ops) /
-                                   totals.sim_seconds / 1e6
-                             : 0.0);
-        }
-    }
     if (interrupted) {
         std::fprintf(stderr, "[bench_all] interrupted; remaining "
                              "harnesses skipped\n");

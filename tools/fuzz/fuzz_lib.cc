@@ -704,8 +704,9 @@ baseRetimeProblem(Retimer &retimer, const DepGraph &g,
 }
 
 /** "" when the batched pass equals per-model retiming over
- *  crossCheckModels() within 4096 lane rows, else the first
- *  mismatch. */
+ *  crossCheckModels() within 4096 lane rows, and a second pass on
+ *  the same Retimer (its lanes reused) repeats the first, else the
+ *  first mismatch. */
 std::string
 batchedRetimeProblem(Retimer &retimer)
 {
@@ -713,7 +714,14 @@ batchedRetimeProblem(Retimer &retimer)
     const std::vector<RetimeResult> batched = retimer.retimeAll(models);
     if (retimer.laneRows() == 0 || retimer.laneRows() > 4096)
         return str(retimer.laneRows(), " lane rows");
+    const std::vector<RetimeResult> again = retimer.retimeAll(models);
     for (size_t i = 0; i < models.size(); ++i) {
+        if (again[i].cycles != batched[i].cycles ||
+            again[i].ops != batched[i].ops)
+            return str("model ", models[i].name, ": second batched pass ",
+                       again[i].cycles, " cycles / ", again[i].ops,
+                       " ops, first ", batched[i].cycles, " / ",
+                       batched[i].ops);
         const RetimeResult one = retimer.retime(models[i]);
         if (batched[i].cycles != one.cycles || batched[i].ops != one.ops)
             return str("model ", models[i].name, ": batched ",

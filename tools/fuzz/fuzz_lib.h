@@ -202,7 +202,9 @@ enum Contract : u32 {
      *  per op, and is the same under both kernels. */
     kGraph = 1u << 4,
     kBaseRetime = 1u << 5,    ///< base retime ≡ every observed tick
-    kBatchedRetime = 1u << 6, ///< retimeAll ≡ retime, ≤ 4096 lane rows
+    /** retimeAll ≡ retime within 4096 lane rows, and a second
+     *  retimeAll on the same Retimer repeats the first. */
+    kBatchedRetime = 1u << 6,
     kAllContracts = (1u << 7) - 1,
 };
 

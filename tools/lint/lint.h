@@ -21,8 +21,9 @@
  *   ptr-key-order (R2) std::map / std::set (or unordered_*) keyed by a
  *                 pointer type: ordering/hashing follows allocation
  *                 addresses.
- *   cycle-narrow  (R3) 64-bit cycle/tick quantities narrowed (cast or
- *                 implicit) to 32-bit-or-smaller integer types.
+ *   cycle-narrow  (R3) 64-bit cycle/tick quantities cast to
+ *                 32-bit-or-smaller integer types (the implicit form
+ *                 is -Wconversion's).
  *   float-accum   (R3) floating-point accumulation (+=) inside a loop
  *                 whose header mentions cycles/ticks, outside
  *                 src/power.

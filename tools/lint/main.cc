@@ -46,7 +46,7 @@ listRules()
         "nondet-api     banned wall-clock / unseeded-randomness APIs\n"
         "nondet-iter    range-for over unordered containers\n"
         "ptr-key-order  associative containers keyed by pointers\n"
-        "cycle-narrow   cycle/tick values narrowed below 64 bits\n"
+        "cycle-narrow   cycle/tick values cast below 64 bits\n"
         "float-accum    float accumulation in per-cycle loops\n"
         "audit-complete InvariantAudit enumerators must each have a "
         "corrupting unit test\n"

@@ -547,73 +547,35 @@ rulePtrKeyOrder(const SourceFile &sf, std::vector<Finding> &out)
 void
 ruleCycleNarrow(const SourceFile &sf, std::vector<Finding> &out)
 {
+    // Only the explicit form: static_cast<NARROW>(... cycleish ...).
+    // An implicit narrowing (u32 x = cycles;) is -Wconversion's, which
+    // the warning-hardened build turns into an error.
     const auto &t = sf.toks;
-    for (size_t i = 0; i < t.size(); ++i) {
-        // static_cast<NARROW>(... cycleish ...)
-        if (isIdent(t[i], "static_cast") && i + 1 < t.size() &&
-            isPunct(t[i + 1], "<")) {
-            const size_t gt = matchDelim(t, i + 1, "<", ">");
-            bool narrow = false;
-            for (size_t j = i + 2; j < gt; ++j) {
-                if (t[j].kind != TokKind::Ident)
-                    continue;
-                if (narrowIntType(t[j].text))
-                    narrow = true;
-                if (t[j].text == "long") // unsigned long (long): 64-bit
-                    narrow = false;
-            }
-            if (!narrow || gt + 1 >= t.size() ||
-                !isPunct(t[gt + 1], "("))
-                continue;
-            const size_t rp = matchDelim(t, gt + 1, "(", ")");
-            for (size_t j = gt + 2; j < rp; ++j) {
-                if (cycleIsh(t[j])) {
-                    emit(sf, t[j].line, "cycle-narrow",
-                         "64-bit cycle/tick value '" + t[j].text +
-                             "' cast to a 32-bit-or-smaller type; "
-                             "keep cycle math in Cycle/Tick (u64)",
-                         out);
-                    break;
-                }
-            }
+    for (size_t i = 0; i + 1 < t.size(); ++i) {
+        if (!isIdent(t[i], "static_cast") || !isPunct(t[i + 1], "<"))
             continue;
+        const size_t gt = matchDelim(t, i + 1, "<", ">");
+        bool narrow = false;
+        for (size_t j = i + 2; j < gt; ++j) {
+            if (t[j].kind != TokKind::Ident)
+                continue;
+            if (narrowIntType(t[j].text))
+                narrow = true;
+            if (t[j].text == "long") // unsigned long (long): 64-bit
+                narrow = false;
         }
-        // Implicit: NARROW name = ... cycleish ... ;
-        if (t[i].kind == TokKind::Ident && narrowIntType(t[i].text) &&
-            i + 2 < t.size() && t[i + 1].kind == TokKind::Ident &&
-            isPunct(t[i + 2], "=") &&
-            // not preceded by a type-forming token (e.g. "unsigned
-            // int x" handled by the 'int' hit; "const" fine)
-            !(i > 0 && isPunct(t[i - 1], "<"))) {
-            size_t j = i + 3;
-            bool has_cast = false;
-            size_t cycle_at = 0;
-            int depth = 0;
-            for (; j < t.size(); ++j) {
-                // A cycle passed *into* a call whose result feeds the
-                // variable is not itself narrowed — skip arguments.
-                if (t[j].kind == TokKind::Ident && j + 1 < t.size() &&
-                    isPunct(t[j + 1], "(") && !cycleIsh(t[j])) {
-                    j = matchDelim(t, j + 1, "(", ")");
-                    continue;
-                }
-                if (isPunct(t[j], "(") || isPunct(t[j], "{"))
-                    ++depth;
-                else if (isPunct(t[j], ")") || isPunct(t[j], "}"))
-                    --depth;
-                else if (isPunct(t[j], ";") && depth <= 0)
-                    break;
-                else if (isIdent(t[j], "static_cast"))
-                    has_cast = true;
-                else if (cycle_at == 0 && cycleIsh(t[j]))
-                    cycle_at = j;
-            }
-            if (cycle_at != 0 && !has_cast)
-                emit(sf, t[cycle_at].line, "cycle-narrow",
-                     "cycle/tick expression implicitly narrowed into "
-                     "32-bit-or-smaller variable '" + t[i + 1].text +
-                         "'; declare it Cycle/Tick (u64)",
+        if (!narrow || gt + 1 >= t.size() || !isPunct(t[gt + 1], "("))
+            continue;
+        const size_t rp = matchDelim(t, gt + 1, "(", ")");
+        for (size_t j = gt + 2; j < rp; ++j) {
+            if (cycleIsh(t[j])) {
+                emit(sf, t[j].line, "cycle-narrow",
+                     "64-bit cycle/tick value '" + t[j].text +
+                         "' cast to a 32-bit-or-smaller type; "
+                         "keep cycle math in Cycle/Tick (u64)",
                      out);
+                break;
+            }
         }
     }
 }
