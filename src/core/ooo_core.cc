@@ -1361,6 +1361,7 @@ OooCore::fastForward(bool adapting)
 void
 OooCore::beginRun(const Trace &trace)
 {
+    // Host time for sim_seconds. redsoc-lint: allow(nondet-api)
     wall_start_ = std::chrono::steady_clock::now();
 
     // Reset all run state so a core object can be reused. A reused
@@ -1470,6 +1471,7 @@ OooCore::finishRun()
     stats_.chain_lengths = chains_.lengths();
     stats_.expected_chain_length = chains_.expectedRecycledLength();
     stats_.sim_seconds =
+        // Host time; comparisons skip it. redsoc-lint: allow(nondet-api)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start_)
             .count();

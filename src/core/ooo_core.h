@@ -677,6 +677,7 @@ class OooCore
     /** Dynamic-threshold adaptation active this run (mode + config). */
     bool adapting_ = false;
     /** beginRun() timestamp for the sim_seconds observability stat. */
+    // Host time, never simulated. redsoc-lint: allow(nondet-api)
     std::chrono::steady_clock::time_point wall_start_{};
 
     CoreStats stats_;

@@ -76,14 +76,17 @@ class ScopedTimer
     ScopedTimer(Phase phase, bool active)
         : phase_(phase), active_(active)
     {
-        if (active_)
+        if (active_) {
+            // Host time. redsoc-lint: allow(nondet-api)
             start_ = std::chrono::steady_clock::now();
+        }
     }
     ~ScopedTimer()
     {
         if (active_) {
             const auto ns =
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    // Host time. redsoc-lint: allow(nondet-api)
                     std::chrono::steady_clock::now() - start_)
                     .count();
             record(phase_, static_cast<u64>(ns));
@@ -96,6 +99,7 @@ class ScopedTimer
   private:
     Phase phase_;
     bool active_;
+    // Host time, never simulated. redsoc-lint: allow(nondet-api)
     std::chrono::steady_clock::time_point start_;
 };
 

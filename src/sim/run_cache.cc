@@ -303,13 +303,7 @@ RunCache::RunCache(std::string dir) : dir_(std::move(dir))
     // and the publishing rename (SIGKILL, OOM, power) leaks its
     // ".tmp-*" file forever — no later run ever touches that unique
     // name. Sweep anything old enough that its writer must be dead.
-    std::chrono::seconds ttl{3600};
-    if (const char *env = std::getenv("REDSOC_CACHE_TMP_TTL_S")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env)
-            ttl = std::chrono::seconds(v);
-    }
+    const std::chrono::seconds ttl{3600};
     const unsigned removed = sweepStaleTmpFiles(dir_, ttl);
     if (const char *tmp_dir = std::getenv("REDSOC_CACHE_TMP_DIR")) {
         if (*tmp_dir != '\0' && tmp_dir != dir_)

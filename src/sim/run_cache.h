@@ -44,9 +44,8 @@ class RunCache
      * Opens (and creates if missing) the cache directory. Opening
      * also garbage-collects stale ".tmp-*" staging files left behind
      * by killed processes (kill -9 mid-write): anything older than
-     * the conservative default of one hour — overridable in seconds
-     * via REDSOC_CACHE_TMP_TTL_S for tests — is removed, so a
-     * crashed sweep can never grow the directory without bound.
+     * one hour is removed, so a crashed sweep can never grow the
+     * directory without bound.
      */
     explicit RunCache(std::string dir);
 

@@ -52,18 +52,16 @@ ThreadPool::submit(std::function<void()> task)
     task_ready_.notify_one();
 }
 
-// wait() and workerLoop() drive a std::unique_lock through a
-// condition-variable protocol; libc++ does not annotate unique_lock,
-// so both bodies are opted out of clang's analysis
-// (REDSOC_NO_THREAD_SAFETY_ANALYSIS on the declarations) and checked
-// by redsoc_lint R10 instead, which models unique_lock including the
-// manual unlock()/lock() window around task().
+// wait() and workerLoop() unlock inside their scope and wait on
+// condition variables, so they hold mu_ through a ReleasableLock,
+// which clang's analysis tracks across the unlock()/lock() window
+// around task().
 void
 ThreadPool::wait()
 {
-    std::unique_lock<std::mutex> lock(mu_);
+    ReleasableLock lock(mu_);
     while (!idle())
-        all_idle_.wait(lock);
+        lock.wait(all_idle_);
     if (first_error_) {
         std::exception_ptr err = first_error_;
         first_error_ = nullptr;
@@ -74,10 +72,10 @@ ThreadPool::wait()
 void
 ThreadPool::workerLoop()
 {
-    std::unique_lock<std::mutex> lock(mu_);
+    ReleasableLock lock(mu_);
     for (;;) {
         while (!stopping_ && queue_.empty())
-            task_ready_.wait(lock);
+            lock.wait(task_ready_);
         if (queue_.empty()) {
             if (stopping_)
                 return;

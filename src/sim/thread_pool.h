@@ -43,12 +43,12 @@ class ThreadPool
      * task threw, the first captured exception is rethrown here (the
      * remaining tasks still ran).
      */
-    void wait() REDSOC_NO_THREAD_SAFETY_ANALYSIS;
+    void wait() REDSOC_EXCLUDES(mu_);
 
     unsigned threads() const { return static_cast<unsigned>(workers_.size()); }
 
   private:
-    void workerLoop() REDSOC_NO_THREAD_SAFETY_ANALYSIS;
+    void workerLoop() REDSOC_EXCLUDES(mu_);
 
     /** Nothing queued and nothing running: wait() may return. */
     bool idle() const REDSOC_REQUIRES(mu_)

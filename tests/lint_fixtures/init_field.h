@@ -37,4 +37,13 @@ struct ScratchEntry
     bool valid;
 };
 
+// A field right after an access specifier is a field all the same,
+// and an array field is named by its declarator, not its extent.
+class AccessStats
+{
+  public:
+    unsigned long long hits;       // line 45: violation
+    unsigned lanes[kLanes];        // line 46: violation
+};
+
 } // namespace fixture

@@ -475,21 +475,21 @@ TEST(RunCacheHardening, StaleTmpFilesAreSweptOnOpen)
     std::ofstream(dir + "/keepme.stats") << "not a tmp file";
     ASSERT_EQ(countTmpFiles(dir), 2u);
 
-    {
-        // TTL 0: every stale file is already too old.
-        ScopedEnv ttl("REDSOC_CACHE_TMP_TTL_S", "0");
-        RunCache cache(dir);
-    }
-    EXPECT_EQ(countTmpFiles(dir), 0u);
-    EXPECT_TRUE(fs::exists(dir + "/keepme.stats"));
-
-    // With the default 1-hour TTL a fresh staging file survives (a
-    // live writer's tmp must never be swept out from under it).
+    // Orphans of a writer killed two hours ago: past the one-hour TTL.
+    const auto stale =
+        fs::file_time_type::clock::now() - std::chrono::hours(2);
+    for (const char *name : {"/.tmp-1234-abc", "/.tmp-5678-def",
+                             "/keepme.stats"})
+        fs::last_write_time(dir + name, stale);
+    // A live writer's fresh staging file must never be swept out from
+    // under it.
     std::ofstream(dir + "/.tmp-9999-live") << "in flight";
     {
         RunCache cache(dir);
     }
     EXPECT_EQ(countTmpFiles(dir), 1u);
+    EXPECT_TRUE(fs::exists(dir + "/.tmp-9999-live"));
+    EXPECT_TRUE(fs::exists(dir + "/keepme.stats"));
 }
 
 TEST(RunCacheHardening, StoreSurvivesUnwritableStagingDir)

@@ -62,9 +62,11 @@ isHarness(const std::string &name)
     return false;
 }
 
+// Times the harnesses on the host. redsoc-lint: allow(nondet-api)
+using HostClock = std::chrono::steady_clock;
+
 double
-seconds(std::chrono::steady_clock::time_point from,
-        std::chrono::steady_clock::time_point to)
+seconds(HostClock::time_point from, HostClock::time_point to)
 {
     return std::chrono::duration<double>(to - from).count();
 }
@@ -121,7 +123,7 @@ main(int argc, char **argv)
     Table summary({"harness", "seconds"});
     size_t ran = 0;
     bool interrupted = false;
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = HostClock::now();
     for (const bench::Harness &h : bench::kHarnesses) {
         if (!selected.empty() && !selected.contains(h.name))
             continue;
@@ -130,19 +132,19 @@ main(int argc, char **argv)
             break;
         }
         std::printf("$ bench_all%s %s\n", fast ? " fast" : "", h.name);
-        const auto h0 = std::chrono::steady_clock::now();
+        const auto h0 = HostClock::now();
         try {
             h.run(driver, fast);
         } catch (const ShutdownInterrupt &) {
             interrupted = true;
             break;
         }
-        const double secs = seconds(h0, std::chrono::steady_clock::now());
+        const double secs = seconds(h0, HostClock::now());
         ++ran;
         summary.addRow({h.name, Table::num(secs, 2)});
         std::printf("\n");
     }
-    const double total = seconds(t0, std::chrono::steady_clock::now());
+    const double total = seconds(t0, HostClock::now());
 
     std::fprintf(stderr, "=== bench_all summary ===\n%s\n",
                  summary.render().c_str());

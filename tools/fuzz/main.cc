@@ -150,6 +150,7 @@ handleDivergence(const Options &opt, const FuzzCase &fc,
 int
 sweep(const Options &opt)
 {
+    // The sweep's host-time budget. redsoc-lint: allow(nondet-api)
     using clock = std::chrono::steady_clock;
     const auto start = clock::now();
     auto elapsed_s = [&start] {

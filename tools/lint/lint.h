@@ -13,7 +13,8 @@
  *   init-field    (R1) every field of a struct named *Config / *Stats
  *                 carries an in-class initializer.
  *   nondet-api    (R2) banned wall-clock / seedless-randomness APIs
- *                 (rand, srand, time(), std::random_device, ...).
+ *                 (rand, srand, time(), std::random_device, and the
+ *                 std::chrono steady/system/high_resolution clocks).
  *   nondet-iter   (R2) range-for iteration over a std::unordered_map /
  *                 unordered_set declared in the same file: iteration
  *                 order is unspecified and varies across libstdc++
@@ -42,50 +43,21 @@
  *                 allocation-free; an allocation that sneaks back in
  *                 is a silent throughput regression the differential
  *                 tests cannot catch.
- *   guarded-by    (R10) lock-discipline enforcement over the
- *                 src/common/thread_annotations.h macros: every
- *                 read/write of a REDSOC_GUARDED_BY(mu) field must
- *                 happen in a scope holding mu — a live
- *                 lock_guard/unique_lock/scoped_lock (manual
- *                 .unlock()/.lock() windows modeled), a direct
- *                 mu.lock() region, or a REDSOC_REQUIRES(mu)
- *                 function; calls of REQUIRES methods need the lock
- *                 held, calls of EXCLUDES methods need it free. A
- *                 coverage arm keeps the annotations honest: in a
+ *   guarded-by    (R10) annotation coverage over the
+ *                 src/common/thread_annotations.h macros: in a
  *                 mutex-owning class under src/ or tools/, every
- *                 plain field must carry REDSOC_GUARDED_BY or an
- *                 explicit REDSOC_NOT_GUARDED.
- *   lock-order    (R11) the global mutex-acquisition graph (an edge
- *                 A->B per site acquiring B while holding A, merged
- *                 across every linted file) must be acyclic; any
- *                 cycle — including a self-edge, i.e. re-acquiring a
- *                 held non-recursive mutex — is a deadlock the test
- *                 schedule merely hasn't hit yet. Reported
- *                 canonically: one finding per strongly connected
- *                 component, anchored at its lexicographically
- *                 smallest site, edges listed sorted.
- *   nondet-taint  (R12) flow-sensitive generalization of R2:
- *                 values assigned from nondeterministic sources
- *                 (wall clocks, random/pid/thread-id APIs,
- *                 pointer-to-integer casts, range-for over unordered
- *                 containers, reads of the wall-clock-derived
- *                 sim_seconds stat) taint the local they are stored
- *                 in, propagate through further assignments, and
- *                 must never reach a determinism sink: a field of
- *                 any *Stats struct (sim_seconds itself exempt — it
- *                 is the one designated wall-clock stat), of
- *                 IssueRecord (the hook payload the run recorder
- *                 stores), or of Finding. Intra-procedural and
- *                 assignment-based by design; see DESIGN.md for the
- *                 soundness boundary.
+ *                 field other than the mutexes and condition
+ *                 variables must carry REDSOC_GUARDED_BY or an
+ *                 explicit REDSOC_NOT_GUARDED, so deleting an
+ *                 annotation is itself a finding. Whether the
+ *                 annotations hold is clang -Wthread-safety's to
+ *                 check, and races and lock-order inversions are
+ *                 ThreadSanitizer's.
  *
  * Findings print as "file:line: [rule-id] message". A finding is
  * suppressed by a comment "// redsoc-lint: allow(rule-id)" (or
  * allow(all), comma-separated ids accepted) on the same or the
- * immediately preceding line. A committed baseline file (line format:
- * "path [rule-id] message", '#' comments allowed) grandfathers known
- * findings; the tool exits nonzero only on findings not in the
- * baseline.
+ * immediately preceding line; that is the only exception mechanism.
  *
  * Parsing is a deliberate tokenizer, not a full C++ front end (the
  * container ships no libclang development headers): rules are scoped
@@ -96,6 +68,7 @@
 #ifndef REDSOC_TOOLS_LINT_LINT_H
 #define REDSOC_TOOLS_LINT_LINT_H
 
+#include <cstddef>
 #include <map>
 #include <set>
 #include <string>
@@ -149,6 +122,10 @@ struct FieldInfo
     std::string name;
     int line = 0;
     bool initialized = false;
+    /** Tokens [decl_begin, decl_end) of the declaration up to its
+     *  initializer: the type, the declarator and any annotations. */
+    size_t decl_begin = 0;
+    size_t decl_end = 0;
 };
 
 struct StructInfo
@@ -197,8 +174,6 @@ struct Finding
 
     /** "path:line: [rule] message" (the printed form). */
     std::string pretty() const;
-    /** Line-number-free identity used for baseline matching. */
-    std::string key() const;
 };
 
 void ruleInitField(const SourceFile &sf, std::vector<Finding> &out);
@@ -221,56 +196,12 @@ void ruleAuditComplete(const SourceFile &header,
                        const SourceFile &tests,
                        std::vector<Finding> &out);
 
-// Semantic rules (R10-R12). ScopeTree and SymbolTable are defined in
-// scopes.h / symtab.h; the driver builds them once per file and the
-// symbol table is additionally merged across the whole tree so .cc
-// walks see their header's annotations.
-struct ScopeTree;
-struct SymbolTable;
-
-/** One observed nested acquisition: @p second was locked while
- *  @p first was held, at @p path:@p line. first == second records a
- *  double-acquire. Mutex names are class-qualified ("C::mu_"). */
-struct LockEdge
-{
-    std::string first;
-    std::string second;
-    std::string path;
-    int line = 0;
-};
-
-/**
- * R10: guarded-by enforcement + annotation coverage for one file.
- * @p symtab resolves fields/contracts (tree-merged in tree mode);
- * @p coverage_tab restricts the coverage arm to classes declared in
- * this file; @p coverage_paths gates coverage to real code (path
- * prefixes). When @p edges is non-null the walk also records every
- * nested acquisition for R11.
- */
-void ruleGuardedBy(const SourceFile &sf, const ScopeTree &tree,
-                   const SymbolTable &symtab,
-                   const SymbolTable &coverage_tab,
-                   const std::vector<std::string> &coverage_paths,
-                   std::vector<Finding> &out,
-                   std::vector<LockEdge> *edges);
-
-/** R11: cycle check over the merged acquisition graph. Findings are
- *  deterministic: one per SCC, smallest site first, edges sorted. */
-void ruleLockOrder(const std::vector<LockEdge> &edges,
+/** R10: in each mutex-owning class of a file under one of
+ *  @p paths, every field that is not itself a mutex or condition
+ *  variable carries REDSOC_GUARDED_BY or REDSOC_NOT_GUARDED. */
+void ruleGuardedBy(const SourceFile &sf,
+                   const std::vector<std::string> &paths,
                    std::vector<Finding> &out);
-
-/**
- * R12: nondeterminism taint tracking for one file. Sink fields come
- * from @p symtab: every field of a class whose name ends in one of
- * @p sink_suffixes or equals one of @p sink_structs, minus
- * @p exempt_fields (whose *reads* are instead taint sources).
- */
-void ruleNondetTaint(const SourceFile &sf, const ScopeTree &tree,
-                     const SymbolTable &symtab,
-                     const std::vector<std::string> &sink_suffixes,
-                     const std::vector<std::string> &sink_structs,
-                     const std::vector<std::string> &exempt_fields,
-                     std::vector<Finding> &out);
 
 /** R8: no heap allocation inside the bodies of the per-cycle
  *  scheduler and per-access memory functions. @p hot_paths gates the
@@ -320,45 +251,20 @@ struct Options
         "firstUnresolved",  "lastUnresolved",   "forwardFrom",
         "resolve",          "dispatch",         "commit"};
 
-    // R10 coverage gate: the "every field states its discipline"
-    // arm only applies to real code, not fixtures lexed under test
-    // paths.
+    // R10 gate: "every field states its discipline" applies to real
+    // code, not to fixtures lexed under test paths.
     std::vector<std::string> guarded_coverage_paths = {"src/",
                                                        "tools/"};
-
-    // R12 sink configuration. sim_seconds is the one stat defined as
-    // wall-clock time; writing it from a clock is its purpose, and
-    // reading it back is itself a taint source.
-    std::vector<std::string> taint_sink_suffixes = {"Stats"};
-    std::vector<std::string> taint_sink_structs = {"IssueRecord",
-                                                   "Finding"};
-    std::vector<std::string> taint_exempt_fields = {"sim_seconds"};
-
-    /** Worker threads for the tree scan (1 = serial). Findings are
-     *  deterministic regardless: per-file results merge in file
-     *  order before the global sort. */
-    unsigned jobs = 1;
-
-    std::string baseline_path;           ///< empty = no baseline
 };
 
-/** All findings for one lexed file (per-file rules: R1-R3, R8,
- *  R10-R12 with a file-local symbol table, lock-order over the
- *  file's own acquisition graph; suppressions applied). */
+/** All findings for one lexed file (the per-file rules R1-R3, R8
+ *  and R10; suppressions applied). */
 std::vector<Finding> lintFile(const SourceFile &sf, const Options &opt);
 
-/** Walk opt.paths under opt.root, run every rule — per-file rules
- *  with the tree-merged symbol table (opt.jobs workers), the global
- *  R11 acquisition graph, and the multi-file completeness rule
- *  (R6) — and return findings sorted by path/line. */
+/** Walk opt.paths under opt.root, run every per-file rule and the
+ *  multi-file completeness rule (R6), and return findings sorted by
+ *  path/line. */
 std::vector<Finding> lintTree(const Options &opt);
-
-/** Baseline keys loaded from @p path (empty set if unreadable). */
-std::set<std::string> loadBaseline(const std::string &path);
-
-/** Findings whose key is not in @p baseline. */
-std::vector<Finding> newFindings(const std::vector<Finding> &all,
-                                 const std::set<std::string> &baseline);
 
 } // namespace redsoc::lint
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The redsoc_lint rule set (R1-R8). Every rule walks the token
+ * The redsoc_lint rule set (R1-R10). Every rule walks the token
  * stream produced by lexer.cc; see lint.h for the rule catalogue and
  * the reasoning behind each.
  */
@@ -94,8 +94,7 @@ nonFieldLeader(const std::string &s)
 {
     return s == "static" || s == "using" || s == "typedef" ||
            s == "friend" || s == "static_assert" || s == "virtual" ||
-           s == "explicit" || s == "operator" || s == "template" ||
-           s == "public" || s == "private" || s == "protected";
+           s == "explicit" || s == "operator" || s == "template";
 }
 
 /**
@@ -170,6 +169,12 @@ parseStructBody(const SourceFile &sf, size_t open, StructInfo &info,
             while (j < close && !isPunct(t[j], ";"))
                 ++j;
             i = j + 1;
+            continue;
+        }
+        if ((isIdent(tok, "public") || isIdent(tok, "private") ||
+             isIdent(tok, "protected")) &&
+            i + 1 < close && isPunct(t[i + 1], ":")) {
+            i += 2; // access specifier: the next member follows it
             continue;
         }
         if (tok.kind == TokKind::Ident && nonFieldLeader(tok.text)) {
@@ -292,14 +297,17 @@ parseStructBody(const SourceFile &sf, size_t open, StructInfo &info,
             int fline = t[i].line;
             while (k > i) {
                 --k;
-                if (isPunct(t[k], ")")) {
-                    // Skip an annotation's argument group backwards.
+                if (isPunct(t[k], ")") || isPunct(t[k], "]")) {
+                    // Skip an annotation's argument group or an array
+                    // extent backwards.
+                    const char *cl = t[k].text == ")" ? ")" : "]";
+                    const char *op = t[k].text == ")" ? "(" : "[";
                     int pd = 1;
                     while (k > i && pd > 0) {
                         --k;
-                        if (isPunct(t[k], ")"))
+                        if (isPunct(t[k], cl))
                             ++pd;
-                        else if (isPunct(t[k], "("))
+                        else if (isPunct(t[k], op))
                             --pd;
                     }
                     continue;
@@ -315,7 +323,7 @@ parseStructBody(const SourceFile &sf, size_t open, StructInfo &info,
             }
             if (!fname.empty())
                 info.fields.push_back(
-                    FieldInfo{fname, fline, initialized});
+                    FieldInfo{fname, fline, initialized, i, name_end});
         }
         i = (j > i) ? j : i + 1;
     }
@@ -375,6 +383,8 @@ ruleNondetApi(const SourceFile &sf, std::vector<Finding> &out)
         "rand",   "srand",   "rand_r",      "drand48", "lrand48",
         "random", "time",    "clock",       "gettimeofday",
         "getrandom"};
+    static const std::set<std::string> kWallClocks = {
+        "steady_clock", "system_clock", "high_resolution_clock"};
     const auto &t = sf.toks;
     for (size_t i = 0; i < t.size(); ++i) {
         if (t[i].kind != TokKind::Ident)
@@ -383,6 +393,14 @@ ruleNondetApi(const SourceFile &sf, std::vector<Finding> &out)
             emit(sf, t[i].line, "nondet-api",
                  "std::random_device is nondeterministic across runs; "
                  "use redsoc::Rng with a fixed seed",
+                 out);
+            continue;
+        }
+        if (kWallClocks.count(t[i].text)) {
+            emit(sf, t[i].line, "nondet-api",
+                 "wall clock '" + t[i].text +
+                     "': host time must not reach a simulated result; "
+                     "allow(nondet-api) only where it times the host",
                  out);
             continue;
         }
@@ -842,6 +860,73 @@ ruleHotAlloc(const SourceFile &sf,
             }
         }
         i = end;
+    }
+}
+
+// -------------------------------------------------------------------
+// R10: guarded-by
+// -------------------------------------------------------------------
+
+namespace {
+
+bool
+mutexType(const std::string &s)
+{
+    return s == "mutex" || s == "shared_mutex" ||
+           s == "recursive_mutex" || s == "timed_mutex" ||
+           s == "recursive_timed_mutex" || s == "shared_timed_mutex";
+}
+
+bool
+isMutexField(const std::vector<Token> &t, const FieldInfo &f)
+{
+    for (size_t k = f.decl_begin; k < f.decl_end; ++k)
+        if (t[k].kind == TokKind::Ident && mutexType(t[k].text))
+            return true;
+    return false;
+}
+
+/** @p f needs no annotation (a condition variable) or carries one. */
+bool
+statesDiscipline(const std::vector<Token> &t, const FieldInfo &f)
+{
+    for (size_t k = f.decl_begin; k < f.decl_end; ++k)
+        if (isIdent(t[k], "REDSOC_GUARDED_BY") ||
+            isIdent(t[k], "REDSOC_NOT_GUARDED") ||
+            isIdent(t[k], "condition_variable") ||
+            isIdent(t[k], "condition_variable_any"))
+            return true;
+    return false;
+}
+
+} // namespace
+
+void
+ruleGuardedBy(const SourceFile &sf, const std::vector<std::string> &paths,
+              std::vector<Finding> &out)
+{
+    if (std::none_of(paths.begin(), paths.end(),
+                     [&](const std::string &p) {
+                         return sf.path.rfind(p, 0) == 0;
+                     }))
+        return;
+    const auto &t = sf.toks;
+    for (const StructInfo &s : parseStructs(sf)) {
+        if (std::none_of(s.fields.begin(), s.fields.end(),
+                         [&](const FieldInfo &f) {
+                             return isMutexField(t, f);
+                         }))
+            continue;
+        for (const FieldInfo &f : s.fields) {
+            if (isMutexField(t, f) || statesDiscipline(t, f))
+                continue;
+            emit(sf, f.line, "guarded-by",
+                 "field '" + s.name + "::" + f.name +
+                     "' of a mutex-owning class declares no "
+                     "discipline: add REDSOC_GUARDED_BY(mu) or an "
+                     "explicit REDSOC_NOT_GUARDED",
+                 out);
+        }
     }
 }
 
