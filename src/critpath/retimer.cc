@@ -1,8 +1,9 @@
 #include "critpath/retimer.h"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -200,7 +201,7 @@ Retimer::buildPlan()
     // table-free fast path for it. A node's stream index is its rank;
     // sources are rewritten to ranks as they are written, and each
     // rank's last reader is noted, so retimeAll can hold a row only
-    // while it is still to be read.
+    // while it is still to be read. The X nodes keep kNoNode.
     const auto classKey = [](PlanOp op) {
         return op == PlanOp::InvAdd ? 0u : 1u + static_cast<u32>(op);
     };
@@ -209,7 +210,7 @@ Retimer::buildPlan()
     node_refs_.reserve(n_ranks);
     plan_.clear();
     plan_.reserve(g.edges.size());
-    rank_.assign(size_t{g.num_ops} * kNumMilestones, kNoNode);
+    RegionVector<u32> rank(size_t{g.num_ops} * kNumMilestones, kNoNode);
     last_use_.clear();
     last_use_.reserve(n_ranks);
     PlanEntry buf[kMaxEdgesPerOp];
@@ -239,18 +240,34 @@ Retimer::buildPlan()
         }
 
         const u32 r = static_cast<u32>(node_refs_.size());
-        rank_[node] = r;
+        rank[node] = r;
         last_use_.push_back(r);
         node_refs_.push_back(NodeRef{node, n});
         for (u32 j = 0; j < n; ++j) {
             PlanEntry p = buf[j];
-            p.src = rank_[p.src];
+            p.src = rank[p.src];
             fatal_if(p.src == kNoNode, "node ", node,
                      " reads a node not yet emitted in topo order");
             last_use_[p.src] = r;
             plan_.push_back(p);
         }
     }
+
+    // The FU gathers address S nodes by pool position and read
+    // pos - units before pos is settled, so ranks must rise along each
+    // pool's grant order (the core reports grants so).
+    for (size_t p = 0; p < pool_rank_.size(); ++p) {
+        const RegionVector<u32> &order = g.pool_order[p];
+        pool_rank_[p].resize(order.size());
+        for (size_t k = 0; k < order.size(); ++k) {
+            pool_rank_[p][k] = rank[nodeId(order[k], Milestone::S)];
+            fatal_if(k > 0 && pool_rank_[p][k] <= pool_rank_[p][k - 1],
+                     "pool grant ", k, " reported out of grant order");
+        }
+    }
+    end_rank_ = g.num_ops == 0
+                    ? kNoNode
+                    : rank[nodeId(g.num_ops - 1, Milestone::C)];
 }
 
 Tick
@@ -349,10 +366,16 @@ Retimer::edgeCandidate(const WhatIfModel &m, const Edge &edge,
 Retimer::PoolUnits
 Retimer::effectiveUnits(double fu_scale) const
 {
+    fatal_if(!std::isfinite(fu_scale) || !(fu_scale > 0.0),
+             "fu_scale must be finite and positive, got ", fu_scale);
+    // A pool's units gate nothing at or past its grant count, so the
+    // count caps them: the result fits u32, and so does pos + units.
     PoolUnits eff{};
     for (size_t p = 0; p < eff.size(); ++p) {
-        const double scaled = graph_->params.units[p] * fu_scale;
-        eff[p] = scaled < 1.0 ? 1u : static_cast<u32>(scaled);
+        const double grants = static_cast<double>(
+            std::max<size_t>(graph_->pool_order[p].size(), 1));
+        eff[p] = static_cast<u32>(std::clamp(
+            graph_->params.units[p] * fu_scale, 1.0, grants));
     }
     return eff;
 }
@@ -487,12 +510,8 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         dr_ep_sub(M), dr_et_sub(M);
     // Models re-deriving FU structural constraints, grouped by
     // effective unit-count signature (one gather per group).
-    struct FuGroup
-    {
-        PoolUnits eff{};
-        std::vector<u32> members;
-    };
-    std::vector<FuGroup> fu_groups;
+    std::vector<PoolUnits> fu_groups;
+    std::vector<u32> group_of(M);
 
     for (u32 m = 0; m < M; ++m) {
         const WhatIfModel &mod = models[m];
@@ -523,25 +542,21 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         dr_t_sub[m] = zl ? 2 * tpc : (nr ? tpc : 2 * tpc);
         dr_ep_sub[m] = mod.egpw ? kSkip : dr_p_sub[m];
         dr_et_sub[m] = mod.egpw ? kSkip : dr_t_sub[m];
-        {
-            const PoolUnits eff = effectiveUnits(mod.fu_scale);
-            FuGroup *grp = nullptr;
-            for (FuGroup &cand : fu_groups)
-                if (cand.eff == eff)
-                    grp = &cand;
-            if (!grp) {
-                fu_groups.push_back(FuGroup{eff, {}});
-                grp = &fu_groups.back();
-            }
-            grp->members.push_back(m);
-        }
+        const PoolUnits eff = effectiveUnits(mod.fu_scale);
+        group_of[m] = static_cast<u32>(
+            std::find(fu_groups.begin(), fu_groups.end(), eff) -
+            fu_groups.begin());
+        if (group_of[m] == fu_groups.size())
+            fu_groups.push_back(eff);
     }
+    const u32 n_groups = static_cast<u32>(fu_groups.size());
     const u32 redirect_add =
         (1 + static_cast<u32>(g.params.redirect_penalty)) * tpc;
 
     // Pad the lane count to a whole number of 8-wide vector steps so
     // the per-entry lane loops never run a scalar epilogue. Padding
-    // lanes replay model 0's constants; their results are ignored.
+    // lanes replay model 0's constants and join no FU group; their
+    // results are ignored.
     const u32 MP = (M + 7u) & ~7u;
     for (std::vector<u32> *v :
          {&wake_add, &sel_add, &dp_add, &dp_mask, &dt_add,
@@ -561,25 +576,22 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
     // variant dispatched a switch per entry; its unpredictable
     // indirect branch cost ~3x the lane arithmetic. Only the rare
     // BranchRecover entries keep a special case (one well-predicted
-    // compare per entry).
-    // Lane records are a whole number of 32-byte vectors; keep their
-    // bases 64-byte aligned so no vector load or store straddles a
-    // cache line (vector<u32> alone only guarantees 16).
-    const auto alignedBase = [](auto &v, size_t n) {
-        v.resize(n + 16);
-        void *base = v.data();
-        size_t space = v.size() * sizeof(u32);
-        return static_cast<u32 *>(
-            std::align(64, n * sizeof(u32), base, space));
+    // compare per entry). The FU gathers get one lane mask per group:
+    // all ones on its members, zero elsewhere. Tables and lanes are
+    // whole LaneLines, so no vector load or store straddles a cache
+    // line.
+    const auto lineArray = [](auto &v, size_t n, u32 fill) {
+        v.assign((n + 15) / 16, LaneLine{});
+        u32 *const base = reinterpret_cast<u32 *>(v.data());
+        std::fill_n(base, n, fill);
+        return base;
     };
     const u32 n_cls = static_cast<u32>(PlanOp::Branch) + 1;
-    std::vector<u32> addtab_v, masktab_v, subtab_v;
-    u32 *const addtab = alignedBase(addtab_v, size_t{n_cls} * MP);
-    u32 *const masktab = alignedBase(masktab_v, size_t{n_cls} * MP);
-    u32 *const subtab = alignedBase(subtab_v, size_t{n_cls} * MP);
-    std::fill_n(addtab, size_t{n_cls} * MP, 0u);
-    std::fill_n(masktab, size_t{n_cls} * MP, ~u32{0});
-    std::fill_n(subtab, size_t{n_cls} * MP, 0u);
+    std::vector<LaneLine> addtab_v, masktab_v, subtab_v, grpmask_v;
+    u32 *const addtab = lineArray(addtab_v, size_t{n_cls} * MP, 0u);
+    u32 *const masktab = lineArray(masktab_v, size_t{n_cls} * MP, ~u32{0});
+    u32 *const subtab = lineArray(subtab_v, size_t{n_cls} * MP, 0u);
+    u32 *const grpmask = lineArray(grpmask_v, size_t{n_groups} * MP, 0u);
     auto row = [MP](u32 *t, PlanOp op) {
         return &t[size_t{static_cast<u32>(op)} * MP];
     };
@@ -602,70 +614,50 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         row(subtab, PlanOp::DrTransp)[m] = dr_t_sub[m];
         row(subtab, PlanOp::DrEgpwPlain)[m] = dr_ep_sub[m];
         row(subtab, PlanOp::DrEgpwTransp)[m] = dr_et_sub[m];
+        if (m < M)
+            grpmask[size_t{group_of[m]} * MP + m] = ~u32{0};
     }
 
-    // FU gathers of one node: every model re-derives its structural
-    // bound from the recorded per-pool grant order, at fu_scale 1
-    // reproducing the traced FuStruct edge exactly, so the plan
-    // carries no FuStruct entries and one gather per effective-unit
-    // signature serves the whole lane block. @p fn gets the group and
-    // the source's rank.
-    const auto forEachGather = [&](u32 node, auto &&fn) {
-        const u32 i = nodeOp(node);
-        if (nodeMilestone(node) != Milestone::S ||
-            g.pool_pos[i] == kNoPoolPos)
-            return;
-        const u8 pool = g.pool[i];
-        const u32 pos = g.pool_pos[i];
-        for (const FuGroup &grp : fu_groups)
-            if (pos >= grp.eff[pool])
-                fn(grp, rank_[nodeId(g.pool_order[pool][pos - grp.eff[pool]],
-                                     Milestone::S)]);
-    };
-
-    // Row assignment (DESIGN.md section 13): a rank holds a lane row
-    // from its own rank up to its last reader's. The gathers reach
-    // back along the pool order, past the plan's last uses under a
-    // large fu_scale, so they extend those first. The last op's C row
-    // is pinned: the results read it after the pass. A linear scan
-    // then hands out rows from a free list. A rank takes its row
+    // Row assignment (DESIGN.md section 13), in the pass itself: a
+    // rank holds a lane row from its own rank up to its last reader's.
+    // A rank takes its row (LIFO free list first, else a new one)
     // before the sources that die at it release theirs, so it never
-    // lands on a row it still reads.
+    // lands on a row it still reads. Its last reader is known when it
+    // is produced: the later of its last plan_ reader and its last FU
+    // gather reader, the S node pos + units along its pool. The last
+    // op's C row is pinned: the results read it after the pass.
+    struct RowRec
+    {
+        u32 slot;
+        u32 last;
+    };
     const u32 n_ranks = static_cast<u32>(node_refs_.size());
-    RegionVector<u32> last(last_use_);
-    for (u32 r = 0; r < n_ranks; ++r)
-        forEachGather(node_refs_[r].node, [&](const FuGroup &, u32 s) {
-            last[s] = std::max(last[s], r);
-        });
-    const u32 end_rank =
-        g.num_ops == 0 ? kNoNode : rank_[nodeId(g.num_ops - 1, Milestone::C)];
-    if (end_rank != kNoNode)
-        last[end_rank] = kNoNode;
-    RegionVector<u32> slot(n_ranks);
-    std::vector<u32> free_rows;
+    RegionVector<RowRec> rec;
+    rec.reserve(n_ranks);
+    // The free list is a plain array as long as the row capacity: a
+    // row is never both live and free, so it cannot overflow, and the
+    // entry loop makes no call (vector::push_back's out-of-line growth
+    // path made the pass spill its lane registers).
+    u32 cap = static_cast<u32>(lanes_.size() * 16 / MP);
+    std::vector<u32> free_rows(cap);
+    u32 n_free = 0;
     u32 rows = 0;
-    for (u32 r = 0, e = 0; r < n_ranks; ++r) {
-        if (free_rows.empty()) {
-            slot[r] = rows++;
-        } else {
-            slot[r] = free_rows.back();
-            free_rows.pop_back();
+    u32 *lanes = reinterpret_cast<u32 *>(lanes_.data());
+    const auto newRow = [&] {
+        if (rows == cap) {
+            cap = std::max(2 * cap, 64u);
+            lanes_.resize((size_t{cap} * MP + 15) / 16);
+            lanes = reinterpret_cast<u32 *>(lanes_.data());
+            free_rows.resize(cap);
         }
-        const auto release = [&](u32 s) {
-            if (last[s] == r) {
-                last[s] = kNoNode;
-                free_rows.push_back(slot[s]);
-            }
-        };
-        const NodeRef &ref = node_refs_[r];
-        for (const u32 e_end = e + ref.count; e < e_end; ++e)
-            release(plan_[e].src);
-        forEachGather(ref.node,
-                      [&](const FuGroup &, u32 s) { release(s); });
-        release(r); // read by nothing
-    }
-    lane_rows_ = rows;
-    u32 *const lanes = alignedBase(lanes_, size_t{rows} * MP);
+        return rows++;
+    };
+    const auto release = [&](u32 s, u32 r) {
+        if (rec[s].last == r) {
+            rec[s].last = kNoNode;
+            free_rows[n_free++] = rec[s].slot;
+        }
+    };
 
     // The node loop is instantiated per lane count: with the vector
     // width a compile-time constant the per-entry lane loops unroll
@@ -679,11 +671,14 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
         for (u32 r = 0; r < n_ranks; ++r) {
             const NodeRef &ref = node_refs_[r];
             const size_t e_end = e + ref.count;
+            const u32 own = n_free > 0 ? free_rows[--n_free] : newRow();
             for (u32 m = 0; m < CMP; ++m)
                 best[m] = 0;
             for (; e < e_end; ++e) {
                 const PlanEntry &p = plan_[e];
-                const u32 *const src = &lanes[size_t{slot[p.src]} * CMP];
+                const u32 *const src = &lanes[size_t{rec[p.src].slot} * CMP];
+                // A released row is handed out by a later rank only.
+                release(p.src, r);
                 // InvAdd dominates the edge mix and needs none of the
                 // class tables; buildPlan sorts classes within each
                 // node's entries, so this branch flips at most twice
@@ -728,53 +723,55 @@ Retimer::retimeAll(const std::vector<WhatIfModel> &models)
                     best[m] = best[m] < c ? c : best[m];
                 }
             }
-            forEachGather(ref.node, [&](const FuGroup &grp, u32 s) {
-                const u32 *const src = &lanes[size_t{slot[s]} * CMP];
-                for (const u32 m : grp.members) {
-                    const u32 c = src[m] + tpc;
-                    best[m] = best[m] < c ? c : best[m];
+            // FU gathers: every model re-derives its structural bound
+            // from the pool grant order, at fu_scale 1 reproducing the
+            // traced FuStruct edge exactly, so the plan carries no
+            // FuStruct entries and one masked full-width gather per
+            // effective-unit group serves the whole lane block.
+            u32 last = last_use_[r];
+            const u32 i = nodeOp(ref.node);
+            if (nodeMilestone(ref.node) == Milestone::S &&
+                g.pool_pos[i] != kNoPoolPos) {
+                const u8 pool = g.pool[i];
+                const u32 pos = g.pool_pos[i];
+                const RegionVector<u32> &ranks = pool_rank_[pool];
+                const u32 ahead = static_cast<u32>(ranks.size()) - pos;
+                for (u32 grp = 0; grp < n_groups; ++grp) {
+                    const u32 units = fu_groups[grp][pool];
+                    if (units < ahead)
+                        last = std::max(last, ranks[pos + units]);
+                    if (pos < units)
+                        continue;
+                    const u32 s = ranks[pos - units];
+                    const u32 *const src = &lanes[size_t{rec[s].slot} * CMP];
+                    release(s, r);
+                    const u32 *const mk = &grpmask[size_t{grp} * CMP];
+                    for (u32 m = 0; m < CMP; ++m) {
+                        const u32 c = (src[m] + tpc) & mk[m];
+                        best[m] = best[m] < c ? c : best[m];
+                    }
                 }
-            });
-            u32 *const lane = &lanes[size_t{slot[r]} * CMP];
+            }
+            u32 *const lane = &lanes[size_t{own} * CMP];
             for (u32 m = 0; m < CMP; ++m)
                 lane[m] = best[m];
+            rec.push_back(RowRec{own, r == end_rank_ ? kNoNode : last});
+            release(r, r); // read by nothing
         }
     };
-    switch (MP) {
-    case 8:
-        pass(std::integral_constant<u32, 8>{});
-        break;
-    case 16:
-        pass(std::integral_constant<u32, 16>{});
-        break;
-    case 24:
-        pass(std::integral_constant<u32, 24>{});
-        break;
-    case 32:
-        pass(std::integral_constant<u32, 32>{});
-        break;
-    case 40:
-        pass(std::integral_constant<u32, 40>{});
-        break;
-    case 48:
-        pass(std::integral_constant<u32, 48>{});
-        break;
-    case 56:
-        pass(std::integral_constant<u32, 56>{});
-        break;
-    case 64:
-        pass(std::integral_constant<u32, 64>{});
-        break;
-    default:
-        panic("retimeAll lane count ", MP, " has no instantiation");
-    }
+    [&]<u32... W>(std::integer_sequence<u32, W...>) {
+        ((MP == 8 * (W + 1) ? pass(std::integral_constant<u32, 8 * (W + 1)>{})
+                            : void()),
+         ...);
+    }(std::make_integer_sequence<u32, 8>{});
+    lane_rows_ = rows;
 
     std::vector<RetimeResult> results(M);
     for (u32 m = 0; m < M; ++m) {
         results[m].model = models[m].name;
         results[m].ops = g.num_ops;
-        if (end_rank != kNoNode) {
-            const u32 end = lanes[size_t{slot[end_rank]} * MP + m];
+        if (end_rank_ != kNoNode) {
+            const u32 end = lanes[size_t{rec[end_rank_].slot} * MP + m];
             results[m].cycles = Cycle{end / tpc} + 1;
         }
     }

@@ -178,21 +178,35 @@ class Retimer
      *  node_refs_ is its rank; plan_ sources are ranks. */
     RegionVector<NodeRef> node_refs_;
     RegionVector<PlanEntry> plan_;
-    /** Rank per milestone node (nodeId() indexing); kNoNode for the
-     *  folded X nodes, which have no row. */
-    RegionVector<u32> rank_;
+    /** Per pool, the rank of the S node granted at each position of
+     *  pool_order (ranks rise along a pool). retimeAll()'s FU gathers
+     *  read their sources at pos - units and their last readers at
+     *  pos + units through it. */
+    std::array<RegionVector<u32>, static_cast<size_t>(FuPoolKind::NUM)>
+        pool_rank_;
+    /** Rank of the last op's C node, whose row the results read;
+     *  kNoNode for an empty graph. */
+    u32 end_rank_ = kNoNode;
     /** Per rank, the rank of its last plan_ reader (its own rank when
-     *  nothing reads it). retimeAll() extends these with its FU
-     *  gathers, which depend on the models. */
+     *  nothing reads it). retimeAll() takes the later of this and the
+     *  rank's last FU gather reader, which depends on the models, when
+     *  the rank is produced. */
     RegionVector<u32> last_use_;
-    /** Batched time lanes, lanes_[row * MP + m] with MP the padded
+    /** One cache line of lanes: lane arrays are whole lines, so their
+     *  bases are 64-byte aligned. */
+    struct alignas(64) LaneLine
+    {
+        u32 lane[16];
+    };
+    /** Batched time lanes, row r at lane r * MP with MP the padded
      *  model count: retimeAll() advances every model's lane in one
      *  pass, so a node's record is one contiguous row and the inner
      *  loops autovectorize. A row is held only from its node's rank
      *  to its last reader's, so the array holds the live set, not
-     *  every node. Rows are written before they are read (topological
-     *  order), so no zero-fill is needed. */
-    RegionVector<u32> lanes_;
+     *  every node. The pass grows it by doubling when it runs out of
+     *  rows, and the next call reuses it. Rows are written before they
+     *  are read (topological order), so no zero-fill is needed. */
+    RegionVector<LaneLine> lanes_;
     u32 lane_rows_ = 0;
 };
 

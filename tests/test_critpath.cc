@@ -10,9 +10,12 @@
  * what-if model ordering, and far-reaching lane rows.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,10 +24,12 @@
 
 #include "critpath/dep_graph_builder.h"
 #include "critpath/retimer.h"
+#include "common/rng.h"
 #include "fuzz_lib.h"
 #include "helpers.h"
 #include "sched_grid.h"
 #include "trace/pipe_tracer.h"
+#include "workloads/registry.h"
 
 namespace redsoc {
 namespace {
@@ -335,6 +340,37 @@ TEST(CritpathWhatIf, ModelOrderingSane)
     EXPECT_EQ(total, res.path_len);
 }
 
+/** FU scales whose unit counts would not fit u32 price like a count
+ *  past every pool's grant count (such a count never gates), and a
+ *  scale that is not finite and positive is rejected. */
+TEST(CritpathWhatIf, FuScaleClampedOrRejected)
+{
+    const Trace trace = randomTrace(3, 800);
+    CoreConfig cfg = coreByName("big");
+    cfg.mode = SchedMode::ReDSOC;
+    const RunOutcome r =
+        runOne(trace, cfg, SchedKernel::Event, Observer::Graph);
+    ASSERT_FALSE(r.deadlock);
+    Retimer retimer(r.graph);
+
+    WhatIfModel m;
+    m.exact_replay = false;
+    m.fu_scale = 1e4; // 10k+ units: past every pool of an 800-op run
+    const Cycle unbounded = retimer.retime(m).cycles;
+    for (const double scale : {4294967296.0, 1e12, 1e300}) {
+        m.fu_scale = scale;
+        EXPECT_EQ(retimer.retime(m).cycles, unbounded) << scale;
+        EXPECT_EQ(retimer.retimeAll({m}).at(0).cycles, unbounded) << scale;
+    }
+    for (const double scale :
+         {std::nan(""), std::numeric_limits<double>::infinity(), 0.0,
+          -1.0}) {
+        m.fu_scale = scale;
+        EXPECT_THROW(retimer.retime(m), std::logic_error) << scale;
+        EXPECT_THROW(retimer.retimeAll({m}), std::logic_error) << scale;
+    }
+}
+
 /** A register written by op 0 and read by the last op, and an FP pool
  *  used only at both ends of a long integer chain: at fu_scale 16 the
  *  late FP ops' structural gathers reach back to the early ones. */
@@ -369,6 +405,108 @@ TEST(CritpathLongLived, BatchedRetimeKeepsFarSources)
             {.checks = fuzz::kBatchedRetime, .kernels = {SchedKernel::Event}});
         EXPECT_EQ(r.failure, "") << core;
         EXPECT_LT(r.lane_rows, trace.size() / 4) << core;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Batched retime over random model sets
+// ---------------------------------------------------------------------
+
+/** The 64-model what-if ladder (CI 1-4 x EGPW x FU 0.25-16, and both
+ *  recycle bounds at FU 0.5-4), then the same model kinds at FU
+ *  scales 0.1 (one unit everywhere, as 0.25 gives on every preset:
+ *  the two share an effective-unit group), 3, 40 and 1000 (at 1000
+ *  the units reach past the end of every pool's grant order). */
+std::vector<WhatIfModel>
+modelPool()
+{
+    std::vector<WhatIfModel> pool;
+    const auto add = [&pool](const std::string &kind, double fu) {
+        WhatIfModel m;
+        m.name = kind + "_fu" + std::to_string(fu);
+        m.exact_replay = false;
+        m.fu_scale = fu;
+        m.zero_latency_recycle = kind == "ideal";
+        m.no_recycle = kind == "none";
+        if (kind.starts_with("ci")) {
+            m.ci_bits = static_cast<unsigned>(kind[2] - '0');
+            m.egpw = !kind.ends_with("_noegpw");
+        }
+        pool.push_back(m);
+    };
+    std::vector<std::string> ci_kinds;
+    for (const char bits : {'1', '2', '3', '4'})
+        for (const std::string egpw : {"", "_noegpw"})
+            ci_kinds.push_back(std::string("ci") + bits + egpw);
+    for (const std::string &kind : ci_kinds)
+        for (const double fu : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0})
+            add(kind, fu);
+    for (const std::string kind : {"ideal", "none"})
+        for (const double fu : {0.5, 1.0, 2.0, 4.0})
+            add(kind, fu);
+    for (const double fu : {0.1, 3.0, 40.0, 1000.0})
+        for (const std::string kind : {"ci1", "ci3_noegpw", "ideal", "none"})
+            add(kind, fu);
+    return pool;
+}
+
+/** Random subsets of the pool (1-64 models, random order) re-timed in
+ *  one batched pass each equal per-model retime(), on real workloads
+ *  under every core preset. The sets run back to back on one Retimer
+ *  at different lane counts, and the first set, run again after the
+ *  others, repeats: the lane rows grown for one pass serve the next. */
+TEST(CritpathBatched, RandomModelSetsMatchPerModel)
+{
+    const std::vector<WhatIfModel> pool = modelPool();
+    Rng rng(0xba7c4edull);
+    for (const std::string workload : {"act", "conv"}) {
+        const Trace trace = traceWorkload(workload);
+        for (const std::string core : {"big", "medium", "small"}) {
+            const RunOutcome run =
+                runOne(trace, configFor(core, SchedMode::ReDSOC),
+                       SchedKernel::Event, Observer::Graph);
+            ASSERT_FALSE(run.deadlock) << workload << "/" << core;
+            Retimer retimer(run.graph);
+            std::map<size_t, Cycle> per_model;
+            const auto oracle = [&](size_t idx) {
+                auto it = per_model.find(idx);
+                if (it == per_model.end())
+                    it = per_model
+                             .emplace(idx, retimer.retime(pool[idx]).cycles)
+                             .first;
+                return it->second;
+            };
+            std::vector<WhatIfModel> first;
+            std::vector<RetimeResult> first_results;
+            // Wide, narrow, then anything: the lane count changes.
+            for (const u64 max_size : {64, 16, 64, 64}) {
+                std::vector<size_t> idx(pool.size());
+                std::iota(idx.begin(), idx.end(), size_t{0});
+                for (size_t j = idx.size() - 1; j > 0; --j)
+                    std::swap(idx[j], idx[rng.below(j + 1)]);
+                idx.resize(rng.range(max_size == 64 && first.empty() ? 33 : 1,
+                                     max_size));
+                std::vector<WhatIfModel> models;
+                for (const size_t k : idx)
+                    models.push_back(pool[k]);
+                const std::vector<RetimeResult> got =
+                    retimer.retimeAll(models);
+                ASSERT_EQ(got.size(), models.size());
+                for (size_t j = 0; j < idx.size(); ++j)
+                    EXPECT_EQ(got[j].cycles, oracle(idx[j]))
+                        << workload << "/" << core << " "
+                        << models[j].name << " in a set of "
+                        << models.size();
+                if (first.empty()) {
+                    first = models;
+                    first_results = got;
+                }
+            }
+            const std::vector<RetimeResult> again = retimer.retimeAll(first);
+            for (size_t j = 0; j < first.size(); ++j)
+                EXPECT_EQ(again[j].cycles, first_results[j].cycles)
+                    << workload << "/" << core << " " << first[j].name;
+        }
     }
 }
 
